@@ -1,7 +1,8 @@
 """Command-line surface: path dumps, theory curves, ensembles, signal traces.
 
 Flag values override file values which override built-in defaults. Exit
-codes: 0 success/PASS, 1 check FAIL, 2 usage or configuration error, 3 I/O.
+codes: 0 success/PASS, 1 check FAIL, 2 usage or configuration error or a
+request over a resource cap, 3 I/O.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import sys
 import numpy as np
 
 from . import __version__, config as cfgmod, montecarlo, theory
-from .channel import SampleGrid, enumerate_paths, synthesize_signal
-from .errors import ConfigError
+from .channel import SampleGrid, enumerate_paths, synthesis_grid, synthesize_signal
+from .errors import ConfigError, ResourceLimitError
 from .theory import SceneSummary, TheoryCurve
 
 _FMT = "{:.17g}".format
@@ -36,11 +37,6 @@ def _build_scene(doc: dict, need_direct_delay: bool = False) -> SceneSummary:
         return SceneSummary.from_components(room, radio, tx, rx, tx_pos, rx_pos)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _synthesis_grid(radio, tau_max: float) -> SampleGrid:
-    pad = 20.0 / radio.bandwidth
-    return SampleGrid.spanning(-pad, tau_max + pad, 1.0 / (4.0 * radio.bandwidth))
 
 
 def _cmd_paths(args) -> int:
@@ -126,7 +122,7 @@ def _cmd_signal(args) -> int:
     rng = None
     if args.phase_mode == "random":
         rng = np.random.Generator(np.random.Philox(key=[args.seed, 0]))
-    trace = synthesize_signal(paths, radio, _synthesis_grid(radio, tau_max), args.phase_mode, rng)
+    trace = synthesize_signal(paths, radio, synthesis_grid(radio, tau_max), args.phase_mode, rng)
     trace.to_csv(args.out)
     return 0
 
@@ -180,6 +176,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except ResourceLimitError as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -153,14 +153,25 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _finite_number(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ConfigError(f"non-finite number {text!r} is not allowed")
+    return value
+
+
 def load_document(path: str | None) -> dict:
-    """Load, validate, and default-fill a configuration file."""
+    """Load, validate, and default-fill a configuration file.
+
+    ``NaN``, ``Infinity``, ``-Infinity`` and numbers that overflow to
+    infinity are rejected with :class:`ConfigError`.
+    """
     if path is None:
         doc = {}
     else:
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                doc = json.load(fh)
+                doc = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):

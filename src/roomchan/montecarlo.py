@@ -28,6 +28,7 @@ from .channel import (
     arrival_count_curve,
     enumerate_paths,
     signal_moments,
+    synthesis_grid,
     synthesize_signal,
 )
 from .errors import ConfigError, EmptySampleError, ZeroEnergyError
@@ -37,9 +38,6 @@ _FMT = "{:.17g}".format
 
 MODES = ("both-random", "fixed-rx", "fixed-orientation-tx", "fixed-distance")
 
-# Oversampling and padding of the synthesis grid relative to the pulse.
-_OVERSAMPLE = 4
-_PAD_PULSES = 20
 _PLACEMENT_ATTEMPTS = 10_000
 
 
@@ -119,9 +117,7 @@ class McConfig:
         return np.linspace(self.grid_start, self.grid_stop, count)
 
     def synthesis_grid(self) -> SampleGrid:
-        pad = _PAD_PULSES / self.radio.bandwidth
-        step = 1.0 / (_OVERSAMPLE * self.radio.bandwidth)
-        return SampleGrid.spanning(-pad, self.tau_max + pad, step)
+        return synthesis_grid(self.radio, self.tau_max)
 
 
 @dataclass(frozen=True)

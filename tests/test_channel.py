@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from roomchan import channel
 from roomchan.antenna import Isotropic, SphericalCap
 from roomchan.channel import (
     PathList,
@@ -12,6 +13,7 @@ from roomchan.channel import (
     enumerate_paths,
     signal_moments,
     sinc_pulse,
+    synthesis_grid,
     synthesize_signal,
 )
 from roomchan.errors import DegenerateGeometryError, OutOfHorizonError, ZeroEnergyError
@@ -228,6 +230,97 @@ class TestSynthesizeSignal:
         )
         stderr = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - incoherent) <= 3 * stderr + 1e-12)
+
+
+def paths_with_delays(rng, delays):
+    n = len(delays)
+    return PathList(
+        indices=np.zeros((n, 3)), delays=delays,
+        dods=np.zeros((n, 3)), doas=np.zeros((n, 3)),
+        power_gains=rng.uniform(0.0, 1.0, n) ** 4,
+        phases=rng.uniform(0.0, 2 * np.pi, n),
+        horizon=float(np.max(delays)),
+    )
+
+
+def per_path_sum(paths, grid, phases=None):
+    """Reference: one np.sinc pulse per path, summed in a plain loop."""
+    phases = paths.phases if phases is None else phases
+    t = grid.times()
+    out = np.zeros(grid.count, dtype=complex)
+    for gain, phase, delay in zip(paths.power_gains, phases, paths.delays):
+        out += np.sqrt(gain) * np.exp(1j * phase) * np.sinc(RADIO.bandwidth * (t - delay))
+    return out
+
+
+def assert_near_per_path_sum(samples, reference):
+    assert np.max(np.abs(samples - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+@pytest.fixture
+def kernels_run(monkeypatch):
+    """Names of the synthesis kernels called, in order."""
+    calls = []
+    for name in ("_direct_sum", "_lattice_sum"):
+        def spy(*args, _kernel=getattr(channel, name), _name=name):
+            calls.append(_name)
+            return _kernel(*args)
+
+        monkeypatch.setattr(channel, name, spy)
+    return calls
+
+
+class TestSynthesisKernels:
+    GRID = synthesis_grid(RADIO, 120e-9)
+
+    @pytest.mark.parametrize("n, kernel", [
+        (3, "_direct_sum"), (12, "_direct_sum"), (300, "_lattice_sum"), (3000, "_lattice_sum"),
+    ])
+    def test_matches_per_path_sum_on_both_sides_of_crossover(self, n, kernel, kernels_run):
+        rng = np.random.default_rng(n)
+        paths = paths_with_delays(rng, np.sort(rng.uniform(5e-9, 120e-9, n)))
+        trace = synthesize_signal(paths, RADIO, self.GRID)
+        assert kernels_run == [kernel]
+        assert_near_per_path_sum(trace.samples, per_path_sum(paths, self.GRID))
+
+    def test_delays_on_samples_and_outside_the_grid(self, kernels_run):
+        rng = np.random.default_rng(3)
+        times = self.GRID.times()
+        edge = np.concatenate([
+            times[[0, 1, 7, 8, 9, 500, 1112, 1113, 1119, 1120]],
+            times[0] - np.array([0.01e-9, 0.3e-9, 1e-9, 4e-9]),
+            times[-1] + np.array([0.01e-9, 0.3e-9, 1e-9, 4e-9]),
+        ])
+        delays = np.sort(np.concatenate([edge, rng.uniform(0.0, 120e-9, 300)]))
+        paths = paths_with_delays(rng, delays)
+        trace = synthesize_signal(paths, RADIO, self.GRID)
+        assert kernels_run == ["_lattice_sum"]
+        assert_near_per_path_sum(trace.samples, per_path_sum(paths, self.GRID))
+
+    def test_coincident_opposite_phase_pairs_cancel(self, kernels_run):
+        rng = np.random.default_rng(4)
+        delays = np.repeat(rng.uniform(0.0, 120e-9, 200), 2)
+        phases = np.repeat(rng.uniform(0.0, np.pi, 200), 2) + np.tile([0.0, np.pi], 200)
+        paths = PathList(
+            indices=np.zeros((400, 3)), delays=delays,
+            dods=np.zeros((400, 3)), doas=np.zeros((400, 3)),
+            power_gains=np.repeat(rng.uniform(0.1, 1.0, 200), 2), phases=phases,
+            horizon=120e-9,
+        )
+        trace = synthesize_signal(paths, RADIO, self.GRID)
+        assert kernels_run == ["_lattice_sum"]
+        assert np.max(np.abs(trace.samples)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [5, 500])
+    def test_random_phases_consume_n_uniforms(self, n):
+        rng = np.random.default_rng(8)
+        paths = paths_with_delays(rng, np.sort(rng.uniform(5e-9, 120e-9, n)))
+        draws = np.random.default_rng(21)
+        trace = synthesize_signal(paths, RADIO, self.GRID, "random", draws)
+        expected = np.random.default_rng(21)
+        phases = expected.uniform(0.0, 2 * np.pi, n)
+        assert draws.uniform() == expected.uniform()
+        assert_near_per_path_sum(trace.samples, per_path_sum(paths, self.GRID, phases))
 
 
 class TestSignalMoments:

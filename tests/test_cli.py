@@ -52,6 +52,24 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, {"schema_version": 2})
         assert main(["--config", cfg, "theory", "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, literal):
+        path = tmp_path / "config.json"
+        path.write_text('{"radio": {"bandwidth_hz": %s}}' % literal)
+        code = main(["--config", str(path), "mc", "--runs", "1", "--out-dir", str(tmp_path / "b")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and literal in err
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_resource_limit_is_exit_two(self, tmp_path, capsys, threads):
+        cfg = write_config(tmp_path, {"room": {"lengths_m": [1e-9, 5, 3]}, "mc": small_mc_section()})
+        code = main(["--config", cfg, "mc", "--runs", "2", "--threads", threads,
+                     "--out-dir", str(tmp_path / "b")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit:") and err.count("\n") == 1
+
 
 class TestPathsCommand:
     def test_first_row_is_direct_path(self, tmp_path):

@@ -36,6 +36,15 @@ class AntennaPattern:
         """Whether ``direction`` lies in the beam (gain is nonzero there)."""
         return np.asarray(self.gain(direction)) > 0.0
 
+    @property
+    def cone(self) -> tuple[np.ndarray, float] | None:
+        """``(boresight, cos_min)`` of a cone holding the support, or None.
+
+        :func:`~roomchan.geometry.enumerate_indices` drops image cells whose
+        direction lies outside the cone; None prunes nothing.
+        """
+        return None
+
 
 @dataclass(frozen=True)
 class Isotropic(AntennaPattern):
@@ -85,6 +94,10 @@ class SphericalCap(AntennaPattern):
     @property
     def threshold(self) -> float:
         return 1.0 - 2.0 * self.fraction
+
+    @property
+    def cone(self) -> tuple[np.ndarray, float]:
+        return self.boresight, self.threshold
 
     def aimed(self, boresight) -> "SphericalCap":
         """Same cap pointed along a new boresight."""

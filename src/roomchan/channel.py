@@ -139,17 +139,6 @@ class PathList:
             fh.write("\n".join(lines) + "\n")
 
 
-def _wall_gain_products(room: Room, indices: np.ndarray) -> np.ndarray:
-    near = np.abs(indices // 2)
-    far = np.abs((indices + 1) // 2)
-    gains = room.wall_gains
-    out = np.ones(indices.shape[0])
-    for axis in range(3):
-        out *= gains[2 * axis] ** near[:, axis]
-        out *= gains[2 * axis + 1] ** far[:, axis]
-    return out
-
-
 def enumerate_paths(
     room: Room,
     tx_position,
@@ -166,6 +155,9 @@ def enumerate_paths(
     ``g_k * G_tx(dod) * G_rx(doa) / (4*pi*c*tau/wavelength)**2``; the phase
     stored with each path is the carrier phase ``-2*pi*c*tau/wavelength``
     wrapped to ``[0, 2*pi)``. Paths are sorted by delay (ties by index).
+
+    The beams' support cones prune the image lattice before any per-image
+    work; the survivors then pass the patterns' exact ``in_support`` test.
     """
     tx_position = np.asarray(tx_position, dtype=float)
     rx_position = np.asarray(rx_position, dtype=float)
@@ -179,21 +171,22 @@ def enumerate_paths(
         )
 
     indices, positions, delays = geometry.enumerate_indices(
-        room, tx_position, rx_position, tau_max, radio.speed_of_light, max_cells
+        room, tx_position, rx_position, tau_max, radio.speed_of_light, max_cells,
+        cones=(tx_pattern.cone, rx_pattern.cone),
     )
     if np.any(delays == 0.0):
         raise DegenerateGeometryError("receiver sits exactly on a mirror source")
 
     distances = delays * radio.speed_of_light
     doas = (positions - rx_position) / distances[:, None]
-    dods = (2.0 * (indices % 2) - 1.0) * doas
+    dods = geometry.departure_signs(indices) * doas
 
     keep = np.asarray(tx_pattern.in_support(dods)) & np.asarray(rx_pattern.in_support(doas))
     indices, delays, doas, dods = indices[keep], delays[keep], doas[keep], dods[keep]
 
     spreading = (4.0 * np.pi * delays * radio.speed_of_light / radio.wavelength) ** 2
     power = (
-        _wall_gain_products(room, indices)
+        geometry.wall_gain_products(room, indices)
         * np.asarray(tx_pattern.gain(dods))
         * np.asarray(rx_pattern.gain(doas))
         / spreading
@@ -281,8 +274,9 @@ class SignalTrace:
     def times(self) -> np.ndarray:
         return self.start + self.step * np.arange(self.samples.shape[0])
 
-    @property
+    @functools.cached_property
     def abs2(self) -> np.ndarray:
+        """``|samples|**2``, computed once per trace."""
         return np.abs(self.samples) ** 2
 
     @property
@@ -290,7 +284,10 @@ class SignalTrace:
         return float(np.trapezoid(self.abs2, dx=self.step))
 
     def window(self, t_min: float | None = None, t_max: float | None = None) -> "SignalTrace":
-        """Sub-trace with sample times inside ``[t_min, t_max]`` (inclusive)."""
+        """Sub-trace with sample times inside ``[t_min, t_max]`` (inclusive).
+
+        The sub-trace shares this trace's ``abs2`` instead of recomputing it.
+        """
         t = self.times()
         mask = np.ones(t.shape, dtype=bool)
         if t_min is not None:
@@ -300,7 +297,10 @@ class SignalTrace:
         idx = np.flatnonzero(mask)
         if idx.size == 0:
             raise ValueError("window excludes every sample")
-        return SignalTrace(float(t[idx[0]]), self.step, self.samples[idx[0] : idx[-1] + 1])
+        part = slice(idx[0], idx[-1] + 1)
+        sub = SignalTrace(float(t[idx[0]]), self.step, self.samples[part])
+        sub.__dict__["abs2"] = self.abs2[part]
+        return sub
 
     def to_csv(self, path) -> None:
         lines = ["t_seconds,re,im,abs2"]
@@ -352,13 +352,25 @@ def _lattice_is_cheaper(n: int, samples: int, nfft: float) -> bool:
     return lattice < n * samples
 
 
+@functools.lru_cache(maxsize=8)
+def _direct_table(bandwidth: float, grid: SampleGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``a = pi B t`` on the grid times, ``sin a`` and ``cos a``; read-only.
+
+    Cached like :func:`_kernel_spectra`: an ensemble reuses one grid.
+    """
+    a = np.pi * bandwidth * grid.times()
+    table = (a, np.sin(a), np.cos(a))
+    for values in table:
+        values.flags.writeable = False
+    return table
+
+
 def _direct_sum(amplitudes, delays, radio: RadioConfig, grid: SampleGrid) -> np.ndarray:
     # sin(a - b) expansion: transcendentals cost O(paths + samples), not their
     # product.
     out = np.zeros(grid.count, dtype=complex)
     scale = np.pi * radio.bandwidth
-    a = scale * grid.times()
-    sin_a, cos_a = np.sin(a), np.cos(a)
+    a, sin_a, cos_a = _direct_table(radio.bandwidth, grid)
     for lo in range(0, delays.shape[0], _SYNTH_CHUNK):
         sl = slice(lo, lo + _SYNTH_CHUNK)
         b = scale * delays[sl]

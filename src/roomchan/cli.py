@@ -8,6 +8,7 @@ request over a resource cap, 3 I/O.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -39,14 +40,33 @@ def _build_scene(doc: dict, need_direct_delay: bool = False) -> SceneSummary:
         raise ConfigError(str(exc)) from None
 
 
-def _cmd_paths(args) -> int:
+def _horizon(text: str) -> float:
+    """Type of ``--tau-max``: a finite, non-negative delay in seconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {text!r}")
+    return value
+
+
+def _scene_paths(args):
+    """Path list of the fixed scene of ``paths`` and ``signal``, its radio and horizon."""
     doc = cfgmod.load_document(args.config)
     room = cfgmod.build_room(doc)
     radio = cfgmod.build_radio(doc)
     tx_pos, rx_pos = cfgmod.positions_from(doc)
     tx_pattern, rx_pattern = cfgmod.aimed_patterns(doc, tx_pos, rx_pos)
     tau_max = args.tau_max if args.tau_max is not None else doc["mc"]["tau_max_s"]
+    if tau_max < 0.0:
+        raise ConfigError("mc/tau_max_s: must be non-negative")
     paths = enumerate_paths(room, tx_pos, tx_pattern, rx_pos, rx_pattern, radio, tau_max)
+    return paths, radio, tau_max
+
+
+def _cmd_paths(args) -> int:
+    paths, _, _ = _scene_paths(args)
     paths.to_csv(args.out)
     return 0
 
@@ -112,13 +132,7 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_signal(args) -> int:
-    doc = cfgmod.load_document(args.config)
-    room = cfgmod.build_room(doc)
-    radio = cfgmod.build_radio(doc)
-    tx_pos, rx_pos = cfgmod.positions_from(doc)
-    tx_pattern, rx_pattern = cfgmod.aimed_patterns(doc, tx_pos, rx_pos)
-    tau_max = args.tau_max if args.tau_max is not None else doc["mc"]["tau_max_s"]
-    paths = enumerate_paths(room, tx_pos, tx_pattern, rx_pos, rx_pattern, radio, tau_max)
+    paths, radio, tau_max = _scene_paths(args)
     rng = None
     if args.phase_mode == "random":
         rng = np.random.Generator(np.random.Philox(key=[args.seed, 0]))
@@ -137,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("paths", help="dump the path list of a fixed scene as CSV")
-    p.add_argument("--tau-max", type=float, default=None, help="delay horizon in seconds")
+    p.add_argument("--tau-max", type=_horizon, default=None, help="delay horizon in seconds")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(handler=_cmd_paths)
 
@@ -158,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_mc)
 
     p = sub.add_parser("signal", help="synthesize a received signal trace as CSV")
-    p.add_argument("--tau-max", type=float, default=None, help="delay horizon in seconds")
+    p.add_argument("--tau-max", type=_horizon, default=None, help="delay horizon in seconds")
     p.add_argument("--phase-mode", choices=("carrier", "random"), default="carrier")
     p.add_argument("--seed", type=int, default=0, help="seed for random phases")
     p.add_argument("--out", required=True, help="output CSV path")

@@ -219,13 +219,17 @@ def build_pattern(doc: dict, side: str) -> AntennaPattern:
 
 
 def positions_from(doc: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-scene terminal positions; each must lie inside the room."""
     if "positions" not in doc:
         raise ConfigError("positions: section is required for this command")
-    section = doc["positions"]
-    return (
-        np.asarray(section["tx_m"], dtype=float),
-        np.asarray(section["rx_m"], dtype=float),
-    )
+    room = build_room(doc)
+    positions = []
+    for key in ("tx_m", "rx_m"):
+        position = np.asarray(doc["positions"][key], dtype=float)
+        if not room.contains(position):
+            raise ConfigError(f"positions/{key}: {position.tolist()} lies outside the room")
+        positions.append(position)
+    return positions[0], positions[1]
 
 
 def aimed_patterns(doc: dict, tx_position, rx_position) -> tuple[AntennaPattern, AntennaPattern]:

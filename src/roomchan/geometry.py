@@ -24,6 +24,10 @@ MirrorIndex = tuple[int, int, int]
 #: Default cap on candidate index cells scanned by :func:`enumerate_indices`.
 DEFAULT_MAX_CELLS = 20_000_000
 
+# Slack of the cone test in enumerate_indices, relative to the horizon radius
+# plus the room's side lengths; see the notes there.
+_CONE_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class Room:
@@ -80,7 +84,13 @@ class Room:
 
     def contains(self, position) -> bool:
         p = np.asarray(position, dtype=float)
-        return bool(np.all(p >= 0.0) and np.all(p < self.lengths))
+        return bool((p >= 0.0).all() and (p < self.lengths).all())
+
+
+def _axis_image_positions(length, coordinate, k_values: np.ndarray) -> np.ndarray:
+    offsets = ((k_values + 1) // 2) * 2.0 * length
+    signs = 1.0 - 2.0 * (k_values % 2)
+    return offsets + signs * coordinate
 
 
 def mirror_source_position(room: Room, source, k) -> np.ndarray:
@@ -90,10 +100,7 @@ def mirror_source_position(room: Room, source, k) -> np.ndarray:
     ``k = (0, 0, 0)`` returns ``source`` unchanged.
     """
     k = np.asarray(k, dtype=np.int64)
-    source = np.asarray(source, dtype=float)
-    offsets = ((k + 1) // 2) * 2.0 * room.lengths
-    signs = 1.0 - 2.0 * (k % 2)
-    return offsets + signs * source
+    return _axis_image_positions(room.lengths, np.asarray(source, dtype=float), k)
 
 
 def mirror_receiver_index(k) -> np.ndarray:
@@ -128,18 +135,30 @@ def arrival_direction(mirror_position, receiver) -> np.ndarray:
         raise DegenerateGeometryError("mirror source and receiver coincide")
     return diff / norm
 
+
+def departure_signs(k) -> np.ndarray:
+    """Per-axis factors ``2*(k mod 2) - 1`` turning arrival into departure.
+
+    Folding the straight mirror-space ray back into the room flips each axis
+    once per reflection, so per axis ``dod_i = -(-1)**k_i * doa_i``. Takes
+    index arrays of any shape.
+    """
+    return 2.0 * (np.asarray(k, dtype=np.int64) % 2) - 1.0
+
+
 def departure_from_arrival(k, doa) -> np.ndarray:
     """Direction of departure implied by a direction of arrival for path ``k``.
 
-    Folding the straight mirror-space ray back into the room flips each axis
-    once per reflection, so per axis ``dod_i = -(-1)**k_i * doa_i``. For the
-    direct path this reduces to ``dod = -doa``. Matches the direct
+    For the direct path this reduces to ``dod = -doa``. Matches the direct
     construction from the receiver image position and preserves transmit /
     receive reciprocity.
     """
+    return departure_signs(k) * np.asarray(doa, dtype=float)
+
+
+def _wall_hits(k) -> tuple[np.ndarray, np.ndarray]:
     k = np.asarray(k, dtype=np.int64)
-    doa = np.asarray(doa, dtype=float)
-    return (2.0 * (k % 2) - 1.0) * doa
+    return np.abs(k // 2), np.abs((k + 1) // 2)
 
 
 def wall_interaction_counts(k) -> tuple[int, int, int, int, int, int]:
@@ -148,30 +167,27 @@ def wall_interaction_counts(k) -> tuple[int, int, int, int, int, int]:
     Per axis the near wall (through the origin) is hit ``|floor(k/2)|`` times
     and the far wall ``|ceil(k/2)|`` times; the two counts sum to ``|k|``.
     """
-    k = np.asarray(k, dtype=np.int64)
-    near = np.abs(k // 2)
-    far = np.abs((k + 1) // 2)
-    return (
-        int(near[0]), int(far[0]),
-        int(near[1]), int(far[1]),
-        int(near[2]), int(far[2]),
-    )
+    return tuple(int(v) for v in np.stack(_wall_hits(k), axis=1).ravel())
 
 
-def reflection_gain(room: Room, k) -> float:
-    """Power gain accumulated by the wall reflections of path ``k``.
+def wall_gain_products(room: Room, indices) -> np.ndarray:
+    """Power gain of the wall reflections of each row of an ``(N, 3)`` index array.
 
     Product of per-wall reflectances raised to the interaction counts; for
     identical walls with gain ``g`` this equals ``g ** (|kx|+|ky|+|kz|)``.
     """
-    counts = np.asarray(wall_interaction_counts(k), dtype=float)
-    return float(np.prod(room.wall_gains**counts))
+    near, far = _wall_hits(indices)
+    gains = room.wall_gains
+    out = np.ones(near.shape[0])
+    for axis in range(3):
+        out *= gains[2 * axis] ** near[:, axis]
+        out *= gains[2 * axis + 1] ** far[:, axis]
+    return out
 
 
-def _axis_image_positions(length: float, coordinate: float, k_values: np.ndarray) -> np.ndarray:
-    offsets = ((k_values + 1) // 2) * 2.0 * length
-    signs = 1.0 - 2.0 * (k_values % 2)
-    return offsets + signs * coordinate
+def reflection_gain(room: Room, k) -> float:
+    """Power gain accumulated by the wall reflections of path ``k``."""
+    return float(wall_gain_products(room, np.reshape(k, (1, 3)))[0])
 
 
 def enumerate_indices(
@@ -181,8 +197,10 @@ def enumerate_indices(
     tau_max: float,
     speed: float,
     max_cells: int = DEFAULT_MAX_CELLS,
+    *,
+    cones=(None, None),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All mirror-source indices whose path delay is at most ``tau_max``.
+    """Mirror-source indices whose path delay is at most ``tau_max``.
 
     Parameters
     ----------
@@ -196,6 +214,12 @@ def enumerate_indices(
     max_cells : int
         Cap on the scanned index cube; exceeding it raises
         :class:`ResourceLimitError`.
+    cones : pair
+        Support cones of the source and receiver beams, each
+        ``(unit boresight, cos_min)`` or None (see
+        :attr:`~roomchan.antenna.AntennaPattern.cone`). Images whose
+        departure or arrival direction lies clearly outside its cone are
+        dropped; every image inside both cones is kept.
 
     Returns
     -------
@@ -211,6 +235,18 @@ def enumerate_indices(
     A per-axis index bound of ``ceil(speed * tau_max / L) + 2`` covers every
     image within the horizon: axis images satisfy ``|position| >= (|k|-1)*L``,
     so any admissible index obeys ``|k| <= speed*tau_max/L + 2``.
+
+    With ``o`` the image position relative to the receiver and ``d = |o|``,
+    the arrival direction is ``o/d`` and the departure direction
+    ``departure_signs(k) * o/d``. Both projections of ``o`` onto a boresight
+    are outer sums of per-axis terms over the index cube, like ``d**2``. The
+    cone test ``projection >= cos_min * d - slack`` runs on the cells within
+    the horizon before any per-image array is built, so the per-image work
+    scales with the cones' coverage fractions; the scan of the cube stays
+    O(cells). The slack is ``1e-9 * (speed*tau_max + Lx + Ly + Lz)`` metres.
+    The test differs from the exact per-path test, which recomputes the
+    direction from the image position, by at most about ``15 * 2**-53`` of
+    that sum in rounding, so an image inside a cone is never dropped.
     """
     source = np.asarray(source, dtype=float)
     receiver = np.asarray(receiver, dtype=float)
@@ -229,23 +265,37 @@ def enumerate_indices(
             f"index cube holds {cells} cells, above the cap of {max_cells}"
         )
 
-    axes = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds]
-    offsets = [
-        _axis_image_positions(room.lengths[i], source[i], axes[i]) - receiver[i]
-        for i in range(3)
-    ]
-    dist_sq = (
-        (offsets[0] ** 2)[:, None, None]
-        + (offsets[1] ** 2)[None, :, None]
-        + (offsets[2] ** 2)[None, None, :]
-    )
-    mask = dist_sq <= radius * radius
+    # Per-axis image offsets from the receiver on one shared index range;
+    # row i is read at |k| <= bounds[i].
+    reach = int(bounds.max())
+    k = np.arange(-reach, reach + 1, dtype=np.int64)
+    table = _axis_image_positions(room.lengths[:, None], source[:, None], k) - receiver[:, None]
+    rows = [slice(reach - b, reach + b + 1) for b in bounds]
 
-    # argwhere scans in C order, i.e. lexicographically over (kx, ky, kz).
-    hits = np.argwhere(mask)
-    indices = hits - bounds[None, :]
+    def per_axis(values):
+        return [values[i, rows[i]] for i in range(3)]
+
+    x, y, z = per_axis(table**2)
+    dist_sq = x[:, None, None] + y[None, :, None] + z[None, None, :]
+    # Flat positions of the cells in the horizon ball, in C order, i.e.
+    # lexicographically over (kx, ky, kz), split into the (kx, ky) column
+    # and kz.
+    kept = np.flatnonzero(dist_sq <= radius * radius)
+    dist = np.sqrt(dist_sq.ravel()[kept])
+    column, kz = np.divmod(kept, dist_sq.shape[2])
+    slack = _CONE_SLACK * (radius + float(np.sum(room.lengths)))
+    for cone, signs in zip(cones, (departure_signs(k), 1.0)):
+        if cone is not None:
+            boresight, cos_min = cone
+            x, y, z = per_axis(signs * table * boresight[:, None])
+            projection = (x[:, None] + y[None, :]).ravel()[column] + z[kz]
+            inside = projection >= cos_min * dist - slack
+            column, kz, dist = column[inside], kz[inside], dist[inside]
+
+    hits = (*np.divmod(column, dist_sq.shape[1]), kz)
+    indices = np.stack(hits, axis=1) - bounds[None, :]
     positions = np.stack(
-        [offsets[i][hits[:, i]] + receiver[i] for i in range(3)], axis=1
+        [table[i, rows[i]][hits[i]] + receiver[i] for i in range(3)], axis=1
     )
-    delays = np.sqrt(dist_sq[mask]) / speed
+    delays = dist / speed
     return indices, positions, delays

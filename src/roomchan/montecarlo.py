@@ -218,7 +218,14 @@ def _oriented(pattern: AntennaPattern, boresight) -> AntennaPattern:
     return pattern
 
 
-def _simulate_run(cfg: McConfig, index: int):
+def _run_tables(cfg: McConfig) -> tuple[np.ndarray, SampleGrid, np.ndarray]:
+    """Constants every run of an ensemble shares: count grid, synthesis grid, its times."""
+    synthesis = cfg.synthesis_grid()
+    return cfg.grid(), synthesis, synthesis.times()
+
+
+def _simulate_run(cfg: McConfig, tables, index: int):
+    grid, synthesis, times = tables
     rng = _run_rng(cfg.seed, index)
     tx_pos, tx_ori, rx_pos, rx_ori = _draw_terminals(cfg, rng)
     tx_pattern = _oriented(cfg.tx_pattern, tx_ori)
@@ -228,11 +235,11 @@ def _simulate_run(cfg: McConfig, index: int):
         cfg.room, tx_pos, tx_pattern, rx_pos, rx_pattern,
         cfg.radio, cfg.tau_max, cfg.max_cells,
     )
-    grid = cfg.grid()
     counts = arrival_count_curve(paths, grid).astype(np.int32)
 
-    trace = synthesize_signal(paths, cfg.radio, cfg.synthesis_grid(), cfg.phase_mode, rng)
-    power = np.interp(grid, trace.times(), trace.abs2)
+    # One |y|^2 per run: the window below shares it with energy and moments.
+    trace = synthesize_signal(paths, cfg.radio, synthesis, cfg.phase_mode, rng)
+    power = np.interp(grid, times, trace.abs2)
 
     mean_delay = rms_spread = None
     energy = 0.0
@@ -258,16 +265,16 @@ def _simulate_run(cfg: McConfig, index: int):
     return counts, power, record
 
 
-_WORKER_CONFIG: McConfig | None = None
+_WORKER_STATE: tuple | None = None
 
 
 def _init_worker(cfg: McConfig) -> None:
-    global _WORKER_CONFIG
-    _WORKER_CONFIG = cfg
+    global _WORKER_STATE
+    _WORKER_STATE = (cfg, _run_tables(cfg))
 
 
 def _worker_run(index: int):
-    return _simulate_run(_WORKER_CONFIG, index)
+    return _simulate_run(*_WORKER_STATE, index)
 
 
 def ecdf(samples) -> Ecdf:
@@ -289,15 +296,16 @@ def run_ensemble(cfg: McConfig, workers: int = 1) -> McResult:
     for any worker count. Runs whose beams pick up no energy are counted in
     ``missing_moments`` and excluded from the moment distributions.
     """
+    tables = _run_tables(cfg)
     if workers <= 1:
-        outputs = [_simulate_run(cfg, i) for i in range(cfg.runs)]
+        outputs = [_simulate_run(cfg, tables, i) for i in range(cfg.runs)]
     else:
         with multiprocessing.Pool(
             processes=workers, initializer=_init_worker, initargs=(cfg,)
         ) as pool:
             outputs = pool.map(_worker_run, range(cfg.runs), chunksize=max(1, cfg.runs // (8 * workers)))
 
-    grid = cfg.grid()
+    grid = tables[0]
     counts_raw = np.stack([o[0] for o in outputs])
     power_raw = np.stack([o[1] for o in outputs])
     records = [o[2] for o in outputs]

@@ -76,6 +76,16 @@ class TestGain:
             SphericalCap(0.5, (0, 0, 0))
 
 
+class TestCone:
+    def test_cap_cone_is_boresight_and_threshold(self):
+        cap = SphericalCap(0.1, (0.0, 3.0, 4.0))
+        boresight, cos_min = cap.cone
+        assert np.array_equal(boresight, cap.boresight) and cos_min == cap.threshold
+
+    def test_isotropic_has_no_cone(self):
+        assert Isotropic().cone is None
+
+
 class TestBeamFraction:
     def test_isotropic(self):
         assert Isotropic().beam_fraction == 1.0

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from hypothesis import assume, given, settings, strategies as st
+
+from conftest import hand_gated_paths
 from roomchan import channel
-from roomchan.antenna import Isotropic, SphericalCap
+from roomchan.antenna import AntennaPattern, Isotropic, SphericalCap
 from roomchan.channel import (
     PathList,
     RadioConfig,
@@ -121,6 +124,86 @@ class TestEnumeratePaths:
         radio = RadioConfig(1.0, 2e9, C)
         with pytest.warns(UserWarning):
             enumerate_paths(ROOM, TX, ISO, RX, ISO, radio, 0.5e-9)
+
+
+class TwoSided(AntennaPattern):
+    """Gain 2 where ``|direction . z| >= 1/2``: half the sphere, no support cone."""
+
+    beam_fraction = 0.5
+
+    def gain(self, direction):
+        return 2.0 * (np.abs(np.asarray(direction, dtype=float)[..., 2]) >= 0.5)
+
+
+st_position = st.tuples(*[st.floats(min_value=0.0, max_value=0.999)] * 3).map(
+    lambda f: np.asarray(f) * ROOM.lengths
+)
+st_axis = st.sampled_from([s * np.eye(3)[i] for i in range(3) for s in (1.0, -1.0)])
+st_direction = st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 3).filter(
+    lambda v: np.linalg.norm(v) > 1e-3
+)
+st_beam = st.tuples(st.floats(min_value=1e-3, max_value=1.0), st.one_of(st_axis, st_direction))
+
+
+def assert_matches_reference(tx, tx_pattern, rx, rx_pattern, tau_max):
+    try:
+        reference = hand_gated_paths(ROOM, tx, tx_pattern, rx, rx_pattern, C, tau_max)
+    except DegenerateGeometryError:
+        with pytest.raises(DegenerateGeometryError):
+            enumerate_paths(ROOM, tx, tx_pattern, rx, rx_pattern, RADIO, tau_max)
+        return None
+    paths = enumerate_paths(ROOM, tx, tx_pattern, rx, rx_pattern, RADIO, tau_max)
+    got = (paths.indices, paths.delays, paths.dods, paths.doas)
+    for a, b in zip(got, reference):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    return paths
+
+
+class TestConePruning:
+    """Cone-pruned enumeration against the cone-free one gated by hand."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tx=st_position, rx=st_position, tx_beam=st_beam, rx_beam=st_beam)
+    def test_bitwise_equal_to_hand_gated_reference(self, tx, rx, tx_beam, rx_beam):
+        assume(not np.array_equal(tx, rx))
+        assert_matches_reference(tx, SphericalCap(*tx_beam), rx, SphericalCap(*rx_beam), 30e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tx=st_position, rx=st_position, axis=st_axis, pick=st.integers(0, 10**6),
+        departure=st.booleans(),
+    )
+    def test_direction_on_the_cap_boundary_is_kept(self, tx, rx, axis, pick, departure):
+        # Along an axis the exact test compares one direction component with
+        # the threshold, so a cap whose threshold equals that component puts
+        # the path exactly on the closed boundary.
+        assume(not np.array_equal(tx, rx) and np.sum((tx - rx) ** 2) > 0.0)
+        indices, _, dods, doas = hand_gated_paths(ROOM, tx, ISO, rx, ISO, C, 30e-9)
+        assume(len(indices) > 0)
+        i = pick % len(indices)
+        component = float(((dods if departure else doas)[i] * axis).sum())
+        fraction = (1.0 - component) / 2.0
+        assume(1e-3 <= fraction <= 1.0)
+        cap = SphericalCap(fraction, axis)
+        assume(cap.threshold == component)
+        tx_pattern, rx_pattern = (cap, ISO) if departure else (ISO, cap)
+        paths = assert_matches_reference(tx, tx_pattern, rx, rx_pattern, 30e-9)
+        assert tuple(indices[i]) in {p.index for p in paths}
+
+    def test_pattern_without_cone_is_gated_exactly(self):
+        pattern = TwoSided()
+        assert pattern.cone is None
+        paths = assert_matches_reference(TX, pattern, RX, SphericalCap(0.2, (1.0, 0.0, 0.0)), 40e-9)
+        assert 0 < len(paths) < len(enumerate_paths(ROOM, TX, ISO, RX, ISO, RADIO, 40e-9))
+
+    def test_zero_delay_image_still_raises(self):
+        # |tx - rx| = 1e-170 m squares to zero: the direct path and its
+        # x-wall image have zero delay. Caps pointed away must not prune them.
+        tx = np.array([1e-170, 2.5, 1.5])
+        rx = np.array([0.0, 2.5, 1.5])
+        away = SphericalCap(0.01, (0.0, 0.0, 1.0))
+        with pytest.raises(DegenerateGeometryError):
+            enumerate_paths(ROOM, tx, away, rx, away, RADIO, 20e-9)
 
 
 class TestArrivalCount:

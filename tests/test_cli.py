@@ -103,6 +103,33 @@ class TestPathsCommand:
         assert main(["--config", cfg, "paths", "--out", str(tmp_path / "p.csv")]) == 2
 
 
+class TestFixedSceneInput:
+    @pytest.mark.parametrize("command", ["paths", "signal"])
+    def test_position_outside_room_is_config_error(self, tmp_path, capsys, command):
+        positions = {"tx_m": [9.0, 2.5, 1.5], "rx_m": [3.8, 4.0, 0.6]}
+        cfg = write_config(tmp_path, {"positions": positions})
+        assert main(["--config", cfg, command, "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: positions/tx_m") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["paths", "signal"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9"])
+    def test_bad_horizon_flag_is_usage_error(self, tmp_path, capsys, command, value):
+        cfg = write_config(tmp_path, {"positions": FIG_POSITIONS})
+        code = main(["--config", cfg, command, f"--tau-max={value}", "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        last = err.strip().splitlines()[-1]
+        assert last.endswith(f"argument --tau-max: must be finite and non-negative, got {value!r}")
+
+    def test_negative_horizon_in_config_is_config_error(self, tmp_path, capsys):
+        mc = {"tau_max_s": -1e-9, "moment_cutoff_s": -1e-9}
+        cfg = write_config(tmp_path, {"positions": FIG_POSITIONS, "mc": mc})
+        assert main(["--config", cfg, "paths", "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == "config error: mc/tau_max_s: must be non-negative\n"
+
+
 class TestTheoryCommand:
     def test_mixing_time_value(self, tmp_path):
         cfg = write_config(tmp_path, {})

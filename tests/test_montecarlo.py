@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from roomchan import theory
+from roomchan import geometry, theory
 from roomchan.antenna import Isotropic, SphericalCap
 from roomchan.channel import RadioConfig
 from roomchan.errors import ConfigError, EmptySampleError
@@ -125,6 +125,30 @@ class TestDeterminism:
         short = run_ensemble(quick_config(runs=3))
         longer = run_ensemble(quick_config(runs=6))
         assert np.array_equal(short.counts_raw, longer.counts_raw[:3])
+
+
+class TestConePruning:
+    def test_ensemble_matches_unpruned_reference(self, monkeypatch):
+        # 200 runs with 0.1 caps against the same ensemble with the cone
+        # prefilter switched off, so that only the exact in_support gates.
+        cfg = quick_config(
+            tx_pattern=SphericalCap(0.1), rx_pattern=SphericalCap(0.1), runs=200,
+            tau_max=120e-9, moment_cutoff=120e-9, grid_stop=120e-9, grid_step=0.25e-9,
+        )
+        pruned = run_ensemble(cfg)
+        enumerate_indices = geometry.enumerate_indices
+
+        def without_cones(*args, cones, **kwargs):
+            return enumerate_indices(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "enumerate_indices", without_cones)
+        reference = run_ensemble(cfg)
+        assert pruned.counts_raw.tobytes() == reference.counts_raw.tobytes()
+        assert pruned.power_raw.tobytes() == reference.power_raw.tobytes()
+        assert [(r.n_paths, r.energy, r.mean_delay, r.rms_spread) for r in pruned.records] == [
+            (r.n_paths, r.energy, r.mean_delay, r.rms_spread) for r in reference.records
+        ]
+        assert sum(r.n_paths for r in pruned.records) > 0
 
 
 class TestModes:

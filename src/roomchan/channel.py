@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import geometry
 from .antenna import AntennaPattern
-from .errors import DegenerateGeometryError, OutOfHorizonError, ZeroEnergyError
+from .errors import DegenerateGeometryError, OutOfHorizonError, ResourceLimitError, ZeroEnergyError
 from .geometry import Room
 
 _FMT = "{:.17g}".format
@@ -26,6 +27,19 @@ _FMT = "{:.17g}".format
 # order, so a trace never depends on scheduling; a block's temporaries hold
 # _SYNTH_CHUNK x samples values.
 _SYNTH_CHUNK = 512
+
+#: Cap on the points of a delay grid. Synthesis holds kilobytes per sample
+#: (the direct kernel's blocks of paths, the lattice kernel's per-cell
+#: table), so a grid this size already needs gigabytes per run; a larger one
+#: is a mistyped step or bandwidth.
+MAX_GRID_POINTS = 1_000_000
+
+# Lattice synthesis kernel: paths per block of its per-path stages, the
+# exact near band and the far-field moment rows. A block's largest
+# temporaries hold 2*_ORDER x _LATTICE_BLOCK complex values (82 kB), below
+# glibc's default mmap threshold (128 kB), so the heap reuses them from call
+# to call instead of mapping and faulting in fresh pages.
+_LATTICE_BLOCK = 256
 
 # Lattice synthesis kernel: half-width in samples of the band each path
 # evaluates exactly, and the number of terms of the far-field expansion.
@@ -157,7 +171,8 @@ def enumerate_paths(
     wrapped to ``[0, 2*pi)``. Paths are sorted by delay (ties by index).
 
     The beams' support cones prune the image lattice before any per-image
-    work; the survivors then pass the patterns' exact ``in_support`` test.
+    work; of the survivors, those where both patterns' gains are positive
+    (their exact ``in_support`` test) are kept.
     """
     tx_position = np.asarray(tx_position, dtype=float)
     rx_position = np.asarray(rx_position, dtype=float)
@@ -181,21 +196,23 @@ def enumerate_paths(
     doas = (positions - rx_position) / distances[:, None]
     dods = geometry.departure_signs(indices) * doas
 
-    keep = np.asarray(tx_pattern.in_support(dods)) & np.asarray(rx_pattern.in_support(doas))
-    indices, delays, doas, dods = indices[keep], delays[keep], doas[keep], dods[keep]
+    # A path is in a beam where its gain is nonzero (see in_support).
+    tx_gain = np.asarray(tx_pattern.gain(dods))
+    rx_gain = np.asarray(rx_pattern.gain(doas))
+    keep = (tx_gain > 0.0) & (rx_gain > 0.0)
+    if not keep.all():
+        indices, delays, doas, dods = indices[keep], delays[keep], doas[keep], dods[keep]
+        tx_gain, rx_gain = tx_gain[keep], rx_gain[keep]
 
     spreading = (4.0 * np.pi * delays * radio.speed_of_light / radio.wavelength) ** 2
-    power = (
-        geometry.wall_gain_products(room, indices)
-        * np.asarray(tx_pattern.gain(dods))
-        * np.asarray(rx_pattern.gain(doas))
-        / spreading
-    )
+    power = geometry.wall_gain_products(room, indices) * tx_gain * rx_gain / spreading
     phases = (-2.0 * np.pi * radio.speed_of_light * delays / radio.wavelength) % (
         2.0 * np.pi
     )
 
-    order = np.lexsort((indices[:, 2], indices[:, 1], indices[:, 0], delays))
+    # Rows arrive in lexicographic index order, so a stable sort by delay
+    # breaks ties by index.
+    order = np.argsort(delays, kind="stable")
     return PathList(
         indices[order], delays[order], dods[order], doas[order],
         power[order], phases[order], tau_max,
@@ -240,8 +257,17 @@ class SampleGrid:
 
     @classmethod
     def spanning(cls, start: float, stop: float, step: float) -> "SampleGrid":
-        count = int(np.floor((stop - start) / step + 1e-9)) + 1
-        return cls(start, step, count)
+        """Samples from ``start`` to ``stop`` (inclusive, within 1e-9 steps).
+
+        Raises :class:`ResourceLimitError` when the grid would hold more than
+        :data:`MAX_GRID_POINTS` points, before anything is allocated.
+        """
+        steps = (stop - start) / step + 1e-9
+        if steps >= MAX_GRID_POINTS:
+            raise ResourceLimitError(
+                f"grid holds {steps + 1:.3g} points, above the cap of {MAX_GRID_POINTS}"
+            )
+        return cls(start, step, int(np.floor(steps)) + 1)
 
     def times(self) -> np.ndarray:
         return self.start + self.step * np.arange(self.count)
@@ -333,17 +359,41 @@ def _fft_length(n: int) -> int:
 
 @functools.lru_cache(maxsize=8)
 def _kernel_spectra(nfft: int, end: int) -> np.ndarray:
-    """FFTs of the far-field kernels ``(n - 1/2)**-(p+1)``, ``p < _ORDER``.
+    """Real FFTs of the far-field kernels ``(n - 1/2)**-(p+1)``, ``p < _ORDER``.
 
-    Row ``p`` covers the lags ``n = end - nfft .. end - 1`` and is zero on
-    the near band ``1-_NEAR <= n <= _NEAR``. Cached: within an ensemble the
-    grid, and with it the window, rarely changes.
+    Row ``p`` holds the ``nfft // 2 + 1`` frequencies of the kernel on the
+    lags ``n = end - nfft .. end - 1``, which is zero on the near band
+    ``1-_NEAR <= n <= _NEAR``. Cached: within an ensemble the grid, and with
+    it the window, rarely changes.
     """
     lags = np.arange(end - nfft, end) - 0.5
     inverse = np.where(np.abs(lags) > _NEAR, 1.0 / lags, 0.0)
-    spectra = np.fft.fft(np.cumprod(np.broadcast_to(inverse, (_ORDER, nfft)), axis=0), axis=-1)
+    spectra = np.fft.rfft(np.cumprod(np.broadcast_to(inverse, (_ORDER, nfft)), axis=0), axis=-1)
     spectra.flags.writeable = False
     return spectra
+
+
+class _Workspace(threading.local):
+    """Per-thread buffers of the lattice kernel, grown to the largest call seen.
+
+    Every thread gets its own buffers, so concurrent calls never share them,
+    and memory stays bounded at one workspace per thread. Reusing them keeps
+    a call from mapping, faulting in and returning megabytes of temporaries.
+    """
+
+    def __init__(self) -> None:
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        """Buffer ``name`` viewed as a C-ordered ``shape``; its values are stale."""
+        size = math.prod(shape)
+        buffer = self.buffers.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self.buffers[name] = np.empty(size, dtype)
+        return buffer[:size].reshape(shape)
+
+
+_WORKSPACE = _Workspace()
 
 
 def _lattice_is_cheaper(n: int, samples: int, nfft: float) -> bool:
@@ -389,65 +439,107 @@ def _direct_sum(amplitudes, delays, radio: RadioConfig, grid: SampleGrid) -> np.
 
 def _lattice_sum(amplitudes, cells, radio: RadioConfig, grid: SampleGrid) -> np.ndarray:
     # cells = (delays - start) / step = j + 1/2 + d with integer j, |d| <= 1/2.
-    count = grid.count
-    j = np.floor(cells).astype(np.int64)
-    d = cells - j - 0.5
-    j_lo, j_hi = int(j.min()), int(j.max())
+    if np.any(cells[1:] < cells[:-1]):
+        # The segment sums below need the paths of each cell side by side.
+        order = np.argsort(cells, kind="stable")
+        amplitudes, cells = amplitudes[order], cells[order]
+    n, count = cells.shape[0], grid.count
     beta = np.pi * radio.bandwidth * grid.step
+    j = np.floor(cells)
+    d = cells - j - 0.5
+    # Cells are indexed from base = min(first cell, 0), so the kernel window
+    # below depends on the grid alone for delays after its start.
+    j_hi = int(j[-1])
+    base = min(int(j[0]), 0)
+    used = j_hi - base + 1
+    column = j.astype(np.intp) - base
+    # A path opens a segment where its cell changes or a block begins.
+    opens = np.empty(n, dtype=bool)
+    opens[0] = True
+    np.not_equal(column[1:], column[:-1], out=opens[1:])
+    opens[::_LATTICE_BLOCK] = True
+    trig = np.stack((np.cos(beta * cells), np.sin(beta * cells)))
+    sin_d, cos_d = np.sin(beta * d), np.cos(beta * d)
 
     # Near band: samples m = j + o, o = 1-_NEAR .. _NEAR, lie x = o - 1/2 - d
-    # cells from the delay. On the two samples around it, where x can vanish,
-    # np.sinc keeps full relative precision; elsewhere |x| >= 1 and
-    # sin(beta*x) splits into known sines of beta*(o - 1/2) and of beta*d.
+    # cells from the delay. Elsewhere than on the two samples around it,
+    # |x| >= 1 and sin(beta*x) splits into known sines of beta*(o - 1/2) and
+    # of beta*d; on those two, where x can vanish, np.sinc keeps full
+    # relative precision. Rows hold the split offsets first, then those two.
     offsets = np.arange(1 - _NEAR, _NEAR + 1) - 0.5
-    x = offsets - d[:, None]
-    pulses = np.divide(
-        np.sin(beta * offsets) * np.cos(beta * d)[:, None]
-        - np.cos(beta * offsets) * np.sin(beta * d)[:, None],
-        beta * x,
-        out=np.empty_like(x),
-        where=np.abs(offsets) > 1.0,
-    )
-    around = slice(_NEAR - 1, _NEAR + 1)
-    pulses[:, around] = np.sinc(radio.bandwidth * grid.step * x[:, around])
-    # Bins from the first to the last sample touched; the grid is a slice.
-    first = min(0, j_lo + 1 - _NEAR)
-    touched = max(count, j_hi + 1 + _NEAR) - first
-    at = (j[:, None] + np.arange(1 - _NEAR - first, _NEAR + 1 - first)).ravel()
-    out = (
-        np.bincount(at, (amplitudes.real[:, None] * pulses).ravel(), touched)
-        + 1j * np.bincount(at, (amplitudes.imag[:, None] * pulses).ravel(), touched)
-    )[-first : count - first]
+    offsets = np.concatenate((offsets[np.abs(offsets) > 1.0], offsets[np.abs(offsets) < 1.0]))
+    split = 2 * _NEAR - 2
+    sin_o = np.sin(beta * offsets[:split, None])
+    cos_o = np.cos(beta * offsets[:split, None])
 
-    # Far field: sin(beta*(m - s)) = sin(beta*m)cos(beta*s) - cos(beta*m)sin(beta*s)
-    # splits it into two Cauchy sums over q/(m - s), and with n = m - j,
-    # 1/((n - 1/2) - d) = sum_p d**p / (n - 1/2)**(p + 1). Each term is a
-    # lattice convolution of the binned moments W_p[j] = sum q d**p.
-    q = amplitudes * np.stack((np.cos(beta * cells), np.sin(beta * cells)))
-    powers = np.ones((_ORDER, d.shape[0]))
-    powers[1:] = np.cumprod(np.broadcast_to(d, (_ORDER - 1, d.shape[0])), axis=0)
-    # Real and imaginary parts of the cos and sin moments: (2, 2, _ORDER, n).
-    moments = np.stack((q.real, q.imag))[:, :, None, :] * powers
-    # Bins are indexed from base = min(j_lo, 0), so the kernel window below
-    # depends on the grid alone for delays after its start.
-    base = min(j_lo, 0)
-    cells_used = j_hi - base + 1
-    bins = (np.arange(4 * _ORDER)[:, None] * cells_used + (j - base)).ravel()
-    binned = np.bincount(bins, moments.ravel(), 4 * _ORDER * cells_used)
-    binned = binned.reshape(2, 2, _ORDER, cells_used)
-    binned = binned[0] + 1j * binned[1]
+    # Per cell: the near band's 2*_NEAR sums of a * pulse, then the
+    # far-field moments sum a cos(beta s) d**p and sum a sin(beta s) d**p,
+    # p < _ORDER (see below).
+    table = _WORKSPACE.take("cells", (2 * _NEAR + 2 * _ORDER, used), complex)
+    table.fill(0.0)
+    width = min(n, _LATTICE_BLOCK)
+    rows = _WORKSPACE.take("rows", (table.shape[0], width), complex)
+    pulses = _WORKSPACE.take("pulses", (2 * _NEAR, width))
+    powers = _WORKSPACE.take("powers", (_ORDER, width))
+    for lo in range(0, n, _LATTICE_BLOCK):
+        block = slice(lo, lo + _LATTICE_BLOCK)
+        dk = d[block]
+        size = dk.shape[0]
+        x = offsets[:, None] - dk
+        split_sin = sin_o * cos_d[block]
+        split_sin -= cos_o * sin_d[block]
+        np.divide(split_sin, beta * x[:split], out=pulses[:split, :size])
+        pulses[split:, :size] = np.sinc(radio.bandwidth * grid.step * x[split:])
+        np.multiply(amplitudes[block], pulses[:, :size], out=rows[: 2 * _NEAR, :size])
+
+        # Far field: sin(beta*(m - s)) = sin(beta*m)cos(beta*s) - cos(beta*m)sin(beta*s)
+        # splits it into two Cauchy sums over q/(m - s), and with n = m - j,
+        # 1/((n - 1/2) - d) = sum_p d**p / (n - 1/2)**(p + 1). Each term is a
+        # lattice convolution of the per-cell moments W_p[j] = sum q d**p.
+        powers[0, :size] = 1.0
+        powers[1, :size] = dk
+        for p in range(2, _ORDER):
+            np.multiply(powers[p - 1, :size], dk, out=powers[p, :size])
+        np.multiply(
+            (amplitudes[block] * trig[:, block])[:, None, :], powers[:, :size],
+            out=rows[2 * _NEAR :, :size].reshape(2, _ORDER, size),
+        )
+
+        # Sum each run of paths in one cell; a block's runs have distinct
+        # cells. Near band and moments go apart to halve the temporaries.
+        runs = np.flatnonzero(opens[block])
+        hit = column[block][runs]
+        for part in (slice(None, 2 * _NEAR), slice(2 * _NEAR, None)):
+            table[part, hit] += np.add.reduceat(rows[part, :size], runs, axis=1)
+
+    # Bins from the first to the last sample touched; the grid is a slice.
+    first = base + 1 - _NEAR
+    padded = np.zeros(max(count, j_hi + 1 + _NEAR) - first, dtype=complex)
+    for row, shift in enumerate((offsets + _NEAR - 0.5).astype(int)):
+        padded[shift : shift + used] += table[row]
+    out = padded[-first : count - first]
 
     # Lags m - j of samples 0 .. count-1 and cells base .. j_hi lie in the
     # window count-base-nfft .. count-base-1 when nfft >= count + j_hi - base;
     # the circular convolution then equals the linear one on its last count
-    # entries.
+    # entries. The real and imaginary parts of the moments are real rows.
     nfft = _fft_length(count + j_hi - base)
-    spectra = np.einsum(
-        "spk,pk->sk", np.fft.fft(binned, nfft, axis=-1), _kernel_spectra(nfft, count - base)
+    half = nfft // 2 + 1
+    moments = table[2 * _NEAR :]
+    spectra = _WORKSPACE.take("spectra", (2, 2 * _ORDER, half), complex)
+    np.fft.rfft(moments.real, nfft, out=spectra[0])
+    np.fft.rfft(moments.imag, nfft, out=spectra[1])
+    products = np.einsum(
+        "cpk,pk->ck", spectra.reshape(4, _ORDER, half), _kernel_spectra(nfft, count - base),
+        out=_WORKSPACE.take("products", (4, half), complex),
     )
-    cauchy = np.fft.ifft(spectra, axis=-1)[:, nfft - count :]
+    # Rows: real cos, real sin, imaginary cos, imaginary sin Cauchy sums.
+    cauchy = np.fft.irfft(products, nfft, out=_WORKSPACE.take("cauchy", (4, nfft)))
+    cauchy = cauchy[:, nfft - count :]
     m = beta * np.arange(count)
-    out += (np.sin(m) * cauchy[0] - np.cos(m) * cauchy[1]) / beta
+    sin_m, cos_m = np.sin(m) / beta, np.cos(m) / beta
+    out.real += sin_m * cauchy[0] - cos_m * cauchy[1]
+    out.imag += sin_m * cauchy[2] - cos_m * cauchy[3]
     return out
 
 
@@ -479,11 +571,13 @@ def synthesize_signal(
       ``1/((n - 1/2) - d) = sum_{p<10} d**p / (n - 1/2)**(p+1)``, with
       ``n = m - j_k``, turns them into 10 lattice convolutions of per-cell
       moments ``sum a_k cos(beta s_k) d_k**p`` (and likewise with sin), done
-      in one batch of FFTs. It costs O(paths + nfft log nfft), where
+      in one batch of real FFTs. It costs O(paths + nfft log nfft), where
       ``nfft`` covers the samples and the cells the delays occupy. The
       truncation error is at most ``|a_k| 17**-10 / (8 beta)`` per path and
       sample: 7.9e-14 of the path's amplitude at 4x oversampling, the order
-      of the rounding error of either kernel.
+      of the rounding error of either kernel. The per-path stages run over
+      fixed blocks of paths in delay order, and the per-cell sums and their
+      spectra live in a per-thread workspace that later calls reuse.
 
     A cost model on the number of paths, the number of samples and the FFT
     length picks the kernel predicted to be faster. Short path lists take

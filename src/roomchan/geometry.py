@@ -170,18 +170,22 @@ def wall_interaction_counts(k) -> tuple[int, int, int, int, int, int]:
     return tuple(int(v) for v in np.stack(_wall_hits(k), axis=1).ravel())
 
 
+_WALLS = np.arange(6)
+
+
 def wall_gain_products(room: Room, indices) -> np.ndarray:
     """Power gain of the wall reflections of each row of an ``(N, 3)`` index array.
 
     Product of per-wall reflectances raised to the interaction counts; for
     identical walls with gain ``g`` this equals ``g ** (|kx|+|ky|+|kz|)``.
     """
-    near, far = _wall_hits(indices)
-    gains = room.wall_gains
-    out = np.ones(near.shape[0])
-    for axis in range(3):
-        out *= gains[2 * axis] ** near[:, axis]
-        out *= gains[2 * axis + 1] ** far[:, axis]
+    # Columns in wall order: near and far wall of each axis.
+    hits = np.stack(_wall_hits(indices), axis=-1).reshape(-1, 6)
+    powers = room.wall_gains[:, None] ** np.arange(hits.max(initial=0) + 1)
+    factors = powers[_WALLS, hits]
+    out = factors[:, 0] * factors[:, 1]
+    for wall in range(2, 6):
+        out *= factors[:, wall]
     return out
 
 

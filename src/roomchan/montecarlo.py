@@ -23,6 +23,7 @@ import numpy as np
 from . import theory
 from .antenna import AntennaPattern, SphericalCap, sample_orientation, sample_position
 from .channel import (
+    MAX_GRID_POINTS,
     RadioConfig,
     SampleGrid,
     arrival_count_curve,
@@ -31,7 +32,7 @@ from .channel import (
     synthesis_grid,
     synthesize_signal,
 )
-from .errors import ConfigError, EmptySampleError, ZeroEnergyError
+from .errors import ConfigError, EmptySampleError, ResourceLimitError, ZeroEnergyError
 from .geometry import DEFAULT_MAX_CELLS, Room
 
 _FMT = "{:.17g}".format
@@ -85,6 +86,13 @@ class McConfig:
             raise ConfigError("grid must lie within [0, tau_max]")
         if self.grid_step <= 0.0:
             raise ConfigError("grid step must be positive")
+        # Pre-flight: both grids are sized before any run allocates them.
+        steps = (self.grid_stop - self.grid_start) / self.grid_step
+        if steps >= MAX_GRID_POINTS:
+            raise ResourceLimitError(
+                f"count grid holds {steps + 1:.3g} points, above the cap of {MAX_GRID_POINTS}"
+            )
+        self.synthesis_grid()
         if self.mode in ("fixed-rx", "fixed-orientation-tx"):
             if self.rx_position is None:
                 raise ConfigError(f"mode {self.mode!r} needs rx_position")

@@ -160,11 +160,7 @@ def approx_count(scene: SceneSummary, tau):
     For isotropic, colocated antennas (``tau0 -> 0``) this is the cubic
     large-delay count plus one.
     """
-    tau0 = scene._require_direct_delay()
-    tau = np.asarray(tau, dtype=float)
-    c = scene.speed_of_light
-    bulk = 1.0 + 4.0 * np.pi * c**3 * (tau**3 - tau0**3) / (3.0 * scene.volume)
-    return np.where(tau >= tau0, bulk * scene.fraction_product, 0.0)
+    return conditional_mean_count(scene, tau, scene._require_direct_delay())
 
 
 def approx_rate(scene: SceneSummary, tau) -> tuple[float, np.ndarray]:
@@ -174,15 +170,7 @@ def approx_rate(scene: SceneSummary, tau) -> tuple[float, np.ndarray]:
     ``w_tx * w_rx`` sits at the direct delay and the density is
     ``1(tau > tau0) * 4*pi*c^3*tau^2 / V * w_tx * w_rx``.
     """
-    tau0 = scene._require_direct_delay()
-    tau = np.asarray(tau, dtype=float)
-    c = scene.speed_of_light
-    density = np.where(
-        tau > tau0,
-        4.0 * np.pi * c**3 * tau**2 / scene.volume * scene.fraction_product,
-        0.0,
-    )
-    return scene.fraction_product, density
+    return conditional_rate(scene, tau, scene._require_direct_delay())
 
 
 def mean_count(scene: SceneSummary, tau):
@@ -368,9 +356,10 @@ def rate_upper_bound(scene: SceneSummary, tau):
 def conditional_mean_count(scene: SceneSummary, tau, tau0: float):
     """Mean count conditioned on the direct delay ``tau0``.
 
-    Numerically identical to :func:`approx_count` evaluated with that direct
-    delay; the semantics differ (expectation given the terminal separation
-    rather than a deterministic approximation).
+    ``1(tau >= tau0) * [1 + 4*pi*c^3*(tau^3 - tau0^3) / (3*V)] * w_tx * w_rx``.
+    :func:`approx_count` evaluates it at the scene's direct delay; the
+    semantics differ (expectation given the terminal separation rather than
+    a deterministic approximation).
     """
     if tau0 <= 0.0:
         raise ValueError("conditional count needs tau0 > 0")

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -393,6 +396,63 @@ class TestSynthesisKernels:
         trace = synthesize_signal(paths, RADIO, self.GRID)
         assert kernels_run == ["_lattice_sum"]
         assert np.max(np.abs(trace.samples)) <= 1e-12
+
+    def test_unsorted_delays_with_recurring_cells(self, kernels_run):
+        # 100 cells hold four delays each, 100 list positions apart: the
+        # kernel must not assume a cell's paths sit side by side.
+        rng = np.random.default_rng(12)
+        cells = rng.choice(np.arange(20, self.GRID.count - 20), 100, replace=False)
+        offsets = rng.uniform(0.0, 1.0, 400)
+        delays = self.GRID.start + (np.tile(cells, 4) + offsets) * self.GRID.step
+        paths = paths_with_delays(rng, delays)
+        trace = synthesize_signal(paths, RADIO, self.GRID)
+        assert kernels_run == ["_lattice_sum"]
+        assert_near_per_path_sum(trace.samples, per_path_sum(paths, self.GRID))
+
+    def test_workspace_reuse_keeps_results_bitwise(self, kernels_run):
+        rng = np.random.default_rng(13)
+        grids = (self.GRID, synthesis_grid(RADIO, 300e-9))
+        lists = [paths_with_delays(rng, np.sort(rng.uniform(5e-9, 120e-9, n))) for n in (300, 3000)]
+        first = synthesize_signal(lists[0], RADIO, grids[0]).samples.copy()
+        for grid in (grids[1], grids[0], grids[1]):
+            for paths in (lists[1], lists[0]):
+                synthesize_signal(paths, RADIO, grid)
+        again = synthesize_signal(lists[0], RADIO, grids[0]).samples
+        assert set(kernels_run) == {"_lattice_sum"}
+        assert again.tobytes() == first.tobytes()
+
+    def test_concurrent_threads_match_serial_calls(self):
+        rng = np.random.default_rng(14)
+        grids = (self.GRID, synthesis_grid(RADIO, 300e-9))
+        jobs = [
+            (paths_with_delays(rng, np.sort(rng.uniform(5e-9, 120e-9, n))), grids[i % 2])
+            for i, n in enumerate((400, 3000, 1500, 800))
+        ]
+        serial = [synthesize_signal(paths, RADIO, grid).samples.tobytes() for paths, grid in jobs]
+        mismatches = []
+
+        def worker(shift):
+            try:
+                for _ in range(3):
+                    for i in np.roll(np.arange(len(jobs)), shift):
+                        paths, grid = jobs[i]
+                        if synthesize_signal(paths, RADIO, grid).samples.tobytes() != serial[i]:
+                            mismatches.append(i)
+            except Exception as exc:  # reported by the assertion below
+                mismatches.append(repr(exc))
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
 
     @pytest.mark.parametrize("n", [5, 500])
     def test_random_phases_consume_n_uniforms(self, n):

@@ -70,6 +70,18 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("resource limit:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("doc", [
+        {"mc": {"grid": {"step_s": 1e-30}}},
+        {"radio": {"bandwidth_hz": 1e20}},
+    ])
+    def test_oversized_grid_is_resource_limit(self, tmp_path, capsys, doc):
+        cfg = write_config(tmp_path, doc)
+        code = main(["--config", cfg, "mc", "--runs", "1", "--out-dir", str(tmp_path / "b")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit:") and "points" in err and err.count("\n") == 1
+        assert not (tmp_path / "b").exists()
+
 
 class TestPathsCommand:
     def test_first_row_is_direct_path(self, tmp_path):

@@ -1,0 +1,23 @@
+"""The package's one CSV writer: every file it writes has this layout."""
+
+from __future__ import annotations
+
+# 17 significant digits read back as the same float64.
+_FMT = "{:.17g}".format
+
+
+def write_csv(path, header: str, *columns, comment=()) -> None:
+    """Write ``header`` and one row per entry of the equal-length ``columns``.
+
+    Numbers are written with 17 significant digits and strings as they are.
+    ``comment`` holds ``(key, number)`` pairs for a leading ``# key=value``
+    line, which is left out when there are none. Lines end in ``\\n``.
+    """
+    lines = []
+    if comment:
+        lines.append("# " + ",".join(f"{key}={_FMT(value)}" for key, value in comment))
+    lines.append(header)
+    for row in zip(*columns):
+        lines.append(",".join(v if isinstance(v, str) else _FMT(v) for v in row))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
+from ._csv import write_csv
 from .antenna import AntennaPattern
 from .errors import DegenerateGeometryError, OutOfHorizonError, ResourceLimitError, ZeroEnergyError
 from .geometry import Room
-
-_FMT = "{:.17g}".format
 
 # Direct synthesis kernel: paths per block. Blocks accumulate in a fixed
 # order, so a trace never depends on scheduling; a block's temporaries hold
@@ -33,6 +32,11 @@ _SYNTH_CHUNK = 512
 #: table), so a grid this size already needs gigabytes per run; a larger one
 #: is a mistyped step or bandwidth.
 MAX_GRID_POINTS = 1_000_000
+
+#: Cap on runs x count-grid points of one ensemble. Its raw curves take 12
+#: bytes a point (int32 counts, float64 power), so this is 600 MB; an
+#: 80,000-run ensemble on the 481-point 120 ns grid holds 38.5M points.
+MAX_ENSEMBLE_POINTS = 50_000_000
 
 # Lattice synthesis kernel: paths per block of its per-path stages, the
 # exact near band and the far-field moment rows. A block's largest
@@ -138,19 +142,10 @@ class PathList:
             yield self[i]
 
     def to_csv(self, path) -> None:
-        header = "kx,ky,kz,tau_s,gain_pow,dod_x,dod_y,dod_z,doa_x,doa_y,doa_z,phase_rad"
-        lines = [header]
-        for i in range(len(self)):
-            k = self.indices[i]
-            vals = [
-                self.delays[i], self.power_gains[i],
-                *self.dods[i], *self.doas[i], self.phases[i],
-            ]
-            lines.append(
-                f"{k[0]},{k[1]},{k[2]}," + ",".join(_FMT(v) for v in vals)
-            )
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(
+            path, "kx,ky,kz,tau_s,gain_pow,dod_x,dod_y,dod_z,doa_x,doa_y,doa_z,phase_rad",
+            *self.indices.T, self.delays, self.power_gains, *self.dods.T, *self.doas.T, self.phases,
+        )
 
 
 def enumerate_paths(
@@ -329,16 +324,10 @@ class SignalTrace:
         return sub
 
     def to_csv(self, path) -> None:
-        lines = ["t_seconds,re,im,abs2"]
-        t = self.times()
-        a2 = self.abs2
-        for i in range(t.shape[0]):
-            s = self.samples[i]
-            lines.append(
-                ",".join(_FMT(v) for v in (t[i], s.real, s.imag, a2[i]))
-            )
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_csv(
+            path, "t_seconds,re,im,abs2",
+            self.times(), self.samples.real, self.samples.imag, self.abs2,
+        )
 
 
 def _fft_length(n: int) -> int:

@@ -15,11 +15,10 @@ import sys
 import numpy as np
 
 from . import __version__, config as cfgmod, montecarlo, theory
+from ._csv import write_csv
 from .channel import SampleGrid, enumerate_paths, synthesis_grid, synthesize_signal
 from .errors import ConfigError, ResourceLimitError
 from .theory import SceneSummary, TheoryCurve
-
-_FMT = "{:.17g}".format
 
 _THEORY_CURVES = ("count", "rate", "pds", "mixing")
 
@@ -92,9 +91,7 @@ def _cmd_theory(args) -> int:
         elif name == "pds":
             theory.pds(scene, taus, mode=args.pds_mode, corrected=args.corrected).to_csv(out_path)
         else:
-            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("tau_mix_seconds\n")
-                fh.write(_FMT(theory.mixing_time(scene)) + "\n")
+            write_csv(out_path, "tau_mix_seconds", [theory.mixing_time(scene)])
     return 0
 
 

@@ -9,10 +9,16 @@ Reproducibility contract: every run uses its own counter-based random stream
 keyed by ``(master seed, run index)``, and aggregation reduces in run-index
 order, so results are a pure function of the configuration regardless of how
 many workers execute the runs.
+
+Memory: runs go out in contiguous blocks, and each finished block is copied
+into the ensemble's raw curves, which are allocated once before any run. The
+statistics are reduced from those curves in fixed row blocks, so the process
+holds one copy of the curves plus a few blocks.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import multiprocessing
 import os
@@ -21,8 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import theory
+from ._csv import write_csv
 from .antenna import AntennaPattern, SphericalCap, sample_orientation, sample_position
 from .channel import (
+    MAX_ENSEMBLE_POINTS,
     MAX_GRID_POINTS,
     RadioConfig,
     SampleGrid,
@@ -35,11 +43,13 @@ from .channel import (
 from .errors import ConfigError, EmptySampleError, ResourceLimitError, ZeroEnergyError
 from .geometry import DEFAULT_MAX_CELLS, Room
 
-_FMT = "{:.17g}".format
-
 MODES = ("both-random", "fixed-rx", "fixed-orientation-tx", "fixed-distance")
 
 _PLACEMENT_ATTEMPTS = 10_000
+
+# Rows per block of the ensemble statistics: a block buffer holds
+# (_STAT_ROWS + 1) x grid floats, row 0 being the sums carried over.
+_STAT_ROWS = 128
 
 
 def _as_unit(vector, name: str) -> np.ndarray:
@@ -86,11 +96,18 @@ class McConfig:
             raise ConfigError("grid must lie within [0, tau_max]")
         if self.grid_step <= 0.0:
             raise ConfigError("grid step must be positive")
-        # Pre-flight: both grids are sized before any run allocates them.
+        # Pre-flight: both grids and the raw curves are sized before any run
+        # allocates them.
         steps = (self.grid_stop - self.grid_start) / self.grid_step
         if steps >= MAX_GRID_POINTS:
             raise ResourceLimitError(
                 f"count grid holds {steps + 1:.3g} points, above the cap of {MAX_GRID_POINTS}"
+            )
+        points = int(round(steps)) + 1
+        if self.runs * points > MAX_ENSEMBLE_POINTS:
+            raise ResourceLimitError(
+                f"{self.runs} runs x {points} grid points hold {self.runs * points:.3g} curve "
+                f"points, above the cap of {MAX_ENSEMBLE_POINTS}"
             )
         self.synthesis_grid()
         if self.mode in ("fixed-rx", "fixed-orientation-tx"):
@@ -273,6 +290,19 @@ def _simulate_run(cfg: McConfig, tables, index: int):
     return counts, power, record
 
 
+def _simulate_block(cfg: McConfig, tables, bounds: tuple[int, int]):
+    """Runs ``start`` to ``stop - 1``: first index, count rows, power rows, records."""
+    start, stop = bounds
+    points = tables[0].shape[0]
+    counts = np.empty((stop - start, points), dtype=np.int32)
+    power = np.empty((stop - start, points))
+    records = []
+    for row, index in enumerate(range(start, stop)):
+        counts[row], power[row], record = _simulate_run(cfg, tables, index)
+        records.append(record)
+    return start, counts, power, records
+
+
 _WORKER_STATE: tuple | None = None
 
 
@@ -281,8 +311,58 @@ def _init_worker(cfg: McConfig) -> None:
     _WORKER_STATE = (cfg, _run_tables(cfg))
 
 
-def _worker_run(index: int):
-    return _simulate_run(*_WORKER_STATE, index)
+def _worker_block(bounds: tuple[int, int]):
+    return _simulate_block(*_WORKER_STATE, bounds)
+
+
+def _row_sums(raw: np.ndarray, fill) -> np.ndarray:
+    """Column sums of the rows of ``raw`` after ``fill(out, rows)``, added in row order.
+
+    numpy's axis-0 sum of a C-ordered array with two or more columns adds
+    row after row. This adds the same rows in the same order a block at a
+    time, so the sums are bitwise equal without a full-size temporary.
+    """
+    runs, points = raw.shape
+    buf = np.empty((min(_STAT_ROWS, runs) + 1, points))
+    sums = np.empty(points)
+    for start in range(0, runs, _STAT_ROWS):
+        rows = raw[start:start + _STAT_ROWS]
+        if start == 0:
+            block = buf[:len(rows)]
+        else:
+            buf[0] = sums
+            block = buf[:len(rows) + 1]
+        fill(block[-len(rows):], rows)
+        np.add.reduce(block, axis=0, out=sums)
+    return sums
+
+
+def _estimate(grid: np.ndarray, raw: np.ndarray) -> McEstimate:
+    """Mean and standard error of the rows of ``raw``.
+
+    Bitwise equal to ``raw.astype(float).mean(axis=0)`` and
+    ``raw.astype(float).std(axis=0, ddof=1) / sqrt(runs)`` (zero for one run).
+    """
+    runs = raw.shape[0]
+    if raw.shape[1] == 1:
+        # numpy sums a lone column pairwise, not row after row; the copy is
+        # one float a run.
+        column = raw.astype(float)
+        mean = column.mean(axis=0)
+        squares = np.square(column - mean).sum(axis=0)
+    else:
+        mean = _row_sums(raw, np.copyto) / runs
+
+        def squared_deviation(out, rows):
+            np.subtract(rows, mean, out=out)
+            np.square(out, out=out)
+
+        squares = _row_sums(raw, squared_deviation)
+    if runs > 1:
+        stderr = np.sqrt(squares / (runs - 1)) / np.sqrt(runs)
+    else:
+        stderr = np.zeros_like(mean)
+    return McEstimate(grid, mean, stderr, runs)
 
 
 def ecdf(samples) -> Ecdf:
@@ -305,26 +385,27 @@ def run_ensemble(cfg: McConfig, workers: int = 1) -> McResult:
     ``missing_moments`` and excluded from the moment distributions.
     """
     tables = _run_tables(cfg)
+    grid = tables[0]
+    counts_raw = np.empty((cfg.runs, grid.shape[0]), dtype=np.int32)
+    power_raw = np.empty((cfg.runs, grid.shape[0]))
+    records: list = [None] * cfg.runs
+
+    def place(blocks_done) -> None:
+        for start, counts, power, block_records in blocks_done:
+            stop = start + len(block_records)
+            counts_raw[start:stop] = counts
+            power_raw[start:stop] = power
+            records[start:stop] = block_records
+
+    size = max(1, cfg.runs // (8 * max(1, workers)))
+    blocks = [(start, min(start + size, cfg.runs)) for start in range(0, cfg.runs, size)]
     if workers <= 1:
-        outputs = [_simulate_run(cfg, tables, i) for i in range(cfg.runs)]
+        place(map(functools.partial(_simulate_block, cfg, tables), blocks))
     else:
         with multiprocessing.Pool(
             processes=workers, initializer=_init_worker, initargs=(cfg,)
         ) as pool:
-            outputs = pool.map(_worker_run, range(cfg.runs), chunksize=max(1, cfg.runs // (8 * workers)))
-
-    grid = tables[0]
-    counts_raw = np.stack([o[0] for o in outputs])
-    power_raw = np.stack([o[1] for o in outputs])
-    records = [o[2] for o in outputs]
-
-    def estimate(raw: np.ndarray) -> McEstimate:
-        mean = raw.mean(axis=0)
-        if cfg.runs > 1:
-            stderr = raw.std(axis=0, ddof=1) / np.sqrt(cfg.runs)
-        else:
-            stderr = np.zeros_like(mean, dtype=float)
-        return McEstimate(grid, mean, stderr, cfg.runs)
+            place(pool.imap_unordered(_worker_block, blocks))
 
     delays = np.array(
         [r.mean_delay if r.mean_delay is not None else np.nan for r in records]
@@ -338,8 +419,8 @@ def run_ensemble(cfg: McConfig, workers: int = 1) -> McResult:
 
     return McResult(
         config=cfg,
-        count=estimate(counts_raw.astype(float)),
-        power=estimate(power_raw),
+        count=_estimate(grid, counts_raw),
+        power=_estimate(grid, power_raw),
         mean_delay=delay_ecdf,
         rms_spread=spread_ecdf,
         records=records,
@@ -488,34 +569,23 @@ def compare_power_curves(
     }
 
 
-def _write_estimate_csv(path, estimate: McEstimate, value_name: str) -> None:
-    lines = [f"tau_seconds,{value_name},standard_error"]
-    for t, m, s in zip(estimate.grid, estimate.mean, estimate.stderr):
-        lines.append(f"{_FMT(t)},{_FMT(m)},{_FMT(s)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _write_ecdf_csv(path, dist: Ecdf | None, value_name: str) -> None:
-    lines = [f"{value_name},cumulative_probability"]
-    if dist is not None:
-        for v, p in zip(dist.values, dist.probs):
-            lines.append(f"{_FMT(v)},{_FMT(p)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def write_bundle(result: McResult, out_dir, manifest: dict, report: dict | None = None) -> None:
     """Write the results bundle: curve CSVs, ECDFs, manifest, and report."""
     os.makedirs(out_dir, exist_ok=True)
-    _write_estimate_csv(os.path.join(out_dir, "counts.csv"), result.count, "mean_count")
-    _write_estimate_csv(os.path.join(out_dir, "power.csv"), result.power, "mean_power")
-    _write_ecdf_csv(
-        os.path.join(out_dir, "ecdf_mean_delay.csv"), result.mean_delay, "mean_delay_seconds"
-    )
-    _write_ecdf_csv(
-        os.path.join(out_dir, "ecdf_rms.csv"), result.rms_spread, "rms_spread_seconds"
-    )
+    for name, estimate, value_name in (
+        ("counts.csv", result.count, "mean_count"),
+        ("power.csv", result.power, "mean_power"),
+    ):
+        write_csv(
+            os.path.join(out_dir, name), f"tau_seconds,{value_name},standard_error",
+            estimate.grid, estimate.mean, estimate.stderr,
+        )
+    for name, dist, value_name in (
+        ("ecdf_mean_delay.csv", result.mean_delay, "mean_delay_seconds"),
+        ("ecdf_rms.csv", result.rms_spread, "rms_spread_seconds"),
+    ):
+        columns = () if dist is None else (dist.values, dist.probs)
+        write_csv(os.path.join(out_dir, name), f"{value_name},cumulative_probability", *columns)
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

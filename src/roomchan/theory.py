@@ -26,16 +26,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import write_csv
 from .antenna import AntennaPattern
 from .channel import RadioConfig, sinc_pulse
 from .errors import ConfigError
 from .geometry import Room
 
-_FMT = "{:.17g}".format
-
 #: Default variance-to-mean ratio of the wall-interaction count (Kuttruff's
 #: constant); 0.3 to 0.4 covers common room aspect ratios.
 DEFAULT_GAMMA_SQ = 0.35
+
+# Output rows per block of the pulse convolution in expected_received_power:
+# a block's pulse matrix holds _PULSE_ROWS x grid values.
+_PULSE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -130,16 +133,20 @@ class TheoryCurve:
         object.__setattr__(self, "values", values)
 
     def to_csv(self, path) -> None:
-        lines = []
+        comment = ()
         if self.dirac is not None:
-            lines.append(
-                f"# dirac_location={_FMT(self.dirac[0])},dirac_weight={_FMT(self.dirac[1])}"
-            )
-        lines.append("tau_seconds,value,unit")
-        for t, v in zip(self.tau, self.values):
-            lines.append(f"{_FMT(t)},{_FMT(v)},{self.unit}")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            comment = (("dirac_location", self.dirac[0]), ("dirac_weight", self.dirac[1]))
+        write_csv(
+            path, "tau_seconds,value,unit",
+            self.tau, self.values, [self.unit] * self.tau.size, comment=comment,
+        )
+
+
+def _rate_density(scene: SceneSummary, tau, start: float, factor: float) -> np.ndarray:
+    """``4*pi*c^3*tau^2 / V * factor`` for ``tau > start``, zero elsewhere."""
+    tau = np.asarray(tau, dtype=float)
+    c = scene.speed_of_light
+    return np.where(tau > start, 4.0 * np.pi * c**3 * tau**2 / scene.volume * factor, 0.0)
 
 
 def _cubic_count(scene: SceneSummary, tau) -> np.ndarray:
@@ -184,10 +191,7 @@ def mean_count(scene: SceneSummary, tau):
 
 def mean_rate(scene: SceneSummary, tau):
     """Mean arrival rate ``4*pi*c^3*tau^2 / V * w_tx * w_rx`` for ``tau > 0``."""
-    tau = np.asarray(tau, dtype=float)
-    c = scene.speed_of_light
-    density = 4.0 * np.pi * c**3 * tau**2 / scene.volume * scene.fraction_product
-    return np.where(tau > 0.0, density, 0.0)
+    return _rate_density(scene, tau, 0.0, scene.fraction_product)
 
 
 def mixing_time(scene: SceneSummary, n_mix: float = 1.0) -> float:
@@ -304,7 +308,8 @@ def expected_received_power(curve: TheoryCurve, radio: RadioConfig, tau) -> np.n
 
     ``E|y(tau)|^2 = integral P(tau - t) |s(t)|^2 dt`` with the spike handled
     analytically as a pulse-energy replica and the tail integrated by the
-    trapezoidal rule on the curve's own grid.
+    trapezoidal rule on the curve's own grid. The tail is summed over fixed
+    blocks of output delays; each delay's sum does not depend on the block.
     """
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     out = np.zeros(tau.shape)
@@ -317,8 +322,11 @@ def expected_received_power(curve: TheoryCurve, radio: RadioConfig, tau) -> np.n
         weights[1:-1] = (grid[2:] - grid[:-2]) / 2.0
         weights[0] = (grid[1] - grid[0]) / 2.0
         weights[-1] = (grid[-1] - grid[-2]) / 2.0
-        pulse_sq = sinc_pulse(radio, tau[:, None] - grid[None, :]) ** 2
-        out += (pulse_sq * (weights * curve.values)[None, :]).sum(axis=1)
+        weights *= curve.values
+        for start in range(0, tau.size, _PULSE_ROWS):
+            rows = slice(start, start + _PULSE_ROWS)
+            pulse_sq = sinc_pulse(radio, tau[rows, None] - grid[None, :]) ** 2
+            out[rows] += (pulse_sq * weights).sum(axis=1)
     return out
 
 
@@ -347,10 +355,7 @@ def count_upper_bound(scene: SceneSummary, tau):
 
 def rate_upper_bound(scene: SceneSummary, tau):
     """Rate analog of :func:`count_upper_bound`."""
-    tau = np.asarray(tau, dtype=float)
-    c = scene.speed_of_light
-    density = 4.0 * np.pi * c**3 * tau**2 / scene.volume
-    return np.where(tau > 0.0, density, 0.0) * min(scene.tx_fraction, scene.rx_fraction)
+    return _rate_density(scene, tau, 0.0, min(scene.tx_fraction, scene.rx_fraction))
 
 
 def conditional_mean_count(scene: SceneSummary, tau, tau0: float):
@@ -373,11 +378,4 @@ def conditional_rate(scene: SceneSummary, tau, tau0: float) -> tuple[float, np.n
     """Rate conditioned on the direct delay: ``(spike_weight, density)``."""
     if tau0 <= 0.0:
         raise ValueError("conditional rate needs tau0 > 0")
-    tau = np.asarray(tau, dtype=float)
-    c = scene.speed_of_light
-    density = np.where(
-        tau > tau0,
-        4.0 * np.pi * c**3 * tau**2 / scene.volume * scene.fraction_product,
-        0.0,
-    )
-    return scene.fraction_product, density
+    return scene.fraction_product, _rate_density(scene, tau, tau0, scene.fraction_product)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -80,6 +81,20 @@ class TestConfigValidation:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("resource limit:") and "points" in err and err.count("\n") == 1
+        assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_oversized_ensemble_is_resource_limit(self, tmp_path, capsys, threads):
+        # A billion runs of the default 481-point grid: refused before any
+        # curve is allocated or any run starts.
+        cfg = write_config(tmp_path, {"schema_version": 1})
+        started = time.monotonic()
+        code = main(["--config", cfg, "mc", "--runs", "1000000000", "--threads", threads,
+                     "--out-dir", str(tmp_path / "b")])
+        assert time.monotonic() - started < 5.0
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit:") and "cap" in err and err.count("\n") == 1
         assert not (tmp_path / "b").exists()
 
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from roomchan import geometry, theory
+from roomchan import geometry, montecarlo, theory
 from roomchan.antenna import Isotropic, SphericalCap
-from roomchan.channel import RadioConfig
-from roomchan.errors import ConfigError, EmptySampleError
+from roomchan.channel import MAX_ENSEMBLE_POINTS, RadioConfig
+from roomchan.errors import ConfigError, EmptySampleError, ResourceLimitError
 from roomchan.geometry import Room
 from roomchan.montecarlo import (
     Ecdf,
@@ -64,6 +64,13 @@ class TestMcConfigValidation:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
             quick_config(mode="sideways")
+
+    def test_raw_curve_cap(self):
+        grid_120ns = dict(tau_max=120e-9, moment_cutoff=120e-9, grid_stop=120e-9, grid_step=0.25e-9)
+        assert quick_config(runs=80_000, **grid_120ns).runs == 80_000
+        points = len(quick_config(**grid_120ns).grid())
+        with pytest.raises(ResourceLimitError, match="cap"):
+            quick_config(runs=MAX_ENSEMBLE_POINTS // points + 1, **grid_120ns)
 
 
 class TestEcdf:
@@ -125,6 +132,65 @@ class TestDeterminism:
         short = run_ensemble(quick_config(runs=3))
         longer = run_ensemble(quick_config(runs=6))
         assert np.array_equal(short.counts_raw, longer.counts_raw[:3])
+
+
+def record_key(record):
+    arrays = (record.tx_position, record.rx_position, record.tx_boresight, record.rx_boresight)
+    return (
+        record.index, *(None if a is None else a.tobytes() for a in arrays),
+        record.n_paths, record.energy, record.mean_delay, record.rms_spread,
+    )
+
+
+class TestStreamedAggregation:
+    # 203 runs: blocks of 25, 12 and 8 runs at 1, 2 and 3 workers and
+    # statistics blocks of _STAT_ROWS rows all end in a partial block.
+    RUNS = 203
+
+    @pytest.fixture(scope="class")
+    def cfg(self):
+        return quick_config(
+            runs=self.RUNS, tx_pattern=SphericalCap(0.5), rx_pattern=SphericalCap(0.5)
+        )
+
+    @pytest.fixture(scope="class")
+    def reference(self, cfg):
+        tables = montecarlo._run_tables(cfg)
+        runs = [montecarlo._simulate_run(cfg, tables, i) for i in range(cfg.runs)]
+        return (
+            np.stack([r[0] for r in runs]), np.stack([r[1] for r in runs]),
+            [record_key(r[2]) for r in runs],
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_blocks_land_at_their_runs(self, cfg, reference, workers):
+        assert self.RUNS % montecarlo._STAT_ROWS and self.RUNS > montecarlo._STAT_ROWS
+        result = run_ensemble(cfg, workers=workers)
+        counts, power, records = reference
+        assert result.counts_raw.dtype == np.int32
+        assert result.counts_raw.tobytes() == counts.astype(np.int32).tobytes()
+        assert result.power_raw.tobytes() == power.tobytes()
+        assert [record_key(r) for r in result.records] == records
+
+        for estimate, raw in ((result.count, counts.astype(float)), (result.power, power)):
+            assert estimate.mean.tobytes() == raw.mean(axis=0).tobytes()
+            stderr = raw.std(axis=0, ddof=1) / np.sqrt(self.RUNS)
+            assert estimate.stderr.tobytes() == stderr.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 5), (2, 5), (300, 7), (300, 1), (1, 1)])
+    def test_estimate_is_bitwise_dense(self, shape):
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        counts = rng.integers(0, 5000, shape).astype(np.int32)
+        power = rng.exponential(1e-9, shape) * rng.random((shape[0], 1))
+        for raw in (counts, power):
+            estimate = montecarlo._estimate(np.zeros(shape[1]), raw)
+            dense = raw.astype(float)
+            assert estimate.mean.tobytes() == dense.mean(axis=0).tobytes()
+            if shape[0] > 1:
+                stderr = dense.std(axis=0, ddof=1) / np.sqrt(shape[0])
+            else:
+                stderr = np.zeros(shape[1])
+            assert estimate.stderr.tobytes() == stderr.tobytes()
 
 
 class TestConePruning:

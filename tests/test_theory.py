@@ -254,6 +254,27 @@ class TestExpectedReceivedPower:
         mid = theory.expected_received_power(curve, RADIO, np.array([200e-9]))
         assert mid[0] == pytest.approx(3.0 / RADIO.bandwidth, rel=1e-3)
 
+    @pytest.mark.parametrize("mode", ["randomized", "deterministic"])
+    def test_blocked_sum_is_bitwise_dense(self, mode):
+        # 1201 delays: the output rows end in a partial block.
+        grid = np.linspace(0.0, 300e-9, 1201)
+        curve = theory.pds(SCENE_T0, grid, mode=mode, corrected=True)
+        assert (curve.dirac is not None) == (mode == "deterministic")
+
+        dense = np.zeros(grid.shape)
+        if curve.dirac is not None:
+            location, weight = curve.dirac
+            dense += weight * sinc_pulse(RADIO, grid - location) ** 2
+        weights = np.empty(grid.shape)
+        weights[1:-1] = (grid[2:] - grid[:-2]) / 2.0
+        weights[0] = (grid[1] - grid[0]) / 2.0
+        weights[-1] = (grid[-1] - grid[-2]) / 2.0
+        pulse_sq = sinc_pulse(RADIO, grid[:, None] - grid[None, :]) ** 2
+        dense += (pulse_sq * (weights * curve.values)[None, :]).sum(axis=1)
+
+        out = theory.expected_received_power(curve, RADIO, grid)
+        assert out.tobytes() == dense.tobytes()
+
 
 class TestCountSecondMoment:
     def test_zero_well_before_origin(self):

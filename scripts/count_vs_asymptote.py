@@ -11,6 +11,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from roomchan import theory
+from roomchan._csv import write_csv
 from roomchan.antenna import Isotropic
 from roomchan.channel import RadioConfig, arrival_count_curve, enumerate_paths
 from roomchan.geometry import Room
@@ -36,10 +37,10 @@ def main() -> None:
     cubic = theory.eyring_count(scene, taus)
     anchored = theory.approx_count(scene, taus)
 
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("tau_seconds,exact_count,cubic_law,anchored_approximation\n")
-        for row in zip(taus, exact, cubic, anchored):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    write_csv(
+        args.out, "tau_seconds,exact_count,cubic_law,anchored_approximation",
+        taus, exact, cubic, anchored,
+    )
 
     at_100 = exact[np.argmin(np.abs(taus - 100e-9))]
     print(f"N(100 ns) = {at_100}, cubic law {theory.eyring_count(scene, 100e-9):.1f}")

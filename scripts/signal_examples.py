@@ -14,7 +14,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from roomchan.antenna import Isotropic, SphericalCap
-from roomchan.channel import RadioConfig, SampleGrid, enumerate_paths, synthesize_signal
+from roomchan.channel import RadioConfig, enumerate_paths, synthesis_grid, synthesize_signal
 from roomchan.geometry import Room
 from roomchan.montecarlo import fit_decay_time
 
@@ -32,8 +32,7 @@ def main() -> None:
     rx = np.array([3.8, 4.0, 0.6])
     los = (rx - tx) / np.linalg.norm(rx - tx)
 
-    pad = 20.0 / radio.bandwidth
-    grid = SampleGrid.spanning(-pad, args.tau_max + pad, 1.0 / (4.0 * radio.bandwidth))
+    grid = synthesis_grid(radio, args.tau_max)
 
     for fraction in (1.0, 0.5, 0.25, 0.125):
         if fraction >= 1.0:

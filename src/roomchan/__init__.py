@@ -4,32 +4,25 @@ __version__ = "0.1.0"
 
 from .antenna import AntennaPattern, Isotropic, SphericalCap, sample_orientation, sample_position
 from .channel import (
-    PathComponent,
     PathList,
     RadioConfig,
     SampleGrid,
     SignalTrace,
-    arrival_count,
     arrival_count_curve,
     enumerate_paths,
     signal_moments,
     sinc_pulse,
     synthesize_signal,
 )
-from .geometry import (
-    MirrorIndex,
-    Room,
-    arrival_direction,
-    departure_from_arrival,
-    enumerate_indices,
-    mirror_receiver_index,
-    mirror_receiver_position,
-    mirror_source_position,
-    path_delay,
-    reflection_gain,
-    wall_interaction_counts,
-)
+from .geometry import Room, enumerate_indices
 from .montecarlo import Ecdf, McConfig, McEstimate, McResult, ecdf, run_ensemble
 from .theory import SceneSummary, TheoryCurve
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "AntennaPattern", "Isotropic", "SphericalCap", "sample_orientation", "sample_position",
+    "PathList", "RadioConfig", "SampleGrid", "SignalTrace", "arrival_count_curve",
+    "enumerate_paths", "signal_moments", "sinc_pulse", "synthesize_signal",
+    "Room", "enumerate_indices",
+    "Ecdf", "McConfig", "McEstimate", "McResult", "ecdf", "run_ensemble",
+    "SceneSummary", "TheoryCurve",
+]

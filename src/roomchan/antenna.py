@@ -58,10 +58,6 @@ class Isotropic(AntennaPattern):
         direction = np.asarray(direction, dtype=float)
         return np.ones(direction.shape[:-1])
 
-    def in_support(self, direction):
-        direction = np.asarray(direction, dtype=float)
-        return np.ones(direction.shape[:-1], dtype=bool)
-
 
 @dataclass(frozen=True, eq=False)
 class SphericalCap(AntennaPattern):

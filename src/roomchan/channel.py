@@ -93,24 +93,12 @@ class RadioConfig:
         return self.speed_of_light / self.wavelength
 
 
-@dataclass(frozen=True)
-class PathComponent:
-    """One propagation path of a mirror-source channel."""
-
-    index: geometry.MirrorIndex
-    delay: float
-    dod: np.ndarray
-    doa: np.ndarray
-    power_gain: float
-    phase: float
-
-
 class PathList:
     """Delay-sorted paths for one transmitter/receiver arrangement.
 
-    Array-backed for speed; indexing yields :class:`PathComponent` views.
-    ``horizon`` records the enumeration delay limit so count queries beyond
-    it can be rejected.
+    Array-backed: row ``i`` of every array describes path ``i``. ``horizon``
+    records the enumeration delay limit so count queries beyond it can be
+    rejected.
     """
 
     __slots__ = ("indices", "delays", "dods", "doas", "power_gains", "phases", "horizon")
@@ -126,20 +114,6 @@ class PathList:
 
     def __len__(self) -> int:
         return self.delays.shape[0]
-
-    def __getitem__(self, i: int) -> PathComponent:
-        return PathComponent(
-            index=tuple(int(v) for v in self.indices[i]),
-            delay=float(self.delays[i]),
-            dod=self.dods[i],
-            doa=self.doas[i],
-            power_gain=float(self.power_gains[i]),
-            phase=float(self.phases[i]),
-        )
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
     def to_csv(self, path) -> None:
         write_csv(
@@ -214,17 +188,8 @@ def enumerate_paths(
     )
 
 
-def arrival_count(paths: PathList, tau: float) -> int:
-    """Number of paths with delay at most ``tau`` (closed comparison)."""
-    if tau > paths.horizon:
-        raise OutOfHorizonError(
-            f"tau={tau} exceeds the enumeration horizon {paths.horizon}"
-        )
-    return int(np.searchsorted(paths.delays, tau, side="right"))
-
-
 def arrival_count_curve(paths: PathList, taus) -> np.ndarray:
-    """Arrival count evaluated on an array of delays."""
+    """Number of paths with delay at most each of ``taus`` (closed comparison)."""
     taus = np.asarray(taus, dtype=float)
     if taus.size and float(np.max(taus)) > paths.horizon:
         raise OutOfHorizonError("count grid exceeds the enumeration horizon")

@@ -50,6 +50,30 @@ def _horizon(text: str) -> float:
     return value
 
 
+def _grid(text: str) -> tuple[float, float, float]:
+    """Type of ``--grid``: ``start,stop,step``, finite, step > 0 and stop >= start."""
+    try:
+        start, stop, step = (float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected start,stop,step, got {text!r}") from None
+    if not (math.isfinite(start) and math.isfinite(stop) and 0.0 < step < math.inf and stop >= start):
+        raise argparse.ArgumentTypeError(
+            f"needs finite values, step > 0 and stop >= start, got {text!r}"
+        )
+    return start, stop, step
+
+
+def _workers(text: str) -> int:
+    """Type of ``--threads``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
 def _scene_paths(args):
     """Path list of the fixed scene of ``paths`` and ``signal``, its radio and horizon."""
     doc = cfgmod.load_document(args.config)
@@ -78,8 +102,14 @@ def _cmd_theory(args) -> int:
             raise ConfigError(f"unknown curve {name!r}; choose from {_THEORY_CURVES}")
     scene = _build_scene(doc, need_direct_delay=("pds" in curves and args.pds_mode == "deterministic"))
 
-    start, stop, step = (float(v) for v in args.grid.split(","))
-    taus = SampleGrid.spanning(start, stop, step).times()
+    taus = SampleGrid.spanning(*args.grid).times()
+    if "pds" in curves:
+        # Before any file is written: lossless or fully absorbing walls have
+        # no exponential tail.
+        try:
+            pds = theory.pds(scene, taus, mode=args.pds_mode, corrected=args.corrected)
+        except ValueError as exc:
+            raise ConfigError(f"pds curve: {exc}") from None
     os.makedirs(args.out_dir, exist_ok=True)
 
     for name in curves:
@@ -89,7 +119,7 @@ def _cmd_theory(args) -> int:
         elif name == "rate":
             TheoryCurve(taus, theory.mean_rate(scene, taus), "rate_per_second").to_csv(out_path)
         elif name == "pds":
-            theory.pds(scene, taus, mode=args.pds_mode, corrected=args.corrected).to_csv(out_path)
+            pds.to_csv(out_path)
         else:
             write_csv(out_path, "tau_mix_seconds", [theory.mixing_time(scene)])
     return 0
@@ -154,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theory", help="write closed-form curves as CSV")
     p.add_argument("--curves", default="count,rate,pds,mixing", help="comma list: count,rate,pds,mixing")
-    p.add_argument("--grid", default="0,120e-9,0.25e-9", help="delay grid start,stop,step in seconds")
+    p.add_argument("--grid", type=_grid, default="0,120e-9,0.25e-9", help="delay grid start,stop,step in seconds")
     p.add_argument("--pds-mode", choices=("deterministic", "randomized"), default="randomized")
     p.add_argument("--corrected", action="store_true", help="apply the interaction-spread correction to the tail")
     p.add_argument("--out-dir", default=".", help="directory for the curve files")
@@ -165,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
     p.add_argument("--out-dir", default=None, help="bundle directory")
     p.add_argument("--check", action="store_true", help="exit 1 when the report fails its tolerances")
-    p.add_argument("--threads", type=int, default=1, help="worker process cap")
+    p.add_argument("--threads", type=_workers, default=1, help="worker process cap")
     p.set_defaults(handler=_cmd_mc)
 
     p = sub.add_parser("signal", help="synthesize a received signal trace as CSV")

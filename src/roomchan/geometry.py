@@ -12,14 +12,11 @@ walls 3/4 are the analogous ``y`` planes and walls 5/6 the ``z`` planes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, ResourceLimitError
-
-MirrorIndex = tuple[int, int, int]
+from .errors import ResourceLimitError
 
 #: Default cap on candidate index cells scanned by :func:`enumerate_indices`.
 DEFAULT_MAX_CELLS = 20_000_000
@@ -88,52 +85,13 @@ class Room:
 
 
 def _axis_image_positions(length, coordinate, k_values: np.ndarray) -> np.ndarray:
+    """Per-axis image coordinates ``ceil(k/2) * 2L + (-1)**k * coordinate``.
+
+    ``k = 0`` returns ``coordinate`` unchanged; broadcasts over its arguments.
+    """
     offsets = ((k_values + 1) // 2) * 2.0 * length
     signs = 1.0 - 2.0 * (k_values % 2)
     return offsets + signs * coordinate
-
-
-def mirror_source_position(room: Room, source, k) -> np.ndarray:
-    """Position of the image of ``source`` with reflection index ``k``.
-
-    Per axis the image sits at ``ceil(k/2) * 2L + (-1)**k * coordinate``;
-    ``k = (0, 0, 0)`` returns ``source`` unchanged.
-    """
-    k = np.asarray(k, dtype=np.int64)
-    return _axis_image_positions(room.lengths, np.asarray(source, dtype=float), k)
-
-
-def mirror_receiver_index(k) -> np.ndarray:
-    """Index of the receiver image that belongs to the same path as ``k``.
-
-    Mirroring the receiver instead of the source describes the same path with
-    even axis components negated; odd components are unchanged. The map is an
-    involution.
-    """
-    k = np.asarray(k, dtype=np.int64)
-    return np.where(k % 2 == 0, -k, k)
-
-
-def mirror_receiver_position(room: Room, receiver, k) -> np.ndarray:
-    """Position of the receiver image belonging to path ``k``."""
-    return mirror_source_position(room, receiver, mirror_receiver_index(k))
-
-
-def path_delay(point_a, point_b, speed: float) -> float:
-    """Propagation delay between two points: Euclidean distance over speed."""
-    if speed <= 0.0:
-        raise ValueError("propagation speed must be positive")
-    diff = np.asarray(point_a, dtype=float) - np.asarray(point_b, dtype=float)
-    return float(np.sqrt(np.sum(diff * diff)) / speed)
-
-
-def arrival_direction(mirror_position, receiver) -> np.ndarray:
-    """Unit vector from the receiver toward the mirror source of a path."""
-    diff = np.asarray(mirror_position, dtype=float) - np.asarray(receiver, dtype=float)
-    norm = float(np.sqrt(np.sum(diff * diff)))
-    if norm == 0.0:
-        raise DegenerateGeometryError("mirror source and receiver coincide")
-    return diff / norm
 
 
 def departure_signs(k) -> np.ndarray:
@@ -146,28 +104,10 @@ def departure_signs(k) -> np.ndarray:
     return 2.0 * (np.asarray(k, dtype=np.int64) % 2) - 1.0
 
 
-def departure_from_arrival(k, doa) -> np.ndarray:
-    """Direction of departure implied by a direction of arrival for path ``k``.
-
-    For the direct path this reduces to ``dod = -doa``. Matches the direct
-    construction from the receiver image position and preserves transmit /
-    receive reciprocity.
-    """
-    return departure_signs(k) * np.asarray(doa, dtype=float)
-
-
 def _wall_hits(k) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis hits on the near wall, ``|floor(k/2)|``, and the far wall, ``|ceil(k/2)|``."""
     k = np.asarray(k, dtype=np.int64)
     return np.abs(k // 2), np.abs((k + 1) // 2)
-
-
-def wall_interaction_counts(k) -> tuple[int, int, int, int, int, int]:
-    """Number of interactions of path ``k`` with each of the six walls.
-
-    Per axis the near wall (through the origin) is hit ``|floor(k/2)|`` times
-    and the far wall ``|ceil(k/2)|`` times; the two counts sum to ``|k|``.
-    """
-    return tuple(int(v) for v in np.stack(_wall_hits(k), axis=1).ravel())
 
 
 _WALLS = np.arange(6)
@@ -187,11 +127,6 @@ def wall_gain_products(room: Room, indices) -> np.ndarray:
     for wall in range(2, 6):
         out *= factors[:, wall]
     return out
-
-
-def reflection_gain(room: Room, k) -> float:
-    """Power gain accumulated by the wall reflections of path ``k``."""
-    return float(wall_gain_products(room, np.reshape(k, (1, 3)))[0])
 
 
 def enumerate_indices(

@@ -272,7 +272,6 @@ def pds(
     tau,
     mode: str = "deterministic",
     corrected: bool = False,
-    gamma_sq: float = DEFAULT_GAMMA_SQ,
 ) -> TheoryCurve:
     """Power-delay spectrum approximation: optional spike plus exponential tail.
 
@@ -287,7 +286,7 @@ def pds(
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     decay = reverberation_time(scene)
     if corrected:
-        decay *= kuttruff_correction(scene.reflectance, gamma_sq)
+        decay *= kuttruff_correction(scene.reflectance)
     c = scene.speed_of_light
     level = scene.wavelength**2 * c / (4.0 * np.pi * scene.volume)
     dirac = None

@@ -1,0 +1,54 @@
+import inspect
+
+import pytest
+
+import roomchan
+from roomchan import antenna, channel, geometry, montecarlo
+
+PUBLIC = [
+    "AntennaPattern", "Ecdf", "Isotropic", "McConfig", "McEstimate", "McResult",
+    "PathList", "RadioConfig", "Room", "SampleGrid", "SceneSummary", "SignalTrace",
+    "SphericalCap", "TheoryCurve", "arrival_count_curve", "ecdf", "enumerate_indices",
+    "enumerate_paths", "run_ensemble", "sample_orientation", "sample_position",
+    "signal_moments", "sinc_pulse", "synthesize_signal",
+]
+
+# Scalar twins of the vectorised image formulas and test-only helpers that
+# the package no longer has.
+REMOVED = {
+    geometry: [
+        "MirrorIndex", "arrival_direction", "departure_from_arrival",
+        "mirror_receiver_index", "mirror_receiver_position", "mirror_source_position",
+        "path_delay", "reflection_gain", "wall_interaction_counts",
+    ],
+    channel: ["PathComponent", "arrival_count"],
+}
+
+
+def test_public_names_are_pinned():
+    assert sorted(roomchan.__all__) == PUBLIC and len(set(PUBLIC)) == len(PUBLIC)
+    for name in PUBLIC:
+        assert getattr(roomchan, name) is not None
+
+
+@pytest.mark.parametrize(
+    "module,name", [(module, name) for module, names in REMOVED.items() for name in names]
+)
+def test_removed_names_are_gone(module, name):
+    assert not hasattr(module, name)
+    assert not hasattr(roomchan, name)
+
+
+def test_path_list_is_not_a_sequence_of_records():
+    assert not hasattr(channel.PathList, "__getitem__")
+    assert not hasattr(channel.PathList, "__iter__")
+
+
+def test_isotropic_support_comes_from_the_base_rule():
+    assert "in_support" not in vars(antenna.Isotropic)
+    assert antenna.Isotropic().in_support([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]).tolist() == [True, True]
+
+
+def test_compare_with_theory_takes_only_the_fit_window():
+    params = list(inspect.signature(montecarlo.compare_with_theory).parameters)
+    assert params == ["result", "scene", "fit_window"]

@@ -14,7 +14,6 @@ from roomchan.channel import (
     RadioConfig,
     SampleGrid,
     SignalTrace,
-    arrival_count,
     arrival_count_curve,
     enumerate_paths,
     signal_moments,
@@ -32,6 +31,14 @@ TX = np.array([2.5, 2.5, 1.5])
 RX = np.array([3.8, 4.0, 0.6])
 ISO = Isotropic()
 TAU0 = np.sqrt(4.75) / C
+
+
+def index_set(paths):
+    return {tuple(k) for k in paths.indices.tolist()}
+
+
+def count_at(paths, tau):
+    return int(arrival_count_curve(paths, [tau])[0])
 
 
 def single_path_list(delay, power=1.0, phase=0.0, horizon=None):
@@ -67,7 +74,7 @@ class TestEnumeratePaths:
         paths = enumerate_paths(room, tx, ISO, rx, ISO, RADIO, tau_max)
         assert len(paths) == 1
         friis = (RADIO.wavelength / (4.0 * np.pi * 1.0)) ** 2
-        assert paths[0].power_gain == pytest.approx(friis, rel=1e-12)
+        assert paths.power_gains[0] == pytest.approx(friis, rel=1e-12)
         assert friis == pytest.approx(1.583e-7, rel=1e-3)
 
     def test_caps_pointed_away_drop_direct_path(self):
@@ -75,29 +82,43 @@ class TestEnumeratePaths:
         tx_cap = SphericalCap(0.05, -los)
         rx_cap = SphericalCap(0.05, los)
         paths = enumerate_paths(ROOM, TX, tx_cap, RX, rx_cap, RADIO, 40e-9)
-        assert (0, 0, 0) not in {p.index for p in paths}
+        assert (0, 0, 0) not in index_set(paths)
 
     def test_count_matches_length(self):
         paths = enumerate_paths(ROOM, TX, ISO, RX, ISO, RADIO, 40e-9)
-        assert arrival_count(paths, 40e-9) == len(paths)
+        assert count_at(paths, 40e-9) == len(paths)
 
     def test_sorted_by_delay(self):
         paths = enumerate_paths(ROOM, TX, ISO, RX, ISO, RADIO, 40e-9)
         assert np.all(np.diff(paths.delays) >= 0.0)
-        assert paths[0].delay == pytest.approx(TAU0, rel=1e-12)
+        assert paths.delays[0] == pytest.approx(TAU0, rel=1e-12)
+
+    def test_path_fields_are_row_aligned_arrays(self):
+        paths = enumerate_paths(ROOM, TX, ISO, RX, ISO, RADIO, 40e-9)
+        n = len(paths)
+        assert n > 1 and paths.horizon == 40e-9
+        assert paths.indices.shape == (n, 3) and paths.indices.dtype == np.int64
+        assert paths.dods.shape == paths.doas.shape == (n, 3)
+        for values in (paths.delays, paths.power_gains, paths.phases):
+            assert values.shape == (n,) and values.dtype == np.float64
+        assert np.all((paths.phases >= 0.0) & (paths.phases < 2.0 * np.pi))
+        # row i of every array belongs to the same path
+        (direct,) = np.flatnonzero((paths.indices == 0).all(axis=1))
+        assert paths.delays[direct] == pytest.approx(TAU0, rel=1e-12)
+        assert np.allclose(paths.doas[direct], (TX - RX) / np.linalg.norm(TX - RX))
 
     def test_directive_paths_are_a_subset(self):
         cap = SphericalCap(0.4, (0.2, -0.7, 0.3))
         full = enumerate_paths(ROOM, TX, ISO, RX, ISO, RADIO, 40e-9)
         part = enumerate_paths(ROOM, TX, cap, RX, ISO, RADIO, 40e-9)
-        assert {p.index for p in part} <= {p.index for p in full}
+        assert index_set(part) <= index_set(full)
 
     def test_beam_filter_commutes_with_truncation(self):
         cap = SphericalCap(0.3, (0.5, 0.5, -0.1))
         short = enumerate_paths(ROOM, TX, cap, RX, cap, RADIO, 30e-9)
         longer = enumerate_paths(ROOM, TX, cap, RX, cap, RADIO, 60e-9)
-        truncated = {p.index for p in longer if p.delay <= 30e-9}
-        assert {p.index for p in short} == truncated
+        truncated = {tuple(k) for k in longer.indices[longer.delays <= 30e-9].tolist()}
+        assert index_set(short) == truncated
 
     def test_transmit_receive_reciprocity(self):
         tx_cap = SphericalCap(0.3, (1.0, 0.2, -0.4))
@@ -191,7 +212,7 @@ class TestConePruning:
         assume(cap.threshold == component)
         tx_pattern, rx_pattern = (cap, ISO) if departure else (ISO, cap)
         paths = assert_matches_reference(tx, tx_pattern, rx, rx_pattern, 30e-9)
-        assert tuple(indices[i]) in {p.index for p in paths}
+        assert tuple(indices[i]) in index_set(paths)
 
     def test_pattern_without_cone_is_gated_exactly(self):
         pattern = TwoSided()
@@ -212,17 +233,17 @@ class TestConePruning:
 class TestArrivalCount:
     def test_zero_before_first_arrival(self):
         paths = enumerate_paths(ROOM, TX, ISO, RX, ISO, RADIO, 40e-9)
-        assert arrival_count(paths, 0.5 * TAU0) == 0
+        assert count_at(paths, 0.5 * TAU0) == 0
 
     def test_step_at_boundary_is_closed(self):
         paths = single_path_list(5e-9)
-        assert arrival_count(paths, 5e-9) == 1
-        assert arrival_count(paths, 5e-9 - 1e-15) == 0
+        assert count_at(paths, 5e-9) == 1
+        assert count_at(paths, 5e-9 - 1e-15) == 0
 
     def test_beyond_horizon_raises(self):
         paths = enumerate_paths(ROOM, TX, ISO, RX, ISO, RADIO, 40e-9)
         with pytest.raises(OutOfHorizonError):
-            arrival_count(paths, 41e-9)
+            count_at(paths, 41e-9)
         with pytest.raises(OutOfHorizonError):
             arrival_count_curve(paths, np.array([10e-9, 50e-9]))
 

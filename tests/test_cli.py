@@ -197,7 +197,56 @@ class TestTheoryCommand:
         assert len(lines) == 6  # header + 5 grid points
 
 
+    @pytest.mark.parametrize(
+        "grid", ["0,1e-7", "a,b,c", "0,1e-7,-1e-9", "0,nan,1e-9", "0,1e-7,0", "1e-7,0,1e-9"]
+    )
+    def test_bad_grid_flag_is_usage_error(self, tmp_path, capsys, grid):
+        cfg = write_config(tmp_path, {})
+        code = main(["--config", cfg, "theory", "--curves", "count", f"--grid={grid}",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.startswith("usage:")
+        assert "argument --grid: " in err and repr(grid) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("gain", [0.0, 1.0])
+    def test_pds_without_exponential_tail_is_config_error(self, tmp_path, capsys, gain):
+        cfg = write_config(tmp_path, {"room": {"wall_gains": gain}})
+        code = main(["--config", cfg, "theory", "--out-dir", str(tmp_path / "all")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: pds curve:") and err.count("\n") == 1
+        assert not (tmp_path / "all").exists()
+        code = main(["--config", cfg, "theory", "--curves", "count,rate,mixing",
+                     "--out-dir", str(tmp_path / "rest")])
+        assert code == 0
+        assert sorted(p.name for p in (tmp_path / "rest").iterdir()) == [
+            "count.csv", "mixing.csv", "rate.csv"
+        ]
+
+
 class TestMcCommand:
+    @pytest.mark.parametrize("threads", ["0", "-1", "two"])
+    def test_bad_threads_flag_is_usage_error(self, tmp_path, capsys, threads):
+        cfg = write_config(tmp_path, {"mc": small_mc_section()})
+        code = main(["--config", cfg, "mc", f"--threads={threads}", "--out-dir", str(tmp_path / "b")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "argument --threads: " in err
+        assert not (tmp_path / "b").exists()
+
+    def test_lossless_walls_keep_the_count_check(self, tmp_path):
+        mc = dict(small_mc_section(runs=2), tau_max_s=60e-9, moment_cutoff_s=60e-9)
+        mc["grid"] = {"start_s": 0.0, "stop_s": 60e-9, "step_s": 1e-9}
+        cfg = write_config(tmp_path, {"room": {"wall_gains": 1.0}, "mc": mc})
+        out = tmp_path / "b"
+        code = main(["--config", cfg, "mc", "--check", "--out-dir", str(out)])
+        report = json.loads((out / "report.json").read_text())
+        assert set(report["checks"]) == {"mean_count"}
+        assert code == (0 if report["pass"] else 1)
+        assert any("reflectance" in note for note in report["notes"])
+
     def test_repeat_runs_identical_bundles(self, tmp_path):
         cfg = write_config(tmp_path, {"mc": small_mc_section()})
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"

@@ -12,7 +12,6 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from roomchan import theory
 from roomchan.antenna import Isotropic, SphericalCap
 from roomchan.channel import RadioConfig
 from roomchan.geometry import Room
@@ -40,8 +39,7 @@ def main() -> None:
                        runs=args.runs, seed=args.seed)
         t0 = time.time()
         result = run_ensemble(cfg, workers=args.threads)
-        scene = theory.SceneSummary.from_components(room, radio, pattern, pattern)
-        report = compare_with_theory(result, scene)
+        report = compare_with_theory(result)
         out = os.path.join(args.out_dir, name)
         write_bundle(result, out, {"seed": cfg.seed, "runs": cfg.runs, "setting": name}, report)
         checks = {k: v["pass"] for k, v in report["checks"].items()}

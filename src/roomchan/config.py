@@ -17,7 +17,7 @@ import numpy as np
 
 from .antenna import AntennaPattern, Isotropic, SphericalCap
 from .channel import RadioConfig
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateGeometryError
 from .geometry import Room
 from .montecarlo import MODES, McConfig
 
@@ -134,13 +134,17 @@ DEFAULTS = {
 }
 
 
+# Built once: jsonschema.validate re-checks the schema itself on every call,
+# which costs about ten times the validation of a document.
+_VALIDATOR = jsonschema.Draft7Validator(SCHEMA)
+
+
 def validate_document(doc: dict) -> None:
     """Schema-check a raw configuration document; names the offending key."""
-    try:
-        jsonschema.validate(doc, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"{path}: {exc.message}") from None
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"{path}: {error.message}")
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -248,6 +252,8 @@ def aimed_patterns(doc: dict, tx_position, rx_position) -> tuple[AntennaPattern,
         pattern = build_pattern(doc, side)
         if isinstance(pattern, SphericalCap):
             if section.get("aim") == "los":
+                if not np.any(boresight):
+                    raise DegenerateGeometryError("transmitter and receiver coincide")
                 pattern = pattern.aimed(boresight)
             elif "orientation" not in section:
                 raise ConfigError(
@@ -262,7 +268,7 @@ def build_mc_config(
     runs: int | None = None,
     seed: int | None = None,
 ) -> McConfig:
-    """Assemble an :class:`McConfig`; flag values override the document."""
+    """Assemble an :class:`McConfig`; flags override the document; ``2.0`` counts as ``2``."""
     section = doc["mc"]
     fixed = section.get("fixed", {})
     room = build_room(doc)
@@ -272,8 +278,8 @@ def build_mc_config(
         radio=build_radio(doc),
         tx_pattern=build_pattern(doc, "tx"),
         rx_pattern=build_pattern(doc, "rx"),
-        runs=section["runs"] if runs is None else runs,
-        seed=section["seed"] if seed is None else seed,
+        runs=int(section["runs"]) if runs is None else runs,
+        seed=int(section["seed"]) if seed is None else seed,
         mode=section["mode"],
         tau_max=section["tau_max_s"],
         phase_mode=section["phase_mode"],

@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class DegenerateGeometryError(ValueError):
-    """Positions coincide; no direction or path can be defined."""
-
-
 class ResourceLimitError(RuntimeError):
     """An enumeration request exceeds the configured cardinality cap."""
 
@@ -19,6 +15,10 @@ class ZeroEnergyError(ValueError):
 
 class ConfigError(ValueError):
     """Invalid, inconsistent, or incomplete configuration input."""
+
+
+class DegenerateGeometryError(ConfigError):
+    """Positions coincide; no direction or path can be defined."""
 
 
 class EmptySampleError(ValueError):

@@ -71,14 +71,6 @@ class Room:
     def diagonal(self) -> float:
         return float(np.sqrt(np.sum(self.lengths**2)))
 
-    @property
-    def uniform_gain(self) -> float:
-        """Common wall reflectance; raises if the walls differ."""
-        g = self.wall_gains
-        if not np.all(g == g[0]):
-            raise ValueError("walls have distinct gains; no single reflectance")
-        return float(g[0])
-
     def contains(self, position) -> bool:
         p = np.asarray(position, dtype=float)
         return bool((p >= 0.0).all() and (p < self.lengths).all())

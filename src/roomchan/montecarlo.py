@@ -49,11 +49,17 @@ _PLACEMENT_ATTEMPTS = 10_000
 
 # Tolerances of compare_with_theory: relative error of the mean count where
 # at least _MIN_EXPECTED_COUNT arrivals are expected, of the fitted tail
-# decay time, and mean relative error of the power curve in the fit window.
+# decay time, and mean relative error of the power curve in the fit window
+# (_FIT_WINDOW clipped to the grid).
 _COUNT_TOLERANCE = 0.03
 _MIN_EXPECTED_COUNT = 100.0
 _SLOPE_TOLERANCE = 0.05
 _POWER_TOLERANCE = 0.25
+_FIT_WINDOW = (40e-9, 110e-9)
+
+#: Master seeds fill one 64-bit word of each run's Philox key; negative
+#: seeds map one-to-one onto the words from 2**63 up.
+SEED_RANGE = (-2**63, 2**63)
 
 # Rows per block of the ensemble statistics: a block buffer holds
 # (_STAT_ROWS + 1) x grid floats, row 0 being the sums carried over.
@@ -94,10 +100,14 @@ class McConfig:
     def __post_init__(self) -> None:
         if self.runs < 1:
             raise ConfigError("runs must be at least 1")
+        if not SEED_RANGE[0] <= self.seed < SEED_RANGE[1]:
+            raise ConfigError("seed must lie in [-2**63, 2**63)")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
         if self.phase_mode not in ("carrier", "random"):
             raise ConfigError("phase_mode must be 'carrier' or 'random'")
+        if self.moment_cutoff <= 0.0:
+            raise ConfigError("moment cutoff must be positive")
         if self.tau_max < self.moment_cutoff:
             raise ConfigError("tau_max must be at least the moment cutoff")
         if not 0.0 <= self.grid_start < self.grid_stop <= self.tau_max:
@@ -210,7 +220,8 @@ class McResult:
     power_raw: np.ndarray
 
 
-def _run_rng(seed: int, index: int) -> np.random.Generator:
+def run_rng(seed: int, index: int) -> np.random.Generator:
+    """Random stream of run ``index`` of the ensemble with master ``seed``."""
     return np.random.Generator(np.random.Philox(key=[seed, index]))
 
 
@@ -259,7 +270,7 @@ def _run_tables(cfg: McConfig) -> tuple[np.ndarray, SampleGrid, np.ndarray]:
 
 def _simulate_run(cfg: McConfig, tables, index: int):
     grid, synthesis, times = tables
-    rng = _run_rng(cfg.seed, index)
+    rng = run_rng(cfg.seed, index)
     tx_pos, tx_ori, rx_pos, rx_ori = _draw_terminals(cfg, rng)
     tx_pattern = _oriented(cfg.tx_pattern, tx_ori)
     rx_pattern = _oriented(cfg.rx_pattern, rx_ori)
@@ -309,18 +320,6 @@ def _simulate_block(cfg: McConfig, tables, bounds: tuple[int, int]):
         counts[row], power[row], record = _simulate_run(cfg, tables, index)
         records.append(record)
     return start, counts, power, records
-
-
-_WORKER_STATE: tuple | None = None
-
-
-def _init_worker(cfg: McConfig) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = (cfg, _run_tables(cfg))
-
-
-def _worker_block(bounds: tuple[int, int]):
-    return _simulate_block(*_WORKER_STATE, bounds)
 
 
 def _row_sums(raw: np.ndarray, fill) -> np.ndarray:
@@ -410,13 +409,12 @@ def run_ensemble(cfg: McConfig, workers: int = 1) -> McResult:
     size = max(1, cfg.runs // (8 * workers))
     blocks = [(start, min(start + size, cfg.runs)) for start in range(0, cfg.runs, size)]
     workers = min(workers, len(blocks))
+    simulate = functools.partial(_simulate_block, cfg, tables)
     if workers == 1:
-        place(map(functools.partial(_simulate_block, cfg, tables), blocks))
+        place(map(simulate, blocks))
     else:
-        with multiprocessing.Pool(
-            processes=workers, initializer=_init_worker, initargs=(cfg,)
-        ) as pool:
-            place(pool.imap_unordered(_worker_block, blocks))
+        with multiprocessing.Pool(processes=workers) as pool:
+            place(pool.imap_unordered(simulate, blocks))
 
     delays = np.array(
         [r.mean_delay if r.mean_delay is not None else np.nan for r in records]
@@ -454,31 +452,25 @@ def fit_decay_time(taus, power, window: tuple[float, float]) -> float:
     return float(-1.0 / slope)
 
 
-def compare_with_theory(
-    result: McResult,
-    scene: theory.SceneSummary,
-    fit_window: tuple[float, float] | None = None,
-) -> dict:
+def compare_with_theory(result: McResult) -> dict:
     """Structured comparison of an ensemble against the closed forms.
 
-    The checks depend on the randomization mode: random-placement modes are
-    compared against the exact mean count and the corrected exponential tail;
-    fixed-orientation mode against the min-fraction upper bound; fixed
-    distance against the conditional mean count. Returns a JSON-ready report
-    with per-check errors and PASS/FAIL flags.
+    The scene comes from ``result.config``. The checks depend on the
+    randomization mode: random-placement modes are compared against the
+    exact mean count and the corrected exponential tail; fixed-orientation
+    mode against the min-fraction upper bound; fixed distance against the
+    conditional mean count. Returns a JSON-ready report with per-check errors
+    and PASS/FAIL flags.
 
-    ``fit_window`` defaults to [40 ns, 110 ns] clipped to the grid. Tail
-    checks are skipped (with a note) when the walls are lossless or fully
-    absorbing (no exponential tail), or when the mean power cannot be fitted
-    with a decay over the window. An explicitly given
-    window outside the grid is a configuration error.
+    The tail is fitted over [40 ns, 110 ns] clipped to the grid. Tail checks
+    are skipped (with a note) when the walls have no single reflectance, are
+    lossless or fully absorbing (no exponential tail), or when the mean power
+    cannot be fitted with a decay over the window.
     """
     cfg = result.config
+    scene = theory.SceneSummary.from_components(cfg.room, cfg.radio, cfg.tx_pattern, cfg.rx_pattern)
     grid = result.count.grid
-    if fit_window is not None and (fit_window[0] < grid[0] or fit_window[1] > grid[-1]):
-        raise ConfigError("fit window lies outside the evaluation grid")
-    if fit_window is None:
-        fit_window = (max(40e-9, float(grid[0])), min(110e-9, float(grid[-1])))
+    fit_window = (max(_FIT_WINDOW[0], float(grid[0])), min(_FIT_WINDOW[1], float(grid[-1])))
     checks: dict[str, dict] = {}
     notes: list[str] = []
 
@@ -514,17 +506,17 @@ def compare_with_theory(
                 "pass": bool(abs(fitted - corrected) / corrected <= _SLOPE_TOLERANCE),
             }
 
-            spectrum = theory.pds(scene, grid, mode="randomized", corrected=True)
-            plain = theory.pds(scene, grid, mode="randomized", corrected=False)
-            expected_power = theory.expected_received_power(spectrum, cfg.radio, grid)
-            expected_plain = theory.expected_received_power(plain, cfg.radio, grid)
-            rel_power = np.abs(result.power.mean[in_window] - expected_power[in_window]) / expected_power[in_window]
-            rel_plain = np.abs(result.power.mean[in_window] - expected_plain[in_window]) / expected_plain[in_window]
+            measured = result.power.mean[in_window]
+            errors = []
+            for corrected in (True, False):
+                spectrum = theory.pds(scene, grid, mode="randomized", corrected=corrected)
+                expected = theory.expected_received_power(spectrum, cfg.radio, grid)[in_window]
+                errors.append(float(np.mean(np.abs(measured - expected) / expected)))
             checks["power_curve"] = {
                 "tolerance": _POWER_TOLERANCE,
-                "mean_rel_error_corrected": float(np.mean(rel_power)),
-                "mean_rel_error_uncorrected": float(np.mean(rel_plain)),
-                "pass": bool(np.mean(rel_power) <= _POWER_TOLERANCE),
+                "mean_rel_error_corrected": errors[0],
+                "mean_rel_error_uncorrected": errors[1],
+                "pass": bool(errors[0] <= _POWER_TOLERANCE),
             }
     elif cfg.mode == "fixed-orientation-tx":
         bound = theory.count_upper_bound(scene, grid)
@@ -575,7 +567,7 @@ def compare_power_curves(
     }
 
 
-def write_bundle(result: McResult, out_dir, manifest: dict, report: dict | None = None) -> None:
+def write_bundle(result: McResult, out_dir, manifest: dict, report: dict) -> None:
     """Write the results bundle: curve CSVs, ECDFs, manifest, and report."""
     os.makedirs(out_dir, exist_ok=True)
     for name, estimate, value_name in (
@@ -592,10 +584,7 @@ def write_bundle(result: McResult, out_dir, manifest: dict, report: dict | None 
     ):
         columns = () if dist is None else (dist.values, dist.probs)
         write_csv(os.path.join(out_dir, name), f"{value_name},cumulative_probability", *columns)
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if report is not None:
-        with open(os.path.join(out_dir, "report.json"), "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+    for name, doc in (("manifest.json", manifest), ("report.json", report)):
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -1,9 +1,9 @@
 """Closed-form predictions for mirror-source channels in rectangular rooms.
 
 All functions take a :class:`SceneSummary` holding the room volume ``V``,
-surface area ``S``, diagonal, common wall reflectance ``g``, radio constants,
-and the two beam coverage fractions. Delay arguments may be scalars or
-arrays; outputs follow numpy broadcasting.
+surface area ``S``, diagonal, common wall reflectance ``g`` (``None`` when
+the walls differ), radio constants, and the two beam coverage fractions.
+Delay arguments may be scalars or arrays; outputs follow numpy broadcasting.
 
 Overview of the quantities:
 
@@ -48,7 +48,7 @@ class SceneSummary:
     volume: float
     surface: float
     diagonal: float
-    reflectance: float
+    reflectance: float | None
     speed_of_light: float
     wavelength: float
     bandwidth: float
@@ -59,14 +59,14 @@ class SceneSummary:
     def __post_init__(self) -> None:
         for name in ("volume", "surface", "diagonal", "speed_of_light", "wavelength", "bandwidth"):
             if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 <= self.reflectance <= 1.0:
-            raise ValueError("reflectance must lie in [0, 1]")
+                raise ConfigError(f"{name} must be positive")
+        if self.reflectance is not None and not 0.0 <= self.reflectance <= 1.0:
+            raise ConfigError("reflectance must lie in [0, 1]")
         for name in ("tx_fraction", "rx_fraction"):
             if not 0.0 < getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1]")
+                raise ConfigError(f"{name} must lie in (0, 1]")
         if self.direct_delay is not None and self.direct_delay <= 0.0:
-            raise ValueError("direct_delay must be positive when given")
+            raise ConfigError("direct_delay must be positive when given")
 
     @classmethod
     def from_components(
@@ -79,6 +79,7 @@ class SceneSummary:
         rx_position=None,
     ) -> "SceneSummary":
         """Summarize a concrete scene; positions (if given) set the direct delay."""
+        gains = room.wall_gains
         direct_delay = None
         if tx_position is not None and rx_position is not None:
             diff = np.asarray(tx_position, float) - np.asarray(rx_position, float)
@@ -87,7 +88,7 @@ class SceneSummary:
             volume=room.volume,
             surface=room.surface_area,
             diagonal=room.diagonal,
-            reflectance=room.uniform_gain,
+            reflectance=float(gains[0]) if np.all(gains == gains[0]) else None,
             speed_of_light=radio.speed_of_light,
             wavelength=radio.wavelength,
             bandwidth=radio.bandwidth,
@@ -104,6 +105,11 @@ class SceneSummary:
         if self.direct_delay is None:
             raise ConfigError("this quantity needs the direct-path delay in the scene")
         return self.direct_delay
+
+    def _require_reflectance(self) -> float:
+        if self.reflectance is None:
+            raise ConfigError("walls have distinct gains; no single reflectance")
+        return self.reflectance
 
 
 @dataclass(frozen=True)
@@ -203,23 +209,20 @@ def mixing_time(scene: SceneSummary, n_mix: float = 1.0) -> float:
     """
     if n_mix <= 0.0:
         raise ValueError("n_mix must be positive")
-    c = scene.speed_of_light
-    return float(
-        np.sqrt(
-            n_mix
-            * scene.bandwidth
-            * scene.volume
-            / (4.0 * np.pi * c**3 * scene.fraction_product)
-        )
-    )
+    rate_scale = 4.0 * np.pi * scene.speed_of_light**3 * scene.fraction_product
+    if rate_scale == 0.0:
+        # The beam fractions' product underflows: the mean rate is zero.
+        return float("inf")
+    return float(np.sqrt(n_mix * scene.bandwidth * scene.volume / rate_scale))
 
 
 def reverberation_time(scene: SceneSummary) -> float:
     """Exponential tail time constant ``T = -4V / (c*S*ln g)``.
 
-    Undefined for ``g = 0`` (no reverberation) and ``g = 1`` (lossless walls).
+    Undefined for ``g = 0`` (no reverberation), ``g = 1`` (lossless walls)
+    and walls of distinct gains.
     """
-    g = scene.reflectance
+    g = scene._require_reflectance()
     if g <= 0.0 or g >= 1.0:
         raise ValueError("reverberation time needs reflectance strictly in (0, 1)")
     return float(
@@ -256,7 +259,7 @@ def gain_second_moment(scene: SceneSummary, tau, mode: str = "deterministic"):
     c = scene.speed_of_light
     spreading = (4.0 * np.pi * c * tau / scene.wavelength) ** 2
     exponent = tau * c * scene.surface / (4.0 * scene.volume)
-    reflections = scene.reflectance**exponent
+    reflections = scene._require_reflectance() ** exponent
     if mode == "deterministic":
         tau0 = scene._require_direct_delay()
         if np.any(tau < tau0):

@@ -22,6 +22,7 @@ REMOVED = {
         "path_delay", "reflection_gain", "wall_interaction_counts",
     ],
     channel: ["PathComponent", "arrival_count"],
+    montecarlo: ["_WORKER_STATE", "_init_worker", "_worker_block"],
 }
 
 
@@ -49,6 +50,12 @@ def test_isotropic_support_comes_from_the_base_rule():
     assert antenna.Isotropic().in_support([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]).tolist() == [True, True]
 
 
-def test_compare_with_theory_takes_only_the_fit_window():
+def test_compare_with_theory_takes_only_the_result():
     params = list(inspect.signature(montecarlo.compare_with_theory).parameters)
-    assert params == ["result", "scene", "fit_window"]
+    assert params == ["result"]
+
+
+def test_write_bundle_needs_a_report():
+    params = inspect.signature(montecarlo.write_bundle).parameters.values()
+    assert [p.name for p in params] == ["result", "out_dir", "manifest", "report"]
+    assert all(p.default is inspect.Parameter.empty for p in params)

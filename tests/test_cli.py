@@ -1,9 +1,11 @@
 import json
 import time
 
+import jsonschema
 import numpy as np
 import pytest
 
+from roomchan import config
 from roomchan.cli import main
 
 FIG_POSITIONS = {"tx_m": [2.5, 2.5, 1.5], "rx_m": [3.8, 4.0, 0.6]}
@@ -37,6 +39,9 @@ class TestHelpAndUsage:
 
 
 class TestConfigValidation:
+    def test_schema_is_valid_draft7(self):
+        jsonschema.Draft7Validator.check_schema(config.SCHEMA)
+
     def test_unknown_key_names_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"room": {"lengths_m": [5, 5, 3], "color": "red"}})
         code = main(["--config", cfg, "paths", "--out", str(tmp_path / "p.csv")])
@@ -150,6 +155,28 @@ class TestFixedSceneInput:
         last = err.strip().splitlines()[-1]
         assert last.endswith(f"argument --tau-max: must be finite and non-negative, got {value!r}")
 
+    @pytest.mark.parametrize("command", ["paths", "signal"])
+    @pytest.mark.parametrize("tx", [{"pattern": "isotropic"},
+                                    {"pattern": "cap", "beam_fraction": 0.5, "aim": "los"}])
+    def test_coincident_positions_are_config_error(self, tmp_path, capsys, command, tx):
+        positions = {"tx_m": [2.5, 2.5, 1.5], "rx_m": [2.5, 2.5, 1.5]}
+        cfg = write_config(tmp_path, {"positions": positions, "antennas": {"tx": tx}})
+        out = tmp_path / "o.csv"
+        assert main(["--config", cfg, command, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: transmitter and receiver coincide\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [str(2**64), str(-2**63 - 1)])
+    def test_signal_seed_outside_key_word_is_usage_error(self, tmp_path, capsys, seed):
+        cfg = write_config(tmp_path, {"positions": FIG_POSITIONS})
+        out = tmp_path / "o.csv"
+        code = main(["--config", cfg, "signal", "--phase-mode", "random", f"--seed={seed}",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"argument --seed: must lie in [{-2**63}, {2**63}), got {seed!r}" in err
+        assert not out.exists()
+
     def test_negative_horizon_in_config_is_config_error(self, tmp_path, capsys):
         mc = {"tau_max_s": -1e-9, "moment_cutoff_s": -1e-9}
         cfg = write_config(tmp_path, {"positions": FIG_POSITIONS, "mc": mc})
@@ -235,6 +262,59 @@ class TestMcCommand:
         err = capsys.readouterr().err
         assert "Traceback" not in err and "argument --threads: " in err
         assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("seed,code", [
+        (2**63, 2), (2**64 - 1, 2), (2**64, 2), (-2**63 - 1, 2), (-1, 0), (2**63 - 1, 0),
+    ])
+    def test_seed_range(self, tmp_path, capsys, source, seed, code):
+        mc = small_mc_section(runs=1)
+        argv = ["mc", "--out-dir", str(tmp_path / "b")]
+        if source == "flag":
+            argv[1:1] = ["--seed", str(seed)]
+        else:
+            mc["seed"] = seed
+        assert main(["--config", write_config(tmp_path, {"mc": mc})] + argv) == code
+        assert (tmp_path / "b").exists() == (code == 0)
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_integral_float_runs_and_seed_are_integers(self, tmp_path):
+        mc = dict(small_mc_section(), runs=2.0, seed=3.0)
+        assert main(["--config", write_config(tmp_path, {"mc": mc}), "mc",
+                     "--out-dir", str(tmp_path / "f")]) == 0
+        assert main(["--config", write_config(tmp_path, {"mc": small_mc_section()}, "i.json"),
+                     "mc", "--out-dir", str(tmp_path / "i")]) == 0
+        for name in ("counts.csv", "power.csv", "manifest.json"):
+            assert (tmp_path / "f" / name).read_bytes() == (tmp_path / "i" / name).read_bytes()
+
+    @pytest.mark.parametrize("cutoff", [-1e-6, -5e-9, 0.0])
+    def test_cutoff_at_or_before_zero_is_config_error(self, tmp_path, capsys, cutoff):
+        mc = dict(small_mc_section(), moment_cutoff_s=cutoff)
+        cfg = write_config(tmp_path, {"mc": mc})
+        assert main(["--config", cfg, "mc", "--out-dir", str(tmp_path / "b")]) == 2
+        assert capsys.readouterr().err == "config error: moment cutoff must be positive\n"
+        assert not (tmp_path / "b").exists()
+
+    def test_distinct_walls_keep_the_count_check(self, tmp_path, capsys):
+        mc = dict(small_mc_section(runs=2), tau_max_s=60e-9, moment_cutoff_s=60e-9)
+        mc["grid"] = {"start_s": 0.0, "stop_s": 60e-9, "step_s": 1e-9}
+        room = {"wall_gains": [0.5, 0.6, 0.6, 0.6, 0.7, 0.6]}
+        cfg = write_config(tmp_path, {"room": room, "mc": mc})
+        out = tmp_path / "b"
+        code = main(["--config", cfg, "mc", "--check", "--out-dir", str(out)])
+        report = json.loads((out / "report.json").read_text())
+        assert set(report["checks"]) == {"mean_count"}
+        assert code == (0 if report["pass"] else 1)
+        assert report["notes"] == ["tail checks skipped: walls have distinct gains; no single reflectance"]
+        code = main(["--config", cfg, "theory", "--curves", "count,rate,mixing",
+                     "--out-dir", str(tmp_path / "curves")])
+        assert code == 0
+        code = main(["--config", cfg, "theory", "--curves", "pds", "--out-dir", str(tmp_path / "pds")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: pds curve: walls have distinct gains; no single reflectance\n"
+        )
+        assert not (tmp_path / "pds").exists()
 
     def test_lossless_walls_keep_the_count_check(self, tmp_path):
         mc = dict(small_mc_section(runs=2), tau_max_s=60e-9, moment_cutoff_s=60e-9)

@@ -77,12 +77,11 @@ class TestRoom:
 
     def test_scalar_gain_broadcasts(self):
         assert np.all(ROOM.wall_gains == 0.6)
-        assert ROOM.uniform_gain == 0.6
 
     def test_distinct_gains_have_no_uniform_value(self):
         room = Room((5, 5, 3), (0.5, 0.9, 0.6, 0.6, 0.6, 0.6))
-        with pytest.raises(ValueError):
-            room.uniform_gain
+        assert room.wall_gains.tolist() == [0.5, 0.9, 0.6, 0.6, 0.6, 0.6]
+        assert not hasattr(room, "uniform_gain")
 
     @pytest.mark.parametrize(
         "lengths,gains",

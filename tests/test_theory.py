@@ -22,7 +22,7 @@ def scene_with(tx_fraction=1.0, rx_fraction=1.0, direct_delay=None, room=ROOM, r
         volume=room.volume,
         surface=room.surface_area,
         diagonal=room.diagonal,
-        reflectance=room.uniform_gain,
+        reflectance=float(room.wall_gains[0]),
         speed_of_light=radio.speed_of_light,
         wavelength=radio.wavelength,
         bandwidth=radio.bandwidth,
@@ -45,9 +45,19 @@ class TestSceneSummary:
         assert scene.direct_delay == pytest.approx(TAU0, rel=1e-14)
 
     def test_distinct_wall_gains_rejected(self):
+        # Only the tail quantities need a single reflectance; the counts do not.
         room = Room((5, 5, 3), (0.5, 0.9, 0.6, 0.6, 0.6, 0.6))
-        with pytest.raises(ValueError):
-            SceneSummary.from_components(room, RADIO, Isotropic(), Isotropic())
+        scene = SceneSummary.from_components(room, RADIO, Isotropic(), Isotropic(), TX, RX)
+        assert scene.reflectance is None
+        assert theory.mean_count(scene, 10e-9) == theory.mean_count(SCENE, 10e-9)
+        message = "walls have distinct gains; no single reflectance"
+        for call in (
+            lambda: theory.reverberation_time(scene),
+            lambda: theory.pds(scene, [10e-9], mode="randomized"),
+            lambda: theory.gain_second_moment(scene, 10e-9, mode="randomized"),
+        ):
+            with pytest.raises(ConfigError, match=message):
+                call()
 
 
 class TestEyringCount:
@@ -132,6 +142,9 @@ class TestMixingTime:
         scene = scene_with(0.5, 0.5)
         assert theory.mixing_time(scene) == pytest.approx(2 * theory.mixing_time(SCENE), rel=1e-12)
         assert theory.mixing_time(scene) == pytest.approx(42e-9, rel=0.02)
+
+    def test_underflowing_beam_product_never_mixes(self):
+        assert theory.mixing_time(scene_with(0.5, 5e-324)) == float("inf")
 
     def test_bandwidth_scaling(self):
         radio4 = RadioConfig(RADIO.wavelength, 4 * RADIO.bandwidth, C)

@@ -1,19 +1,23 @@
-"""Compare the ``roomchan mc`` bundle of this tree with that of another revision.
+"""Compare the outputs of ``roomchan`` on this tree with those of another revision.
 
     python scripts/bundle_diff.py --base HEAD~1 --config campaign.json --runs 200 --seed 5
 
-Exports the committed files of ``--base`` into a temporary directory, runs
-``roomchan mc`` with the same configuration, run count and seed on that
-export and on this tree (working files included), and prints one line per
-bundle file: ``identical`` or ``different``. For a differing CSV with the
-same layout the line also gives the largest relative difference of its
-values. Exit status: 0 when every file is byte-identical, 1 when one
-differs, 2 when a run fails.
+Exports the committed files of ``--base`` into a temporary directory and runs
+the same commands on that export and on this tree (working files included):
+``roomchan mc`` with the given run count and seed into ``mc/``, and, when the
+configuration has ``positions``, ``paths`` into ``paths.csv``, ``signal`` with
+carrier phases into ``signal_carrier.csv`` and with random phases from
+``--seed`` into ``signal_random.csv``, and ``theory`` with its default curves
+into ``theory/``. Prints one line per output file: ``identical`` or
+``different``. For a differing CSV with the same layout the line also gives
+the largest relative difference of its values. Exit status: 0 when every
+file is byte-identical, 1 when one differs, 2 when a command fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -32,42 +36,67 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run_mc(tree: Path, args, out_dir: Path) -> None:
+def run(tree: Path, config: str, argv: list[str]) -> None:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    cmd = [
-        sys.executable, "-m", "roomchan.cli", "--config", str(Path(args.config).resolve()),
-        "mc", "--runs", str(args.runs), "--seed", str(args.seed),
-        "--threads", str(args.threads), "--out-dir", str(out_dir),
-    ]
+    cmd = [sys.executable, "-m", "roomchan.cli", "--config", config] + argv
     done = subprocess.run(cmd, env=env, capture_output=True, text=True)
-    if done.returncode not in (0, 1):
+    if done.returncode != 0:
         sys.stderr.write(done.stderr)
-        print(f"bundle_diff: roomchan mc failed in {tree} with exit {done.returncode}", file=sys.stderr)
+        print(f"bundle_diff: roomchan {argv[0]} failed in {tree} with exit {done.returncode}",
+              file=sys.stderr)
         raise SystemExit(2)
 
 
-def csv_values(path: Path) -> list[list[float]] | None:
-    """Numeric rows below the header, or None when a field is not a number."""
-    rows = path.read_text(encoding="utf-8").strip().split("\n")[1:]
+def run_all(tree: Path, args, out: Path) -> None:
+    """Every output of ``tree`` for the configuration, written under ``out``."""
+    config = str(Path(args.config).resolve())
+    seed = str(args.seed)
+    out.mkdir()
+    run(tree, config, ["mc", "--runs", str(args.runs), "--seed", seed,
+                       "--threads", str(args.threads), "--out-dir", str(out / "mc")])
+    if "positions" in json.loads(Path(config).read_text(encoding="utf-8")):
+        run(tree, config, ["paths", "--out", str(out / "paths.csv")])
+        run(tree, config, ["signal", "--out", str(out / "signal_carrier.csv")])
+        run(tree, config, ["signal", "--phase-mode", "random", "--seed", seed,
+                           "--out", str(out / "signal_random.csv")])
+        run(tree, config, ["theory", "--out-dir", str(out / "theory")])
+
+
+def field(text: str) -> float | str:
     try:
-        return [[float(v) for v in row.split(",")] for row in rows]
+        return float(text)
     except ValueError:
-        return None
+        return text
 
 
-def max_relative_difference(a: list[list[float]], b: list[list[float]]) -> float:
+def csv_values(path: Path) -> list[list[float | str]]:
+    """Rows below the header, comment lines left out; numeric fields as floats."""
+    lines = [line for line in path.read_text(encoding="utf-8").strip().split("\n")
+             if not line.startswith("#")]
+    return [[field(v) for v in line.split(",")] for line in lines[1:]]
+
+
+def max_relative_difference(a: list[list[float | str]], b: list[list[float | str]]) -> float:
+    """Largest relative difference of paired fields; infinite where text differs."""
     worst = 0.0
     for row_a, row_b in zip(a, b):
         for x, y in zip(row_a, row_b):
+            if x == y:
+                continue
+            if isinstance(x, str) or isinstance(y, str):
+                return float("inf")
             scale = max(abs(x), abs(y))
-            if x != y:
-                worst = max(worst, abs(x - y) / scale if scale > 0.0 else float("inf"))
+            worst = max(worst, abs(x - y) / scale if scale > 0.0 else float("inf"))
     return worst
+
+
+def files(root: Path) -> set[str]:
+    return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
 
 
 def compare(base_dir: Path, head_dir: Path) -> bool:
     same = True
-    for name in sorted({p.name for p in base_dir.iterdir()} | {p.name for p in head_dir.iterdir()}):
+    for name in sorted(files(base_dir) | files(head_dir)):
         a, b = base_dir / name, head_dir / name
         if not (a.is_file() and b.is_file()):
             print(f"{name}: only in {'base' if a.is_file() else 'this tree'}")
@@ -80,7 +109,7 @@ def compare(base_dir: Path, head_dir: Path) -> bool:
         line = f"{name}: different"
         if name.endswith(".csv"):
             va, vb = csv_values(a), csv_values(b)
-            if va is not None and vb is not None and [len(r) for r in va] == [len(r) for r in vb]:
+            if [len(r) for r in va] == [len(r) for r in vb]:
                 line += f", max relative difference {max_relative_difference(va, vb):.3g}"
             else:
                 line += ", layouts differ"
@@ -105,8 +134,8 @@ def main() -> int:
         except subprocess.CalledProcessError as exc:
             print(f"bundle_diff: cannot export {args.base!r}: {exc.stderr.decode().strip()}", file=sys.stderr)
             return 2
-        run_mc(tmp / "tree", args, tmp / "base")
-        run_mc(ROOT, args, tmp / "head")
+        run_all(tmp / "tree", args, tmp / "base")
+        run_all(ROOT, args, tmp / "head")
         return 0 if compare(tmp / "base", tmp / "head") else 1
 
 

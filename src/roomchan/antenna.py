@@ -66,7 +66,8 @@ class SphericalCap(AntennaPattern):
     The cap covers a fraction ``fraction`` of the sphere, giving a gain of
     ``1 / fraction`` inside and zero outside. Membership uses the closed
     threshold ``direction . boresight >= 1 - 2 * fraction``; the half-beam
-    width is ``arccos(1 - 2 * fraction)``.
+    width is ``arccos(1 - 2 * fraction)``. Fractions whose threshold rounds
+    to 1 are rejected.
     """
 
     fraction: float
@@ -75,6 +76,8 @@ class SphericalCap(AntennaPattern):
     def __post_init__(self) -> None:
         if not 0.0 < self.fraction <= 1.0:
             raise ValueError("beam coverage fraction must lie in (0, 1]")
+        if self.threshold == 1.0:  # no representable width; 1/fraction overflows path powers
+            raise ValueError(f"beam coverage fraction {self.fraction!r} is too small: 1 - 2 * fraction rounds to 1")
         axis = np.asarray(self.boresight, dtype=float)
         if axis.shape != (3,):
             raise ValueError("boresight must be a 3-vector")

@@ -269,25 +269,6 @@ class SignalTrace:
     def energy(self) -> float:
         return float(np.trapezoid(self.abs2, dx=self.step))
 
-    def window(self, t_min: float | None = None, t_max: float | None = None) -> "SignalTrace":
-        """Sub-trace with sample times inside ``[t_min, t_max]`` (inclusive).
-
-        The sub-trace shares this trace's ``abs2`` instead of recomputing it.
-        """
-        t = self.times()
-        mask = np.ones(t.shape, dtype=bool)
-        if t_min is not None:
-            mask &= t >= t_min
-        if t_max is not None:
-            mask &= t <= t_max
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
-            raise ValueError("window excludes every sample")
-        part = slice(idx[0], idx[-1] + 1)
-        sub = SignalTrace(float(t[idx[0]]), self.step, self.samples[part])
-        sub.__dict__["abs2"] = self.abs2[part]
-        return sub
-
     def to_csv(self, path) -> None:
         write_csv(
             path, "t_seconds,re,im,abs2",

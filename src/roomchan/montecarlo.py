@@ -12,8 +12,9 @@ many workers execute the runs.
 
 Memory: runs go out in contiguous blocks, and each finished block is copied
 into the ensemble's raw curves, which are allocated once before any run. The
-statistics are reduced from those curves in fixed row blocks, so the process
-holds one copy of the curves plus a few blocks.
+means are numpy's buffered reductions of those curves and the squared
+deviations are summed in fixed row blocks, so the process holds one copy of
+the curves plus a few blocks.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .channel import (
     MAX_GRID_POINTS,
     RadioConfig,
     SampleGrid,
+    SignalTrace,
     arrival_count_curve,
     enumerate_paths,
     signal_moments,
@@ -61,7 +63,7 @@ _FIT_WINDOW = (40e-9, 110e-9)
 #: seeds map one-to-one onto the words from 2**63 up.
 SEED_RANGE = (-2**63, 2**63)
 
-# Rows per block of the ensemble statistics: a block buffer holds
+# Rows per block of the squared deviations: a block buffer holds
 # (_STAT_ROWS + 1) x grid floats, row 0 being the sums carried over.
 _STAT_ROWS = 128
 
@@ -122,6 +124,8 @@ class McConfig:
                 f"count grid holds {steps + 1:.3g} points, above the cap of {MAX_GRID_POINTS}"
             )
         points = int(round(steps)) + 1
+        if points < 2:
+            raise ConfigError("count grid must hold at least two points")
         if self.runs * points > MAX_ENSEMBLE_POINTS:
             raise ResourceLimitError(
                 f"{self.runs} runs x {points} grid points hold {self.runs * points:.3g} curve "
@@ -262,14 +266,16 @@ def _oriented(pattern: AntennaPattern, boresight) -> AntennaPattern:
     return pattern
 
 
-def _run_tables(cfg: McConfig) -> tuple[np.ndarray, SampleGrid, np.ndarray]:
-    """Constants every run of an ensemble shares: count grid, synthesis grid, its times."""
+def _run_tables(cfg: McConfig) -> tuple[np.ndarray, SampleGrid, np.ndarray, int]:
+    """Constants every run shares: count grid, synthesis grid, its times, samples to the cutoff."""
     synthesis = cfg.synthesis_grid()
-    return cfg.grid(), synthesis, synthesis.times()
+    times = synthesis.times()
+    cut = int(np.searchsorted(times, cfg.moment_cutoff, side="right"))
+    return cfg.grid(), synthesis, times, cut
 
 
 def _simulate_run(cfg: McConfig, tables, index: int):
-    grid, synthesis, times = tables
+    grid, synthesis, times, cut = tables
     rng = run_rng(cfg.seed, index)
     tx_pos, tx_ori, rx_pos, rx_ori = _draw_terminals(cfg, rng)
     tx_pattern = _oriented(cfg.tx_pattern, tx_ori)
@@ -281,19 +287,17 @@ def _simulate_run(cfg: McConfig, tables, index: int):
     )
     counts = arrival_count_curve(paths, grid).astype(np.int32)
 
-    # One |y|^2 per run: the window below shares it with energy and moments.
     trace = synthesize_signal(paths, cfg.radio, synthesis, cfg.phase_mode, rng)
     power = np.interp(grid, times, trace.abs2)
 
+    # Energy and moments of the samples up to the cutoff; an empty run's
+    # zero trace has energy 0 and no moments.
+    clipped = SignalTrace(trace.start, trace.step, trace.samples[:cut])
     mean_delay = rms_spread = None
-    energy = 0.0
-    if len(paths) > 0:
-        clipped = trace.window(None, cfg.moment_cutoff)
-        energy = clipped.energy
-        try:
-            mean_delay, rms_spread = signal_moments(clipped)
-        except ZeroEnergyError:
-            pass
+    try:
+        mean_delay, rms_spread = signal_moments(clipped)
+    except ZeroEnergyError:
+        pass
 
     record = RunRecord(
         index=index,
@@ -302,7 +306,7 @@ def _simulate_run(cfg: McConfig, tables, index: int):
         tx_boresight=tx_ori if isinstance(cfg.tx_pattern, SphericalCap) else None,
         rx_boresight=rx_ori if isinstance(cfg.rx_pattern, SphericalCap) else None,
         n_paths=len(paths),
-        energy=energy,
+        energy=clipped.energy,
         mean_delay=mean_delay,
         rms_spread=rms_spread,
     )
@@ -322,53 +326,30 @@ def _simulate_block(cfg: McConfig, tables, bounds: tuple[int, int]):
     return start, counts, power, records
 
 
-def _row_sums(raw: np.ndarray, fill) -> np.ndarray:
-    """Column sums of the rows of ``raw`` after ``fill(out, rows)``, added in row order.
-
-    numpy's axis-0 sum of a C-ordered array with two or more columns adds
-    row after row. This adds the same rows in the same order a block at a
-    time, so the sums are bitwise equal without a full-size temporary.
-    """
-    runs, points = raw.shape
-    buf = np.empty((min(_STAT_ROWS, runs) + 1, points))
-    sums = np.empty(points)
-    for start in range(0, runs, _STAT_ROWS):
-        rows = raw[start:start + _STAT_ROWS]
-        if start == 0:
-            block = buf[:len(rows)]
-        else:
-            buf[0] = sums
-            block = buf[:len(rows) + 1]
-        fill(block[-len(rows):], rows)
-        np.add.reduce(block, axis=0, out=sums)
-    return sums
-
-
 def _estimate(grid: np.ndarray, raw: np.ndarray) -> McEstimate:
-    """Mean and standard error of the rows of ``raw``.
+    """Mean and standard error of the rows of ``raw``, which has two or more columns.
 
     Bitwise equal to ``raw.astype(float).mean(axis=0)`` and
     ``raw.astype(float).std(axis=0, ddof=1) / sqrt(runs)`` (zero for one run).
+    numpy's axis-0 reductions of such an array add row after row, and its
+    mean casts int32 rows in small buffers. The squared deviations are added
+    in the same order a block of rows at a time, row 0 of each block holding
+    the sums so far, so neither statistic needs a full-size temporary.
     """
-    runs = raw.shape[0]
-    if raw.shape[1] == 1:
-        # numpy sums a lone column pairwise, not row after row; the copy is
-        # one float a run.
-        column = raw.astype(float)
-        mean = column.mean(axis=0)
-        squares = np.square(column - mean).sum(axis=0)
-    else:
-        mean = _row_sums(raw, np.copyto) / runs
-
-        def squared_deviation(out, rows):
-            np.subtract(rows, mean, out=out)
-            np.square(out, out=out)
-
-        squares = _row_sums(raw, squared_deviation)
-    if runs > 1:
-        stderr = np.sqrt(squares / (runs - 1)) / np.sqrt(runs)
-    else:
-        stderr = np.zeros_like(mean)
+    runs, points = raw.shape
+    mean = raw.mean(axis=0)
+    squares = np.zeros(points)
+    buf = np.empty((min(_STAT_ROWS, runs) + 1, points))
+    for start in range(0, runs, _STAT_ROWS):
+        rows = raw[start:start + _STAT_ROWS]
+        block = buf[:len(rows) + 1]
+        block[0] = squares
+        deviations = block[1:]
+        np.subtract(rows, mean, out=deviations)
+        np.square(deviations, out=deviations)
+        np.add.reduce(block, axis=0, out=squares)
+    # A lone run deviates by 0 from its mean, so its standard error is 0.
+    stderr = np.sqrt(squares / max(runs - 1, 1)) / np.sqrt(runs)
     return McEstimate(grid, mean, stderr, runs)
 
 
@@ -378,7 +359,6 @@ def ecdf(samples) -> Ecdf:
     values = values[np.isfinite(values)]
     if values.size == 0:
         raise EmptySampleError("no finite samples for an empirical distribution")
-    values = np.sort(values)
     unique, counts = np.unique(values, return_counts=True)
     probs = np.cumsum(counts) / values.size
     return Ecdf(unique, probs)

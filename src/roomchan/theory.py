@@ -29,7 +29,7 @@ import numpy as np
 from ._csv import write_csv
 from .antenna import AntennaPattern
 from .channel import RadioConfig, sinc_pulse
-from .errors import ConfigError
+from .errors import ConfigError, DegenerateGeometryError
 from .geometry import Room
 
 #: Default variance-to-mean ratio of the wall-interaction count (Kuttruff's
@@ -84,6 +84,8 @@ class SceneSummary:
         if tx_position is not None and rx_position is not None:
             diff = np.asarray(tx_position, float) - np.asarray(rx_position, float)
             direct_delay = float(np.sqrt(np.sum(diff * diff)) / radio.speed_of_light)
+            if direct_delay == 0.0:
+                raise DegenerateGeometryError("transmitter and receiver coincide")
         return cls(
             volume=room.volume,
             surface=room.surface_area,
@@ -148,22 +150,17 @@ class TheoryCurve:
         )
 
 
-def _rate_density(scene: SceneSummary, tau, start: float, factor: float) -> np.ndarray:
-    """``4*pi*c^3*tau^2 / V * factor`` for ``tau > start``, zero elsewhere."""
+def _arrivals(scene: SceneSummary, tau, factor: float, start: float = 0.0, rate: bool = False):
+    """``4*pi*c^3*tau^3 / (3*V) * factor``, or with ``rate`` its derivative, for ``tau > start``."""
     tau = np.asarray(tau, dtype=float)
+    power, divisor = (2, 1.0) if rate else (3, 3.0)
     c = scene.speed_of_light
-    return np.where(tau > start, 4.0 * np.pi * c**3 * tau**2 / scene.volume * factor, 0.0)
-
-
-def _cubic_count(scene: SceneSummary, tau) -> np.ndarray:
-    tau = np.asarray(tau, dtype=float)
-    c = scene.speed_of_light
-    return np.where(tau > 0.0, 4.0 * np.pi * c**3 * tau**3 / (3.0 * scene.volume), 0.0)
+    return np.where(tau > start, 4.0 * np.pi * c**3 * tau**power / (divisor * scene.volume) * factor, 0.0)
 
 
 def eyring_count(scene: SceneSummary, tau):
     """Large-delay arrival count ``4*pi*c^3*tau^3 / (3*V)`` (zero for tau <= 0)."""
-    return _cubic_count(scene, tau)
+    return _arrivals(scene, tau, 1.0)
 
 
 def approx_count(scene: SceneSummary, tau):
@@ -192,12 +189,12 @@ def mean_count(scene: SceneSummary, tau):
     ``4*pi*c^3*tau^3 / (3*V) * w_tx * w_rx`` for ``tau > 0``; for isotropic
     antennas the mean coincides with the cubic large-delay count.
     """
-    return _cubic_count(scene, tau) * scene.fraction_product
+    return _arrivals(scene, tau, scene.fraction_product)
 
 
 def mean_rate(scene: SceneSummary, tau):
     """Mean arrival rate ``4*pi*c^3*tau^2 / V * w_tx * w_rx`` for ``tau > 0``."""
-    return _rate_density(scene, tau, 0.0, scene.fraction_product)
+    return _arrivals(scene, tau, scene.fraction_product, rate=True)
 
 
 def mixing_time(scene: SceneSummary, n_mix: float = 1.0) -> float:
@@ -352,12 +349,12 @@ def count_upper_bound(scene: SceneSummary, tau):
     Valid for a uniformly placed terminal with fixed orientation; equality
     holds when either antenna is isotropic.
     """
-    return _cubic_count(scene, tau) * min(scene.tx_fraction, scene.rx_fraction)
+    return _arrivals(scene, tau, min(scene.tx_fraction, scene.rx_fraction))
 
 
 def rate_upper_bound(scene: SceneSummary, tau):
     """Rate analog of :func:`count_upper_bound`."""
-    return _rate_density(scene, tau, 0.0, min(scene.tx_fraction, scene.rx_fraction))
+    return _arrivals(scene, tau, min(scene.tx_fraction, scene.rx_fraction), rate=True)
 
 
 def conditional_mean_count(scene: SceneSummary, tau, tau0: float):
@@ -380,4 +377,4 @@ def conditional_rate(scene: SceneSummary, tau, tau0: float) -> tuple[float, np.n
     """Rate conditioned on the direct delay: ``(spike_weight, density)``."""
     if tau0 <= 0.0:
         raise ValueError("conditional rate needs tau0 > 0")
-    return scene.fraction_product, _rate_density(scene, tau, tau0, scene.fraction_product)
+    return scene.fraction_product, _arrivals(scene, tau, scene.fraction_product, tau0, rate=True)

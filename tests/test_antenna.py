@@ -75,6 +75,16 @@ class TestGain:
         with pytest.raises(ValueError):
             SphericalCap(0.5, (0, 0, 0))
 
+    def test_rejects_fraction_below_threshold_resolution(self):
+        # 1 - 2 * 2**-55 rounds to 1: such a cap has no representable width.
+        for fraction in (2.0**-55, 1e-200, 5e-324):
+            with pytest.raises(ValueError, match="1 - 2 \\* fraction rounds to 1"):
+                SphericalCap(fraction)
+        smallest = float(np.nextafter(2.0**-55, 1.0))
+        cap = SphericalCap(smallest)
+        assert cap.threshold < 1.0
+        assert float(cap.gain([0.0, 0.0, 1.0])) == pytest.approx(3.6e16, rel=1e-3)
+
 
 class TestCone:
     def test_cap_cone_is_boresight_and_threshold(self):

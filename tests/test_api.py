@@ -3,7 +3,7 @@ import inspect
 import pytest
 
 import roomchan
-from roomchan import antenna, channel, geometry, montecarlo
+from roomchan import antenna, channel, geometry, montecarlo, theory
 
 PUBLIC = [
     "AntennaPattern", "Ecdf", "Isotropic", "McConfig", "McEstimate", "McResult",
@@ -13,8 +13,8 @@ PUBLIC = [
     "signal_moments", "sinc_pulse", "synthesize_signal",
 ]
 
-# Scalar twins of the vectorised image formulas and test-only helpers that
-# the package no longer has.
+# Scalar twins of the vectorised image formulas, test-only helpers and
+# duplicate kernels that the package no longer has.
 REMOVED = {
     geometry: [
         "MirrorIndex", "arrival_direction", "departure_from_arrival",
@@ -22,7 +22,9 @@ REMOVED = {
         "path_delay", "reflection_gain", "wall_interaction_counts",
     ],
     channel: ["PathComponent", "arrival_count"],
-    montecarlo: ["_WORKER_STATE", "_init_worker", "_worker_block"],
+    channel.SignalTrace: ["window"],
+    montecarlo: ["_WORKER_STATE", "_init_worker", "_worker_block", "_row_sums"],
+    theory: ["_cubic_count", "_rate_density"],
 }
 
 

@@ -155,15 +155,36 @@ class TestFixedSceneInput:
         last = err.strip().splitlines()[-1]
         assert last.endswith(f"argument --tau-max: must be finite and non-negative, got {value!r}")
 
-    @pytest.mark.parametrize("command", ["paths", "signal"])
+    @pytest.mark.parametrize("command", ["paths", "signal", "theory"])
     @pytest.mark.parametrize("tx", [{"pattern": "isotropic"},
                                     {"pattern": "cap", "beam_fraction": 0.5, "aim": "los"}])
     def test_coincident_positions_are_config_error(self, tmp_path, capsys, command, tx):
         positions = {"tx_m": [2.5, 2.5, 1.5], "rx_m": [2.5, 2.5, 1.5]}
         cfg = write_config(tmp_path, {"positions": positions, "antennas": {"tx": tx}})
         out = tmp_path / "o.csv"
-        assert main(["--config", cfg, command, "--out", str(out)]) == 2
+        flag = "--out-dir" if command == "theory" else "--out"
+        assert main(["--config", cfg, command, flag, str(out)]) == 2
         assert capsys.readouterr().err == "config error: transmitter and receiver coincide\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["paths", "signal", "theory", "mc"])
+    @pytest.mark.parametrize("fractions", [(5e-324, 1.0), (1e-200, 1e-200)])
+    def test_sub_resolution_cap_is_config_error(self, tmp_path, capsys, command, fractions):
+        # Along the boresight such caps gave an infinite path gain or an
+        # overflowing gain product, and NaN signal samples.
+        antennas = {
+            side: {"pattern": "cap", "beam_fraction": fraction, "orientation": [0, 0, sign]}
+            for side, fraction, sign in zip(("tx", "rx"), fractions, (-1, 1))
+        }
+        positions = {"tx_m": [2.5, 2.5, 1.5], "rx_m": [2.5, 2.5, 0.5]}
+        cfg = write_config(tmp_path, {"positions": positions, "antennas": antennas,
+                                      "mc": small_mc_section()})
+        out = tmp_path / "out"
+        flag = "--out" if command in ("paths", "signal") else "--out-dir"
+        assert main(["--config", cfg, command, flag, str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: antennas/tx: beam coverage fraction")
+        assert err.endswith("is too small: 1 - 2 * fraction rounds to 1\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("seed", [str(2**64), str(-2**63 - 1)])
@@ -293,6 +314,13 @@ class TestMcCommand:
         cfg = write_config(tmp_path, {"mc": mc})
         assert main(["--config", cfg, "mc", "--out-dir", str(tmp_path / "b")]) == 2
         assert capsys.readouterr().err == "config error: moment cutoff must be positive\n"
+        assert not (tmp_path / "b").exists()
+
+    def test_one_point_count_grid_is_config_error(self, tmp_path, capsys):
+        mc = dict(small_mc_section(), grid={"start_s": 0.0, "stop_s": 1e-9, "step_s": 5e-9})
+        cfg = write_config(tmp_path, {"mc": mc})
+        assert main(["--config", cfg, "mc", "--out-dir", str(tmp_path / "b")]) == 2
+        assert capsys.readouterr().err == "config error: count grid must hold at least two points\n"
         assert not (tmp_path / "b").exists()
 
     def test_distinct_walls_keep_the_count_check(self, tmp_path, capsys):

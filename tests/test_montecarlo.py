@@ -5,7 +5,14 @@ import pytest
 
 from roomchan import geometry, montecarlo, theory
 from roomchan.antenna import Isotropic, SphericalCap
-from roomchan.channel import MAX_ENSEMBLE_POINTS, RadioConfig
+from roomchan.channel import (
+    MAX_ENSEMBLE_POINTS,
+    RadioConfig,
+    SignalTrace,
+    enumerate_paths,
+    signal_moments,
+    synthesize_signal,
+)
 from roomchan.errors import ConfigError, EmptySampleError, ResourceLimitError
 from roomchan.geometry import Room
 from roomchan.montecarlo import (
@@ -76,6 +83,12 @@ class TestMcConfigValidation:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
             quick_config(mode="sideways")
+
+    @pytest.mark.parametrize("stop,step", [(1e-9, 5e-9), (1e-9, 2e-9)])
+    def test_rejects_one_point_grid(self, stop, step):
+        with pytest.raises(ConfigError, match="count grid must hold at least two points"):
+            quick_config(grid_start=0.0, grid_stop=stop, grid_step=step)
+        assert len(quick_config(grid_start=0.0, grid_stop=stop, grid_step=stop).grid()) == 2
 
     def test_raw_curve_cap(self):
         grid_120ns = dict(tau_max=120e-9, moment_cutoff=120e-9, grid_stop=120e-9, grid_step=0.25e-9)
@@ -222,7 +235,7 @@ class TestStreamedAggregation:
             stderr = raw.std(axis=0, ddof=1) / np.sqrt(self.RUNS)
             assert estimate.stderr.tobytes() == stderr.tobytes()
 
-    @pytest.mark.parametrize("shape", [(1, 5), (2, 5), (300, 7), (300, 1), (1, 1)])
+    @pytest.mark.parametrize("shape", [(1, 5), (2, 5), (300, 7), (1, 1)])
     def test_estimate_is_bitwise_dense(self, shape):
         rng = np.random.default_rng(shape[0] * 10 + shape[1])
         counts = rng.integers(0, 5000, shape).astype(np.int32)
@@ -236,6 +249,34 @@ class TestStreamedAggregation:
             else:
                 stderr = np.zeros(shape[1])
             assert estimate.stderr.tobytes() == stderr.tobytes()
+
+
+class TestMomentWindow:
+    def test_moments_come_from_samples_up_to_the_cutoff(self):
+        cfg = quick_config(runs=8, moment_cutoff=30e-9)
+        result = run_ensemble(cfg)
+        synthesis = cfg.synthesis_grid()
+        times = synthesis.times()
+        inside = int(np.sum(times <= cfg.moment_cutoff))
+        assert 0 < inside < times.size
+        for record in result.records:
+            rng = montecarlo.run_rng(cfg.seed, record.index)
+            # Isotropic antennas: the drawn boresights aim nothing.
+            tx_pos, _, rx_pos, _ = montecarlo._draw_terminals(cfg, rng)
+            paths = enumerate_paths(
+                cfg.room, tx_pos, cfg.tx_pattern, rx_pos, cfg.rx_pattern, cfg.radio, cfg.tau_max,
+            )
+            trace = synthesize_signal(paths, cfg.radio, synthesis, cfg.phase_mode, rng)
+
+            def moments(count):
+                part = SignalTrace(trace.start, trace.step, trace.samples[:count])
+                return (part.energy, *signal_moments(part))
+
+            observed = (record.energy, record.mean_delay, record.rms_spread)
+            assert observed == moments(inside)
+            # A window one sample short or long gives other moments.
+            assert observed != moments(inside - 1)
+            assert observed != moments(inside + 1)
 
 
 class TestConePruning:

@@ -5,7 +5,7 @@ from scipy import integrate
 from roomchan import theory
 from roomchan.antenna import Isotropic, SphericalCap
 from roomchan.channel import RadioConfig, sinc_pulse
-from roomchan.errors import ConfigError
+from roomchan.errors import ConfigError, DegenerateGeometryError
 from roomchan.geometry import Room
 from roomchan.theory import SceneSummary, TheoryCurve
 
@@ -43,6 +43,10 @@ class TestSceneSummary:
         assert scene.surface == 110.0
         assert scene.rx_fraction == 0.5
         assert scene.direct_delay == pytest.approx(TAU0, rel=1e-14)
+
+    def test_coincident_positions_rejected(self):
+        with pytest.raises(DegenerateGeometryError, match="transmitter and receiver coincide"):
+            SceneSummary.from_components(ROOM, RADIO, Isotropic(), Isotropic(), TX, TX)
 
     def test_distinct_wall_gains_rejected(self):
         # Only the tail quantities need a single reflectance; the counts do not.

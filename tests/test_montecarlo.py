@@ -235,7 +235,7 @@ class TestStreamedAggregation:
             stderr = raw.std(axis=0, ddof=1) / np.sqrt(self.RUNS)
             assert estimate.stderr.tobytes() == stderr.tobytes()
 
-    @pytest.mark.parametrize("shape", [(1, 5), (2, 5), (300, 7), (1, 1)])
+    @pytest.mark.parametrize("shape", [(1, 5), (2, 5), (300, 7), (300, 2), (1, 1)])
     def test_estimate_is_bitwise_dense(self, shape):
         rng = np.random.default_rng(shape[0] * 10 + shape[1])
         counts = rng.integers(0, 5000, shape).astype(np.int32)

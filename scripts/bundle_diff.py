@@ -1,17 +1,20 @@
 """Compare the outputs of ``roomchan`` on this tree with those of another revision.
 
-    python scripts/bundle_diff.py --base HEAD~1 --config campaign.json --runs 200 --seed 5
+    python scripts/bundle_diff.py --base HEAD~1 --config campaign.json --config scene.json --runs 200 --seed 5
 
 Exports the committed files of ``--base`` into a temporary directory and runs
-the same commands on that export and on this tree (working files included):
-``roomchan mc`` with the given run count and seed into ``mc/``, and, when the
-configuration has ``positions``, ``paths`` into ``paths.csv``, ``signal`` with
-carrier phases into ``signal_carrier.csv`` and with random phases from
-``--seed`` into ``signal_random.csv``, and ``theory`` with its default curves
-into ``theory/``. Prints one line per output file: ``identical`` or
+the same commands on that export and on this tree (working files included).
+For each ``--config`` (the option repeats), the outputs go under a directory
+named after the configuration file's stem: ``roomchan mc`` with the given run
+count and seed into ``mc/``, and, when the configuration has ``positions``,
+``paths`` into ``paths.csv``, ``signal`` with carrier phases into
+``signal_carrier.csv`` and with random phases from ``--seed`` into
+``signal_random.csv``, and ``theory`` with its default curves into
+``theory/``. Prints one line per output file: ``identical`` or
 ``different``. For a differing CSV with the same layout the line also gives
 the largest relative difference of its values. Exit status: 0 when every
-file is byte-identical, 1 when one differs, 2 when a command fails.
+file is byte-identical, 1 when one differs, 2 when a command fails or two
+configurations share a stem.
 """
 
 from __future__ import annotations
@@ -48,18 +51,20 @@ def run(tree: Path, config: str, argv: list[str]) -> None:
 
 
 def run_all(tree: Path, args, out: Path) -> None:
-    """Every output of ``tree`` for the configuration, written under ``out``."""
-    config = str(Path(args.config).resolve())
+    """Every output of ``tree`` for each configuration, written under ``out/<stem>``."""
     seed = str(args.seed)
-    out.mkdir()
-    run(tree, config, ["mc", "--runs", str(args.runs), "--seed", seed,
-                       "--threads", str(args.threads), "--out-dir", str(out / "mc")])
-    if "positions" in json.loads(Path(config).read_text(encoding="utf-8")):
-        run(tree, config, ["paths", "--out", str(out / "paths.csv")])
-        run(tree, config, ["signal", "--out", str(out / "signal_carrier.csv")])
-        run(tree, config, ["signal", "--phase-mode", "random", "--seed", seed,
-                           "--out", str(out / "signal_random.csv")])
-        run(tree, config, ["theory", "--out-dir", str(out / "theory")])
+    for path in args.config:
+        config = str(Path(path).resolve())
+        dest = out / Path(path).stem
+        dest.mkdir(parents=True)
+        run(tree, config, ["mc", "--runs", str(args.runs), "--seed", seed,
+                           "--threads", str(args.threads), "--out-dir", str(dest / "mc")])
+        if "positions" in json.loads(Path(config).read_text(encoding="utf-8")):
+            run(tree, config, ["paths", "--out", str(dest / "paths.csv")])
+            run(tree, config, ["signal", "--out", str(dest / "signal_carrier.csv")])
+            run(tree, config, ["signal", "--phase-mode", "random", "--seed", seed,
+                               "--out", str(dest / "signal_random.csv")])
+            run(tree, config, ["theory", "--out-dir", str(dest / "theory")])
 
 
 def field(text: str) -> float | str:
@@ -120,11 +125,15 @@ def compare(base_dir: Path, head_dir: Path) -> bool:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
-    parser.add_argument("--config", required=True, help="JSON run configuration")
+    parser.add_argument("--config", required=True, action="append",
+                        help="JSON run configuration; repeat to compare several")
     parser.add_argument("--runs", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
+    stems = [Path(path).stem for path in args.config]
+    if len(set(stems)) < len(stems):
+        parser.error(f"configurations need distinct file stems, got {stems}")
 
     with tempfile.TemporaryDirectory(prefix="bundle_diff_") as tmp:
         tmp = Path(tmp)

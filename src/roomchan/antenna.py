@@ -3,8 +3,10 @@
 Patterns are lossless: the gain integrates to ``4*pi`` over the sphere. The
 beam coverage fraction is the solid angle of nonzero gain divided by ``4*pi``
 and equals the probability that a uniformly random direction lies in the
-beam. Any non-negative pattern with a declared coverage fraction can be added
-by subclassing :class:`AntennaPattern` without touching callers.
+beam. A pattern is its ``beam_fraction``, ``gain``, ``cone`` and ``aimed``;
+subclassing :class:`AntennaPattern` adds one without touching callers. A
+pattern is directive exactly when it has a cone, and ensembles re-aim it on
+every run. A cap of coverage 1 equals an isotropic antenna.
 """
 
 from __future__ import annotations
@@ -41,9 +43,15 @@ class AntennaPattern:
         """``(boresight, cos_min)`` of a cone holding the support, or None.
 
         :func:`~roomchan.geometry.enumerate_indices` drops image cells whose
-        direction lies outside the cone; None prunes nothing.
+        direction lies outside the cone. None marks a pattern without a
+        direction; a directive pattern that cannot prune declares the
+        trivial cone ``(boresight, -1.0)``.
         """
         return None
+
+    def aimed(self, boresight) -> "AntennaPattern":
+        """Same pattern pointed along ``boresight``; one without a cone stays as it is."""
+        return self
 
 
 @dataclass(frozen=True)
@@ -66,8 +74,9 @@ class SphericalCap(AntennaPattern):
     The cap covers a fraction ``fraction`` of the sphere, giving a gain of
     ``1 / fraction`` inside and zero outside. Membership uses the closed
     threshold ``direction . boresight >= 1 - 2 * fraction``; the half-beam
-    width is ``arccos(1 - 2 * fraction)``. Fractions whose threshold rounds
-    to 1 are rejected.
+    width is ``arccos(1 - 2 * fraction)``. A cap of fraction 1 holds every
+    direction, also those whose dot product with the boresight rounds below
+    -1. Fractions whose threshold rounds to 1 are rejected.
     """
 
     fraction: float
@@ -104,7 +113,7 @@ class SphericalCap(AntennaPattern):
 
     def in_support(self, direction):
         direction = np.asarray(direction, dtype=float)
-        return _dot_last(direction, self.boresight) >= self.threshold
+        return (_dot_last(direction, self.boresight) >= self.threshold) | (self.fraction == 1.0)
 
     def gain(self, direction):
         return self.in_support(direction) / self.fraction

@@ -96,20 +96,29 @@ class RadioConfig:
 class PathList:
     """Delay-sorted paths for one transmitter/receiver arrangement.
 
-    Array-backed: row ``i`` of every array describes path ``i``. ``horizon``
-    records the enumeration delay limit so count queries beyond it can be
-    rejected.
+    Array-backed: row ``i`` of every array describes path ``i``. Construction
+    sorts the rows by delay, keeping the given order among equal delays, and
+    raises ``ValueError`` unless every array holds one row per delay.
+    ``horizon`` records the enumeration delay limit so count queries beyond it
+    can be rejected.
     """
 
     __slots__ = ("indices", "delays", "dods", "doas", "power_gains", "phases", "horizon")
 
     def __init__(self, indices, delays, dods, doas, power_gains, phases, horizon):
-        self.indices = np.asarray(indices, dtype=np.int64).reshape(-1, 3)
-        self.delays = np.asarray(delays, dtype=float)
-        self.dods = np.asarray(dods, dtype=float).reshape(-1, 3)
-        self.doas = np.asarray(doas, dtype=float).reshape(-1, 3)
-        self.power_gains = np.asarray(power_gains, dtype=float)
-        self.phases = np.asarray(phases, dtype=float)
+        delays = np.asarray(delays, dtype=float).reshape(-1)
+        rows = (
+            np.asarray(indices, dtype=np.int64).reshape(-1, 3),
+            np.asarray(dods, dtype=float).reshape(-1, 3),
+            np.asarray(doas, dtype=float).reshape(-1, 3),
+            np.asarray(power_gains, dtype=float).reshape(-1),
+            np.asarray(phases, dtype=float).reshape(-1),
+        )
+        if any(row.shape[0] != delays.shape[0] for row in rows):
+            raise ValueError("path arrays must hold one row per delay")
+        order = np.argsort(delays, kind="stable")
+        self.delays = delays[order]
+        self.indices, self.dods, self.doas, self.power_gains, self.phases = (row[order] for row in rows)
         self.horizon = float(horizon)
 
     def __len__(self) -> int:
@@ -179,13 +188,9 @@ def enumerate_paths(
         2.0 * np.pi
     )
 
-    # Rows arrive in lexicographic index order, so a stable sort by delay
-    # breaks ties by index.
-    order = np.argsort(delays, kind="stable")
-    return PathList(
-        indices[order], delays[order], dods[order], doas[order],
-        power[order], phases[order], tau_max,
-    )
+    # Rows arrive in lexicographic index order, so PathList's stable sort by
+    # delay breaks ties by index.
+    return PathList(indices, delays, dods, doas, power, phases, tau_max)
 
 
 def arrival_count_curve(paths: PathList, taus) -> np.ndarray:
@@ -373,11 +378,8 @@ def _direct_sum(amplitudes, delays, radio: RadioConfig, grid: SampleGrid) -> np.
 
 
 def _lattice_sum(amplitudes, cells, radio: RadioConfig, grid: SampleGrid) -> np.ndarray:
-    # cells = (delays - start) / step = j + 1/2 + d with integer j, |d| <= 1/2.
-    if np.any(cells[1:] < cells[:-1]):
-        # The segment sums below need the paths of each cell side by side.
-        order = np.argsort(cells, kind="stable")
-        amplitudes, cells = amplitudes[order], cells[order]
+    # cells = (delays - start) / step = j + 1/2 + d with integer j, |d| <= 1/2,
+    # in delay order: the segment sums below need each cell's paths side by side.
     n, count = cells.shape[0], grid.count
     beta = np.pi * radio.bandwidth * grid.step
     j = np.floor(cells)
@@ -537,16 +539,12 @@ def synthesize_signal(
     amplitudes = np.sqrt(paths.power_gains) * np.exp(1j * phases)
 
     # The lattice kernel's FFT spans the samples and the cells from
-    # min(first cell, 0) to the last (see _lattice_sum). The samples alone
-    # bound its cost from below, which settles short path lists without
-    # looking at their delays.
-    out = None
-    if _lattice_is_cheaper(n, grid.count, grid.count):
-        cells = (paths.delays - grid.start) / grid.step
-        reach = np.floor(cells.max()) - min(np.floor(cells.min()), 0.0)
-        if _lattice_is_cheaper(n, grid.count, grid.count + reach):
-            out = _lattice_sum(amplitudes, cells, radio, grid)
-    if out is None:
+    # min(first cell, 0) to the last (see _lattice_sum).
+    cells = (paths.delays - grid.start) / grid.step
+    reach = np.floor(cells[-1]) - min(np.floor(cells[0]), 0.0)
+    if _lattice_is_cheaper(n, grid.count, grid.count + reach):
+        out = _lattice_sum(amplitudes, cells, radio, grid)
+    else:
         out = _direct_sum(amplitudes, paths.delays, radio, grid)
     return SignalTrace(grid.start, grid.step, out)
 

@@ -21,7 +21,7 @@ from .theory import SceneSummary, TheoryCurve
 _THEORY_CURVES = ("count", "rate", "pds", "mixing")
 
 
-def _build_scene(doc: dict, need_direct_delay: bool = False) -> SceneSummary:
+def _build_scene(doc: dict) -> SceneSummary:
     room = cfgmod.build_room(doc)
     radio = cfgmod.build_radio(doc)
     tx = cfgmod.build_pattern(doc, "tx")
@@ -29,8 +29,6 @@ def _build_scene(doc: dict, need_direct_delay: bool = False) -> SceneSummary:
     tx_pos = rx_pos = None
     if "positions" in doc:
         tx_pos, rx_pos = cfgmod.positions_from(doc)
-    elif need_direct_delay:
-        raise ConfigError("positions: required for the deterministic spectrum")
     return SceneSummary.from_components(room, radio, tx, rx, tx_pos, rx_pos)
 
 
@@ -99,12 +97,12 @@ def _cmd_theory(args) -> int:
     for name in curves:
         if name not in _THEORY_CURVES:
             raise ConfigError(f"unknown curve {name!r}; choose from {_THEORY_CURVES}")
-    scene = _build_scene(doc, need_direct_delay=("pds" in curves and args.pds_mode == "deterministic"))
+    scene = _build_scene(doc)
 
     taus = SampleGrid.spanning(*args.grid).times()
     if "pds" in curves:
         # Before any file is written: lossless or fully absorbing walls have
-        # no exponential tail.
+        # no exponential tail, and the deterministic spectrum needs positions.
         try:
             pds = theory.pds(scene, taus, mode=args.pds_mode, corrected=args.corrected)
         except ValueError as exc:

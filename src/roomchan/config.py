@@ -250,7 +250,7 @@ def aimed_patterns(doc: dict, tx_position, rx_position) -> tuple[AntennaPattern,
     for side, boresight in (("tx", los), ("rx", -los)):
         section = doc["antennas"][side]
         pattern = build_pattern(doc, side)
-        if isinstance(pattern, SphericalCap):
+        if pattern.cone is not None:
             if section.get("aim") == "los":
                 if not np.any(boresight):
                     raise DegenerateGeometryError("transmitter and receiver coincide")

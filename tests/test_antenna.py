@@ -48,6 +48,16 @@ class TestGain:
         assert cap.in_support(boundary)
         assert cap.gain(boundary) == pytest.approx(4.0)
 
+    def test_full_cap_holds_directions_rounded_past_opposite(self):
+        # Opposite unit vectors can have a dot product of -1 - 2**-52: image
+        # (0, 0, -5) of a tx 1 m straight below its rx departs along this
+        # direction, and a full cap aimed at the rx must keep it.
+        cap = SphericalCap(1.0, (0.0, 0.0, 1.0))
+        direction = np.array([0.0, 0.0, -1.0000000000000002])
+        assert float(direction @ cap.boresight) < cap.threshold == -1.0
+        assert cap.in_support(direction) and float(cap.gain(direction)) == 1.0
+        assert cap.cone[1] == -1.0
+
     def test_degenerate_beam_excludes_everything_else(self):
         cap = SphericalCap(1e-12, (0, 0, 1))
         assert not cap.in_support((1.0, 0.0, 0.0))
@@ -94,6 +104,10 @@ class TestCone:
 
     def test_isotropic_has_no_cone(self):
         assert Isotropic().cone is None
+
+    def test_pattern_without_cone_is_not_re_aimed(self):
+        iso = Isotropic()
+        assert iso.aimed((1.0, 0.0, 0.0)) is iso and iso.aimed(None) is iso
 
 
 class TestBeamFraction:

@@ -23,7 +23,7 @@ REMOVED = {
     ],
     channel: ["PathComponent", "arrival_count"],
     channel.SignalTrace: ["window"],
-    montecarlo: ["_WORKER_STATE", "_init_worker", "_worker_block", "_row_sums"],
+    montecarlo: ["_WORKER_STATE", "_init_worker", "_worker_block", "_row_sums", "_oriented"],
     theory: ["_cubic_count", "_rate_density"],
 }
 

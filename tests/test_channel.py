@@ -253,6 +253,42 @@ class TestArrivalCount:
         assert np.all(np.diff(curve) >= 0)
 
 
+class TestPathList:
+    def test_unsorted_rows_count_in_delay_order(self):
+        paths = PathList(
+            indices=np.zeros((3, 3)), delays=[3e-9, 1e-9, 2e-9], dods=np.zeros((3, 3)),
+            doas=np.zeros((3, 3)), power_gains=np.ones(3), phases=np.zeros(3), horizon=4e-9,
+        )
+        assert arrival_count_curve(paths, [1.5e-9, 2.5e-9]).tolist() == [1, 2]
+
+    def test_rows_sort_by_delay_and_ties_keep_their_order(self):
+        # Row k carries k in every field, so each field shows where its rows went.
+        k = np.arange(5.0)
+        delays = np.array([3.0, 1.0, 2.0, 1.0, 3.0]) * 1e-9
+        paths = PathList(
+            indices=np.stack([k, -k, 2 * k], axis=1), delays=delays,
+            dods=np.stack([k, k, -k], axis=1), doas=np.stack([-k, k, k], axis=1),
+            power_gains=k, phases=0.5 * k, horizon=4e-9,
+        )
+        order = [1, 3, 2, 0, 4]
+        assert paths.delays.tolist() == delays[order].tolist()
+        assert paths.indices.tolist() == [[i, -i, 2 * i] for i in order]
+        assert paths.dods.tolist() == [[i, i, -i] for i in order]
+        assert paths.doas.tolist() == [[-i, i, i] for i in order]
+        assert paths.power_gains.tolist() == order
+        assert paths.phases.tolist() == [0.5 * i for i in order]
+
+    @pytest.mark.parametrize("short", ["indices", "dods", "doas", "power_gains", "phases"])
+    def test_mismatched_row_counts_raise(self, short):
+        fields = dict(
+            indices=np.zeros((3, 3)), delays=[1e-9, 2e-9, 3e-9], dods=np.zeros((3, 3)),
+            doas=np.zeros((3, 3)), power_gains=np.ones(3), phases=np.zeros(3),
+        )
+        fields[short] = fields[short][:2]
+        with pytest.raises(ValueError, match="one row per delay"):
+            PathList(horizon=4e-9, **fields)
+
+
 class TestSincPulse:
     def test_peak_is_one(self):
         assert sinc_pulse(RADIO, 0.0) == 1.0
@@ -419,8 +455,9 @@ class TestSynthesisKernels:
         assert np.max(np.abs(trace.samples)) <= 1e-12
 
     def test_unsorted_delays_with_recurring_cells(self, kernels_run):
-        # 100 cells hold four delays each, 100 list positions apart: the
-        # kernel must not assume a cell's paths sit side by side.
+        # 100 cells hold four delays each, given 100 list positions apart:
+        # PathList's sort must bring each cell's paths side by side for the
+        # kernel's per-cell sums.
         rng = np.random.default_rng(12)
         cells = rng.choice(np.arange(20, self.GRID.count - 20), 100, replace=False)
         offsets = rng.uniform(0.0, 1.0, 400)

@@ -134,6 +134,21 @@ class TestPathsCommand:
         cfg = write_config(tmp_path, {})
         assert main(["--config", cfg, "paths", "--out", str(tmp_path / "p.csv")]) == 2
 
+    def test_full_coverage_caps_match_isotropic(self, tmp_path):
+        # tx 1 m straight below rx: the departure of image (0, 0, -5) has a
+        # dot product of -1 - 2**-52 with the tx boresight.
+        tx = [1.6805853027283018, 0.7513973344741953, 1.351018099947861]
+        positions = {"tx_m": tx, "rx_m": [tx[0], tx[1], tx[2] + 1.0]}
+        outputs = []
+        for name, antenna in (("cap", {"pattern": "cap", "beam_fraction": 1, "aim": "los"}),
+                              ("iso", {"pattern": "isotropic"})):
+            doc = {"antennas": {"tx": antenna, "rx": antenna}, "positions": positions}
+            out = tmp_path / f"{name}.csv"
+            cfg = write_config(tmp_path, doc, f"{name}.json")
+            assert main(["--config", cfg, "paths", "--tau-max", "60e-9", "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
 
 class TestFixedSceneInput:
     @pytest.mark.parametrize("command", ["paths", "signal"])
@@ -231,11 +246,16 @@ class TestTheoryCommand:
         cfg = write_config(tmp_path, {})
         assert main(["--config", cfg, "theory", "--curves", "banana", "--out-dir", str(tmp_path)]) == 2
 
-    def test_deterministic_pds_needs_positions(self, tmp_path):
+    def test_deterministic_pds_needs_positions(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {})
-        code = main(["--config", cfg, "theory", "--curves", "pds",
-                     "--pds-mode", "deterministic", "--out-dir", str(tmp_path)])
+        out = tmp_path / "curves"
+        code = main(["--config", cfg, "theory", "--curves", "count,pds",
+                     "--pds-mode", "deterministic", "--out-dir", str(out)])
         assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: pds curve: this quantity needs the direct-path delay in the scene\n"
+        )
+        assert not out.exists()
 
     def test_count_curve_grid_flag(self, tmp_path):
         cfg = write_config(tmp_path, {})

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from roomchan import geometry, montecarlo, theory
-from roomchan.antenna import Isotropic, SphericalCap
+from roomchan.antenna import AntennaPattern, Isotropic, SphericalCap
 from roomchan.channel import (
     MAX_ENSEMBLE_POINTS,
     RadioConfig,
@@ -301,6 +301,41 @@ class TestConePruning:
             (r.n_paths, r.energy, r.mean_delay, r.rms_spread) for r in reference.records
         ]
         assert sum(r.n_paths for r in pruned.records) > 0
+
+
+class Sector(AntennaPattern):
+    """A directive pattern the package does not know: a cap behind a wrapper."""
+
+    def __init__(self, cap):
+        self.cap = cap
+
+    @property
+    def beam_fraction(self):
+        return self.cap.beam_fraction
+
+    def gain(self, direction):
+        return self.cap.gain(direction)
+
+    @property
+    def cone(self):
+        return self.cap.cone
+
+    def aimed(self, boresight):
+        return Sector(self.cap.aimed(boresight))
+
+
+class TestCustomPattern:
+    def test_directive_subclass_is_aimed_like_the_cap(self):
+        cap = SphericalCap(0.25)
+        ref, custom = (run_ensemble(quick_config(tx_pattern=p, rx_pattern=p, runs=20))
+                       for p in (cap, Sector(cap)))
+        assert custom.counts_raw.tobytes() == ref.counts_raw.tobytes()
+        assert custom.power_raw.tobytes() == ref.power_raw.tobytes()
+        assert sum(r.n_paths for r in ref.records) > 0
+        for a, b in zip(ref.records, custom.records):
+            assert b.tx_boresight is not None and b.rx_boresight is not None
+            assert b.tx_boresight.tobytes() == a.tx_boresight.tobytes()
+            assert b.rx_boresight.tobytes() == a.rx_boresight.tobytes()
 
 
 class TestModes:

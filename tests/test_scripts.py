@@ -51,39 +51,56 @@ def test_bundle_diff_names_changed_files(tmp_path):
     subprocess.run(git + ["init", "-q"], check=True)
     subprocess.run(git + ["add", "-A"], check=True)
     subprocess.run(git + ["commit", "-q", "-m", "base"], check=True)
-    config = tmp_path / "scene.json"
-    config.write_text(json.dumps({
+    mc = {"tau_max_s": 30e-9, "moment_cutoff_s": 30e-9,
+          "grid": {"start_s": 0.0, "stop_s": 30e-9, "step_s": 1e-9}}
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({
         "antennas": {side: {"pattern": "cap", "beam_fraction": 0.5, "aim": "los"}
                      for side in ("tx", "rx")},
         "positions": {"tx_m": [2.5, 2.5, 1.5], "rx_m": [3.8, 4.0, 0.6]},
-        "mc": {"tau_max_s": 30e-9, "moment_cutoff_s": 30e-9,
-               "grid": {"start_s": 0.0, "stop_s": 30e-9, "step_s": 1e-9}},
+        "mc": mc,
+    }))
+    fixed_rx = tmp_path / "fixed-rx.json"
+    fixed_rx.write_text(json.dumps({
+        "antennas": {side: {"pattern": "cap", "beam_fraction": 0.5} for side in ("tx", "rx")},
+        "mc": dict(mc, mode="fixed-rx",
+                   fixed={"rx_position_m": [3.8, 4.0, 0.6], "rx_orientation": [0.0, 0.0, 1.0]}),
     }))
 
-    def bundle_diff():
+    def bundle_diff(*configs):
+        argv = [a for config in configs for a in ("--config", str(config))]
         return subprocess.run(
             [sys.executable, str(repo / "scripts" / "bundle_diff.py"), "--base", "HEAD",
-             "--config", str(config), "--runs", "3", "--seed", "5"],
+             "--runs", "3", "--seed", "5"] + argv,
             capture_output=True, text=True, timeout=300,
         )
 
-    done = bundle_diff()
+    bundle = [f"mc/{name}" for name in ("counts.csv", "power.csv", "ecdf_mean_delay.csv",
+                                        "ecdf_rms.csv", "manifest.json", "report.json")]
+    done = bundle_diff(scene, fixed_rx)
     assert done.returncode == 0, done.stderr
     lines = dict(line.split(": ", 1) for line in done.stdout.splitlines())
     assert sorted(lines) == sorted(
-        [f"mc/{name}" for name in ("counts.csv", "power.csv", "ecdf_mean_delay.csv",
-                                   "ecdf_rms.csv", "manifest.json", "report.json")]
-        + ["paths.csv", "signal_carrier.csv", "signal_random.csv"]
-        + [f"theory/{name}.csv" for name in ("count", "rate", "pds", "mixing")]
+        [f"scene/{name}" for name in bundle]
+        + ["scene/paths.csv", "scene/signal_carrier.csv", "scene/signal_random.csv"]
+        + [f"scene/theory/{name}.csv" for name in ("count", "rate", "pds", "mixing")]
+        + [f"fixed-rx/{name}" for name in bundle]
     )
     assert set(lines.values()) == {"identical"}
 
+    same_stem = tmp_path / "other"
+    same_stem.mkdir()
+    shutil.copy(scene, same_stem / "scene.json")
+    assert bundle_diff(scene, same_stem / "scene.json").returncode == 2
+
     writer = repo / "src" / "roomchan" / "_csv.py"
     writer.write_text(writer.read_text().replace("{:.17g}", "{:.16g}"))
-    done = bundle_diff()
+    done = bundle_diff(scene, fixed_rx)
     assert done.returncode == 1, done.stderr
     lines = dict(line.split(": ", 1) for line in done.stdout.splitlines())
-    for name in ("mc/power.csv", "paths.csv", "signal_carrier.csv", "signal_random.csv",
-                 "theory/pds.csv", "theory/mixing.csv"):
+    for name in ("scene/mc/power.csv", "scene/paths.csv", "scene/signal_carrier.csv",
+                 "scene/signal_random.csv", "scene/theory/pds.csv", "scene/theory/mixing.csv",
+                 "fixed-rx/mc/power.csv"):
         assert lines[name].startswith("different, max relative difference"), name
-    assert lines["mc/manifest.json"] == "identical"
+    assert lines["scene/mc/manifest.json"] == "identical"
+    assert lines["fixed-rx/mc/manifest.json"] == "identical"

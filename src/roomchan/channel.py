@@ -38,6 +38,10 @@ MAX_GRID_POINTS = 1_000_000
 #: 80,000-run ensemble on the 481-point 120 ns grid holds 38.5M points.
 MAX_ENSEMBLE_POINTS = 50_000_000
 
+#: Phase models of :func:`synthesize_signal`: the phases stored with the
+#: paths, or i.i.d. uniform phases.
+PHASE_MODES = ("carrier", "random")
+
 # Lattice synthesis kernel: paths per block of its per-path stages, the
 # exact near band and the far-field moment rows. A block's largest
 # temporaries hold 2*_ORDER x _LATTICE_BLOCK complex values (82 kB), below
@@ -73,12 +77,13 @@ class RadioConfig:
     speed_of_light: float = 3.0e8
 
     def __post_init__(self) -> None:
+        # Speed first: from_center_frequency derives the wavelength from it.
+        if self.speed_of_light <= 0.0:
+            raise ValueError("speed of light must be positive")
         if self.wavelength <= 0.0:
             raise ValueError("wavelength must be positive")
         if self.bandwidth <= 0.0:
             raise ValueError("bandwidth must be positive")
-        if self.speed_of_light <= 0.0:
-            raise ValueError("speed of light must be positive")
 
     @classmethod
     def from_center_frequency(

@@ -14,7 +14,7 @@ import sys
 
 from . import __version__, config as cfgmod, montecarlo, theory
 from ._csv import write_csv
-from .channel import SampleGrid, enumerate_paths, synthesis_grid, synthesize_signal
+from .channel import PHASE_MODES, SampleGrid, enumerate_paths, synthesis_grid, synthesize_signal
 from .errors import ConfigError, ResourceLimitError
 from .theory import SceneSummary, TheoryCurve
 
@@ -182,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("signal", help="synthesize a received signal trace as CSV")
     p.add_argument("--tau-max", type=_horizon, default=None, help="delay horizon in seconds")
-    p.add_argument("--phase-mode", choices=("carrier", "random"), default="carrier")
+    p.add_argument("--phase-mode", choices=PHASE_MODES, default="carrier")
     p.add_argument("--seed", type=_integer(*montecarlo.SEED_RANGE), default=0,
                    help="seed for random phases")
     p.add_argument("--out", required=True, help="output CSV path")

@@ -12,106 +12,101 @@ from __future__ import annotations
 import copy
 import json
 
-import jsonschema
 import numpy as np
 
 from .antenna import AntennaPattern, Isotropic, SphericalCap
-from .channel import RadioConfig
+from .channel import PHASE_MODES, RadioConfig
 from .errors import ConfigError, DegenerateGeometryError
 from .geometry import Room
 from .montecarlo import MODES, McConfig
 
 SCHEMA_VERSION = 1
 
-_NUM = {"type": "number"}
-_VEC3 = {"type": "array", "items": {"type": "number"}, "minItems": 3, "maxItems": 3}
 
-_ANTENNA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "pattern": {"enum": ["isotropic", "cap"]},
-        "beam_fraction": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        "orientation": _VEC3,
-        "aim": {"const": "los"},
-    },
-    "required": ["pattern"],
-}
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "room": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "lengths_m": _VEC3,
-                "wall_gains": {
-                    "oneOf": [
-                        _NUM,
-                        {"type": "array", "items": _NUM, "minItems": 6, "maxItems": 6},
-                    ]
-                },
-            },
-        },
-        "radio": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "center_frequency_hz": _NUM,
-                "wavelength_m": _NUM,
-                "bandwidth_hz": _NUM,
-                "speed_of_light_m_per_s": _NUM,
-            },
-        },
-        "antennas": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"tx": _ANTENNA, "rx": _ANTENNA},
-        },
-        "positions": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"tx_m": _VEC3, "rx_m": _VEC3},
-            "required": ["tx_m", "rx_m"],
-        },
-        "mc": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "runs": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer"},
-                "mode": {"enum": list(MODES)},
-                "tau_max_s": _NUM,
-                "phase_mode": {"enum": ["carrier", "random"]},
-                "moment_cutoff_s": _NUM,
-                "grid": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {"start_s": _NUM, "stop_s": _NUM, "step_s": _NUM},
-                },
-                "fixed": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "rx_position_m": _VEC3,
-                        "rx_orientation": _VEC3,
-                        "tx_orientation": _VEC3,
-                        "distance_m": _NUM,
-                    },
-                },
-            },
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"directory": {"type": "string"}},
-        },
-    },
-}
+
+def _integer(value) -> bool:
+    # As in JSON Schema, 2.0 is an integer. An int is never converted to a
+    # float, so integers beyond float range stay integers.
+    return _number(value) and (isinstance(value, int) or value.is_integer())
+
+
+def _numbers(count: int):
+    return lambda value: isinstance(value, list) and len(value) == count and all(map(_number, value))
+
+
+def _one_of(*choices):
+    return (lambda value: isinstance(value, str) and value in choices), f"one of {list(choices)}"
+
+
+class _Keys(dict):
+    """An object's keys mapped to their rules; ``required`` keys must appear."""
+
+    def __init__(self, required=(), **rules):
+        super().__init__(rules)
+        self.required = required
+
+
+# A leaf rule is (test, what the test expects).
+_NUMBER = (_number, "a number")
+_VEC3 = (_numbers(3), "a list of three numbers")
+_ANTENNA = _Keys(
+    required=("pattern",),
+    pattern=_one_of("isotropic", "cap"),
+    beam_fraction=(lambda v: _number(v) and 0 < v <= 1, "a number in (0, 1]"),
+    orientation=_VEC3,
+    aim=_one_of("los"),
+)
+_DOCUMENT = _Keys(
+    schema_version=(lambda v: _number(v) and v == SCHEMA_VERSION, f"{SCHEMA_VERSION}"),
+    room=_Keys(
+        lengths_m=_VEC3,
+        wall_gains=(lambda v: _number(v) or _numbers(6)(v), "a number or a list of six numbers"),
+    ),
+    radio=_Keys(
+        center_frequency_hz=_NUMBER,
+        wavelength_m=_NUMBER,
+        bandwidth_hz=_NUMBER,
+        speed_of_light_m_per_s=_NUMBER,
+    ),
+    antennas=_Keys(tx=_ANTENNA, rx=_ANTENNA),
+    positions=_Keys(required=("tx_m", "rx_m"), tx_m=_VEC3, rx_m=_VEC3),
+    mc=_Keys(
+        runs=(lambda v: _integer(v) and v >= 1, "an integer of at least 1"),
+        seed=(_integer, "an integer"),
+        mode=_one_of(*MODES),
+        tau_max_s=_NUMBER,
+        phase_mode=_one_of(*PHASE_MODES),
+        moment_cutoff_s=_NUMBER,
+        grid=_Keys(start_s=_NUMBER, stop_s=_NUMBER, step_s=_NUMBER),
+        fixed=_Keys(
+            rx_position_m=_VEC3, rx_orientation=_VEC3, tx_orientation=_VEC3, distance_m=_NUMBER
+        ),
+    ),
+    output=_Keys(directory=(lambda v: isinstance(v, str), "a string")),
+)
+
+
+def _check(value, rule, path: str = "") -> None:
+    """Check ``value`` against ``rule``; errors name the offending key path."""
+    if not isinstance(rule, _Keys):
+        test, expected = rule
+        if not test(value):
+            raise ConfigError(f"{path}: must be {expected}")
+        return
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path or '<root>'}: must be an object")
+    prefix = f"{path}/" if path else ""
+    for key, item in value.items():
+        if key not in rule:
+            raise ConfigError(f"{prefix}{key}: unknown key")
+        _check(item, rule[key], prefix + key)
+    for key in rule.required:
+        if key not in value:
+            raise ConfigError(f"{prefix}{key}: required key is missing")
+
 
 DEFAULTS = {
     "schema_version": SCHEMA_VERSION,
@@ -134,19 +129,6 @@ DEFAULTS = {
 }
 
 
-# Built once: jsonschema.validate re-checks the schema itself on every call,
-# which costs about ten times the validation of a document.
-_VALIDATOR = jsonschema.Draft7Validator(SCHEMA)
-
-
-def validate_document(doc: dict) -> None:
-    """Schema-check a raw configuration document; names the offending key."""
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
-    if error is not None:
-        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"{path}: {error.message}")
-
-
 def _merge(base: dict, override: dict) -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -164,26 +146,39 @@ def _finite_number(text: str) -> float:
     return value
 
 
+def _exact_int(text: str) -> int:
+    try:
+        value = int(text)
+        float(value)
+    except (ValueError, OverflowError):
+        raise ConfigError(f"integer literal of {len(text)} characters is out of range") from None
+    return value
+
+
 def load_document(path: str | None) -> dict:
     """Load, validate, and default-fill a configuration file.
 
-    ``NaN``, ``Infinity``, ``-Infinity`` and numbers that overflow to
-    infinity are rejected with :class:`ConfigError`.
+    ``NaN``, ``Infinity``, ``-Infinity``, numbers that overflow to
+    infinity and integer literals no float can hold are rejected with
+    :class:`ConfigError`. Integers are kept exact.
     """
     if path is None:
         doc = {}
     else:
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                doc = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
+                doc = json.load(
+                    fh,
+                    parse_float=_finite_number,
+                    parse_int=_exact_int,
+                    parse_constant=_finite_number,
+                )
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a JSON object")
-    validate_document(doc)
-    merged = _merge(DEFAULTS, doc)
-    validate_document(merged)
-    return merged
+    _check(doc, _DOCUMENT)
+    return _merge(DEFAULTS, doc)
 
 
 def build_room(doc: dict) -> Room:

@@ -32,7 +32,7 @@ from ._csv import write_csv
 from .antenna import AntennaPattern, sample_orientation, sample_position
 from .channel import (
     MAX_ENSEMBLE_POINTS,
-    MAX_GRID_POINTS,
+    PHASE_MODES,
     RadioConfig,
     SampleGrid,
     SignalTrace,
@@ -108,8 +108,8 @@ class McConfig:
             raise ConfigError("seed must lie in [-2**63, 2**63)")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
-        if self.phase_mode not in ("carrier", "random"):
-            raise ConfigError("phase_mode must be 'carrier' or 'random'")
+        if self.phase_mode not in PHASE_MODES:
+            raise ConfigError(f"phase_mode must be one of {PHASE_MODES}")
         if self.moment_cutoff <= 0.0:
             raise ConfigError("moment cutoff must be positive")
         if self.tau_max < self.moment_cutoff:
@@ -120,14 +120,7 @@ class McConfig:
             raise ConfigError("grid step must be positive")
         # Pre-flight: both grids and the raw curves are sized before any run
         # allocates them.
-        steps = (self.grid_stop - self.grid_start) / self.grid_step
-        if steps >= MAX_GRID_POINTS:
-            raise ResourceLimitError(
-                f"count grid holds {steps + 1:.3g} points, above the cap of {MAX_GRID_POINTS}"
-            )
-        points = int(round(steps)) + 1
-        if points < 2:
-            raise ConfigError("count grid must hold at least two points")
+        points = self._grid_points()
         if self.runs * points > MAX_ENSEMBLE_POINTS:
             raise ResourceLimitError(
                 f"{self.runs} runs x {points} grid points hold {self.runs * points:.3g} curve "
@@ -160,10 +153,18 @@ class McConfig:
             if self.distance >= self.room.diagonal:
                 raise ConfigError("distance does not fit inside the room")
 
+    def _grid_points(self) -> int:
+        """Count-grid size; the span must be a whole number of steps, within 1e-9 steps."""
+        points = SampleGrid.spanning(self.grid_start, self.grid_stop, self.grid_step).count
+        if points < 2:
+            raise ConfigError("count grid must hold at least two points")
+        if abs((self.grid_stop - self.grid_start) / self.grid_step - (points - 1)) > 1e-9:
+            raise ConfigError("mc/grid: stop_s - start_s must be a whole number of step_s")
+        return points
+
     def grid(self) -> np.ndarray:
         # linspace keeps the endpoint exactly at grid_stop <= tau_max
-        count = int(round((self.grid_stop - self.grid_start) / self.grid_step)) + 1
-        return np.linspace(self.grid_start, self.grid_stop, count)
+        return np.linspace(self.grid_start, self.grid_stop, self._grid_points())
 
     def synthesis_grid(self) -> SampleGrid:
         return synthesis_grid(self.radio, self.tau_max)

@@ -1,11 +1,9 @@
 import json
 import time
 
-import jsonschema
 import numpy as np
 import pytest
 
-from roomchan import config
 from roomchan.cli import main
 
 FIG_POSITIONS = {"tx_m": [2.5, 2.5, 1.5], "rx_m": [3.8, 4.0, 0.6]}
@@ -39,8 +37,37 @@ class TestHelpAndUsage:
 
 
 class TestConfigValidation:
-    def test_schema_is_valid_draft7(self):
-        jsonschema.Draft7Validator.check_schema(config.SCHEMA)
+    # One case per rule of the key table: the key path a rejection names, or
+    # None when the document is accepted.
+    @pytest.mark.parametrize("doc,path", [
+        ({"colour": "red"}, "colour"),
+        ({"room": {"color": "red"}}, "room/color"),
+        ({"antennas": {"tx": {"pattern": "isotropic", "gain_db": 3}}}, "antennas/tx/gain_db"),
+        ({"radio": {"bandwidth_hz": True}}, "radio/bandwidth_hz"),
+        ({"mc": {"runs": 2.0}}, None),
+        ({"mc": {"runs": 1.5}}, "mc/runs"),
+        ({"mc": {"runs": 0}}, "mc/runs"),
+        ({"room": {"lengths_m": [5, 5]}}, "room/lengths_m"),
+        ({"room": {"lengths_m": [5, 5, 3, 1]}}, "room/lengths_m"),
+        ({"room": {"wall_gains": 0.5}}, None),
+        ({"room": {"wall_gains": [0.6] * 5}}, "room/wall_gains"),
+        ({"room": {"wall_gains": [0.6] * 6}}, None),
+        ({"antennas": {"tx": {"beam_fraction": 0.5}}}, "antennas/tx/pattern"),
+        ({"positions": {"tx_m": [1, 1, 1]}}, "positions/rx_m"),
+        ({"mc": {"mode": "sideways"}}, "mc/mode"),
+        ({"mc": {"phase_mode": "zero"}}, "mc/phase_mode"),
+        ({"schema_version": 2}, "schema_version"),
+        ({"output": {"directory": 5}}, "output/directory"),
+    ])
+    def test_key_table_rule(self, tmp_path, capsys, doc, path):
+        cfg = write_config(tmp_path, doc)
+        code = main(["--config", cfg, "theory", "--curves", "mixing", "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        if path is None:
+            assert code == 0, err
+        else:
+            assert code == 2
+            assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1
 
     def test_unknown_key_names_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"room": {"lengths_m": [5, 5, 3], "color": "red"}})
@@ -66,6 +93,34 @@ class TestConfigValidation:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and literal in err
+
+    @pytest.mark.parametrize("command", ["theory", "mc"])
+    @pytest.mark.parametrize("template", [
+        '{"radio": {"bandwidth_hz": %s}}',
+        '{"room": {"lengths_m": [5, %s, 3]}}',
+        '{"mc": {"tau_max_s": %s}}',
+        '{"mc": {"runs": %s}}',
+    ], ids=["bandwidth_hz", "lengths_m", "tau_max_s", "runs"])
+    def test_integer_beyond_float_range_is_config_error(self, tmp_path, capsys, command, template):
+        path = tmp_path / "config.json"
+        path.write_text(template % ("1" + "0" * 400))
+        code = main(["--config", str(path), command, "--out-dir", str(tmp_path / "b")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "config error: integer literal of 401 characters is out of range\n"
+
+    def test_integer_beyond_digit_limit_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"mc": {"seed": %s}}' % ("7" * 5000))
+        code = main(["--config", str(path), "mc", "--out-dir", str(tmp_path / "b")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "config error: integer literal of 5000 characters is out of range\n"
+
+    def test_negative_speed_of_light_names_speed(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"radio": {"speed_of_light_m_per_s": -3e8}})
+        assert main(["--config", cfg, "theory", "--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "config error: radio: speed of light must be positive\n"
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_resource_limit_is_exit_two(self, tmp_path, capsys, threads):
@@ -341,6 +396,15 @@ class TestMcCommand:
         cfg = write_config(tmp_path, {"mc": mc})
         assert main(["--config", cfg, "mc", "--out-dir", str(tmp_path / "b")]) == 2
         assert capsys.readouterr().err == "config error: count grid must hold at least two points\n"
+        assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("step", [4e-9, 3e-9])
+    def test_grid_span_off_the_steps_is_config_error(self, tmp_path, capsys, step):
+        mc = dict(small_mc_section(), grid={"start_s": 0.0, "stop_s": 10e-9, "step_s": step})
+        cfg = write_config(tmp_path, {"mc": mc})
+        assert main(["--config", cfg, "mc", "--out-dir", str(tmp_path / "b")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: mc/grid: ") and err.count("\n") == 1
         assert not (tmp_path / "b").exists()
 
     def test_distinct_walls_keep_the_count_check(self, tmp_path, capsys):

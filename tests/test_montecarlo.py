@@ -90,6 +90,15 @@ class TestMcConfigValidation:
             quick_config(grid_start=0.0, grid_stop=stop, grid_step=step)
         assert len(quick_config(grid_start=0.0, grid_stop=stop, grid_step=stop).grid()) == 2
 
+    @pytest.mark.parametrize("stop,step", [(10e-9, 4e-9), (10e-9, 3e-9), (10e-9, 1e-9 * (1 + 1e-8))])
+    def test_rejects_grid_span_off_the_steps(self, stop, step):
+        with pytest.raises(ConfigError, match="mc/grid"):
+            quick_config(grid_start=0.0, grid_stop=stop, grid_step=step)
+
+    def test_grid_span_within_a_billionth_of_a_step(self):
+        grid = quick_config(grid_start=0.0, grid_stop=10e-9, grid_step=1e-9 * (1 + 1e-11)).grid()
+        assert len(grid) == 11 and grid[-1] == 10e-9
+
     def test_raw_curve_cap(self):
         grid_120ns = dict(tau_max=120e-9, moment_cutoff=120e-9, grid_stop=120e-9, grid_step=0.25e-9)
         assert quick_config(runs=80_000, **grid_120ns).runs == 80_000

@@ -5,6 +5,7 @@
 """
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -104,3 +105,14 @@ def test_bundle_diff_names_changed_files(tmp_path):
         assert lines[name].startswith("different, max relative difference"), name
     assert lines["scene/mc/manifest.json"] == "identical"
     assert lines["fixed-rx/mc/manifest.json"] == "identical"
+
+
+def test_cli_imports_no_schema_engine():
+    # numpy is the only runtime dependency pyproject.toml declares.
+    code = "import sys, roomchan.cli; print('jsonschema' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

@@ -129,5 +129,9 @@ def sample_orientation(rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_position(rng: np.random.Generator, room: Room) -> np.ndarray:
-    """Uniform random position in the room, per-axis on ``[0, L)``."""
-    return rng.uniform(0.0, room.lengths)
+    """Uniform random position in the room, per-axis on ``[0, L)``.
+
+    Draws the same numbers as ``rng.uniform(0.0, room.lengths)`` and leaves
+    the stream in the same state, at a fraction of the per-call cost.
+    """
+    return rng.random(3) * room.lengths

@@ -126,6 +126,29 @@ class PathList:
         self.indices, self.dods, self.doas, self.power_gains, self.phases = (row[order] for row in rows)
         self.horizon = float(horizon)
 
+    @classmethod
+    def _split(cls, runs, count: int, indices, delays, dods, doas, power_gains, phases, horizon):
+        """Path lists of ``count`` arrangements from the rows of a block.
+
+        Row ``i`` belongs to arrangement ``runs[i]``; the arrays are as
+        :func:`enumerate_paths` builds them. One stable sort of the block by
+        arrangement, then delay, puts every list in the order its own
+        construction would, so list ``r`` equals ``PathList`` of arrangement
+        ``r``'s rows.
+        """
+        order = np.lexsort((delays, runs))
+        rows = [row[order] for row in (indices, delays, dods, doas, power_gains, phases)]
+        bounds = np.searchsorted(runs[order], np.arange(count + 1))
+        lists = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            paths = cls.__new__(cls)
+            paths.indices, paths.delays, paths.dods, paths.doas, paths.power_gains, paths.phases = (
+                row[lo:hi] for row in rows
+            )
+            paths.horizon = float(horizon)
+            lists.append(paths)
+        return lists
+
     def __len__(self) -> int:
         return self.delays.shape[0]
 
@@ -134,6 +157,80 @@ class PathList:
             path, "kx,ky,kz,tau_s,gain_pow,dod_x,dod_y,dod_z,doa_x,doa_y,doa_z,phase_rad",
             *self.indices.T, self.delays, self.power_gains, *self.dods.T, *self.doas.T, self.phases,
         )
+
+
+def _gains(patterns, directions: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    """Gain of each arrangement's pattern on its rows of ``directions``.
+
+    ``runs`` gives each row's arrangement, ascending. Patterns without a
+    direction are one object for the whole block, which one call serves.
+    """
+    if all(pattern is patterns[0] for pattern in patterns):
+        return np.asarray(patterns[0].gain(directions))
+    offsets = np.searchsorted(runs, np.arange(len(patterns) + 1))
+    return np.concatenate([
+        np.asarray(pattern.gain(directions[lo:hi]), dtype=float)
+        for pattern, lo, hi in zip(patterns, offsets[:-1], offsets[1:])
+    ])
+
+
+def _cones(patterns):
+    """Support cones of one side's patterns for a block, or None without a direction."""
+    if patterns[0].cone is None:
+        return None
+    boresights, cos_min = zip(*(pattern.cone for pattern in patterns))
+    if cos_min.count(cos_min[0]) == len(cos_min):
+        return np.array(boresights), cos_min[0]
+    return np.array(boresights), np.array(cos_min)
+
+
+def _block_paths(room: Room, tx_positions, tx_patterns, rx_positions, rx_patterns,
+                 radio: RadioConfig, tau_max: float, max_cells: int) -> list[PathList]:
+    """Path lists of a block of ``R`` arrangements, enumerated and gated together.
+
+    Arrangement ``r`` has its terminals at row ``r`` of the ``(R, 3)``
+    position arrays and the patterns ``tx_patterns[r]`` and
+    ``rx_patterns[r]``; its path list is the one :func:`enumerate_paths`
+    gives for it alone.
+    """
+    if np.any(np.all(tx_positions == rx_positions, axis=1)):
+        raise DegenerateGeometryError("transmitter and receiver coincide")
+    if radio.wavelength > 0.1 * float(np.min(room.lengths)):
+        warnings.warn(
+            "carrier wavelength is not small against the room dimensions; "
+            "the specular mirror-source model may not apply",
+            stacklevel=3,
+        )
+
+    indices, positions, delays, runs = geometry.enumerate_indices(
+        room, tx_positions, rx_positions, tau_max, radio.speed_of_light, max_cells,
+        cones=(_cones(tx_patterns), _cones(rx_patterns)),
+    )
+    if np.any(delays == 0.0):
+        raise DegenerateGeometryError("receiver sits exactly on a mirror source")
+
+    # A lone arrangement's receiver broadcasts over its rows.
+    receivers = rx_positions if len(rx_positions) == 1 else rx_positions[runs]
+    distances = delays * radio.speed_of_light
+    doas = (positions - receivers) / distances[:, None]
+    dods = geometry.departure_signs(indices) * doas
+
+    # A path is in a beam where its gain is nonzero (see in_support).
+    tx_gain = _gains(tx_patterns, dods, runs)
+    rx_gain = _gains(rx_patterns, doas, runs)
+    keep = (tx_gain > 0.0) & (rx_gain > 0.0)
+    if not keep.all():
+        runs, indices, delays, doas, dods = runs[keep], indices[keep], delays[keep], doas[keep], dods[keep]
+        tx_gain, rx_gain = tx_gain[keep], rx_gain[keep]
+
+    spreading = (4.0 * np.pi * delays * radio.speed_of_light / radio.wavelength) ** 2
+    power = geometry.wall_gain_products(room, indices) * tx_gain * rx_gain / spreading
+    phases = (-2.0 * np.pi * radio.speed_of_light * delays / radio.wavelength) % (
+        2.0 * np.pi
+    )
+    # Each arrangement's rows arrive in lexicographic index order, so
+    # PathList's stable sort by delay breaks ties by index.
+    return PathList._split(runs, len(tx_patterns), indices, delays, dods, doas, power, phases, tau_max)
 
 
 def enumerate_paths(
@@ -155,47 +252,15 @@ def enumerate_paths(
 
     The beams' support cones prune the image lattice before any per-image
     work; of the survivors, those where both patterns' gains are positive
-    (their exact ``in_support`` test) are kept.
+    (their exact ``in_support`` test) are kept. This is the one-arrangement
+    case of the block that ensembles enumerate.
     """
-    tx_position = np.asarray(tx_position, dtype=float)
-    rx_position = np.asarray(rx_position, dtype=float)
-    if np.array_equal(tx_position, rx_position):
-        raise DegenerateGeometryError("transmitter and receiver coincide")
-    if radio.wavelength > 0.1 * float(np.min(room.lengths)):
-        warnings.warn(
-            "carrier wavelength is not small against the room dimensions; "
-            "the specular mirror-source model may not apply",
-            stacklevel=2,
-        )
-
-    indices, positions, delays = geometry.enumerate_indices(
-        room, tx_position, rx_position, tau_max, radio.speed_of_light, max_cells,
-        cones=(tx_pattern.cone, rx_pattern.cone),
+    tx_position = np.asarray(tx_position, dtype=float).reshape(1, 3)
+    rx_position = np.asarray(rx_position, dtype=float).reshape(1, 3)
+    (paths,) = _block_paths(
+        room, tx_position, [tx_pattern], rx_position, [rx_pattern], radio, tau_max, max_cells
     )
-    if np.any(delays == 0.0):
-        raise DegenerateGeometryError("receiver sits exactly on a mirror source")
-
-    distances = delays * radio.speed_of_light
-    doas = (positions - rx_position) / distances[:, None]
-    dods = geometry.departure_signs(indices) * doas
-
-    # A path is in a beam where its gain is nonzero (see in_support).
-    tx_gain = np.asarray(tx_pattern.gain(dods))
-    rx_gain = np.asarray(rx_pattern.gain(doas))
-    keep = (tx_gain > 0.0) & (rx_gain > 0.0)
-    if not keep.all():
-        indices, delays, doas, dods = indices[keep], delays[keep], doas[keep], dods[keep]
-        tx_gain, rx_gain = tx_gain[keep], rx_gain[keep]
-
-    spreading = (4.0 * np.pi * delays * radio.speed_of_light / radio.wavelength) ** 2
-    power = geometry.wall_gain_products(room, indices) * tx_gain * rx_gain / spreading
-    phases = (-2.0 * np.pi * radio.speed_of_light * delays / radio.wavelength) % (
-        2.0 * np.pi
-    )
-
-    # Rows arrive in lexicographic index order, so PathList's stable sort by
-    # delay breaks ties by index.
-    return PathList(indices, delays, dods, doas, power, phases, tau_max)
+    return paths
 
 
 def arrival_count_curve(paths: PathList, taus) -> np.ndarray:
@@ -238,6 +303,15 @@ class SampleGrid:
                 f"grid holds {steps + 1:.3g} points, above the cap of {MAX_GRID_POINTS}"
             )
         return cls(start, step, int(np.floor(steps)) + 1)
+
+    @staticmethod
+    def whole_steps(start: float, stop: float, step: float) -> bool:
+        """Whether ``stop - start`` is a whole number of ``step``, within 1e-9 steps.
+
+        Exactly then the grid :meth:`spanning` builds ends at ``stop``.
+        """
+        steps = (stop - start) / step
+        return bool(abs(steps - np.floor(steps + 1e-9)) <= 1e-9)
 
     def times(self) -> np.ndarray:
         return self.start + self.step * np.arange(self.count)
@@ -378,7 +452,10 @@ def _direct_sum(amplitudes, delays, radio: RadioConfig, grid: SampleGrid) -> np.
         arg[small] = 1.0
         kernel /= arg
         kernel[small] = 1.0
-        out += (amplitudes[sl, None] * kernel).sum(axis=0)
+        # Per component: a real kernel times a complex amplitude is two real
+        # products, without a complex temporary of paths x samples.
+        out.real += (amplitudes.real[sl, None] * kernel).sum(axis=0)
+        out.imag += (amplitudes.imag[sl, None] * kernel).sum(axis=0)
     return out
 
 
@@ -554,17 +631,26 @@ def synthesize_signal(
     return SignalTrace(grid.start, grid.step, out)
 
 
+def _moments(abs2: np.ndarray, step: float, times: np.ndarray):
+    """Energy, mean delay and rms spread of each row of ``|y|**2`` on ``times``.
+
+    Trapezoidal integration along each row; a row without energy has NaN
+    moments. Each row's values equal those of the row alone.
+    """
+    total = np.trapezoid(abs2, dx=step, axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = np.trapezoid(abs2 * times, dx=step, axis=-1) / total
+        var = np.trapezoid(abs2 * (times - mean[:, None]) ** 2, dx=step, axis=-1) / total
+    return total, mean, np.sqrt(var)
+
+
 def signal_moments(trace: SignalTrace) -> tuple[float, float]:
     """Instantaneous mean delay and rms delay spread of ``|y(t)|**2``.
 
     Trapezoidal integration on the trace grid; raises
     :class:`ZeroEnergyError` when the trace carries no energy.
     """
-    weights = trace.abs2
-    total = float(np.trapezoid(weights, dx=trace.step))
-    if total <= 0.0:
+    total, mean, spread = _moments(trace.abs2[None], trace.step, trace.times())
+    if total[0] <= 0.0:
         raise ZeroEnergyError("trace has zero energy; moments are undefined")
-    t = trace.times()
-    mean = float(np.trapezoid(weights * t, dx=trace.step)) / total
-    var = float(np.trapezoid(weights * (t - mean) ** 2, dx=trace.step)) / total
-    return mean, float(np.sqrt(var))
+    return float(mean[0]), float(spread[0])

@@ -44,7 +44,7 @@ def _horizon(text: str) -> float:
 
 
 def _grid(text: str) -> tuple[float, float, float]:
-    """Type of ``--grid``: ``start,stop,step``, finite, step > 0 and stop >= start."""
+    """Type of ``--grid``: ``start,stop,step``, finite, step > 0, stop >= start, whole steps."""
     try:
         start, stop, step = (float(v) for v in text.split(","))
     except ValueError:
@@ -52,6 +52,10 @@ def _grid(text: str) -> tuple[float, float, float]:
     if not (math.isfinite(start) and math.isfinite(stop) and 0.0 < step < math.inf and stop >= start):
         raise argparse.ArgumentTypeError(
             f"needs finite values, step > 0 and stop >= start, got {text!r}"
+        )
+    if not SampleGrid.whole_steps(start, stop, step):
+        raise argparse.ArgumentTypeError(
+            f"stop - start must be a whole number of steps, got {text!r}"
         )
     return start, stop, step
 

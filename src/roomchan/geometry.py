@@ -121,6 +121,12 @@ def wall_gain_products(room: Room, indices) -> np.ndarray:
     return out
 
 
+def index_bounds(room: Room, tau_max: float, speed: float) -> tuple[np.ndarray, int]:
+    """Per-axis index bound ``ceil(speed * tau_max / L) + 2`` and the cells of its cube."""
+    bounds = np.ceil(speed * tau_max / room.lengths).astype(np.int64) + 2
+    return bounds, int(np.prod(2 * bounds + 1))
+
+
 def enumerate_indices(
     room: Room,
     source,
@@ -130,27 +136,30 @@ def enumerate_indices(
     max_cells: int = DEFAULT_MAX_CELLS,
     *,
     cones=(None, None),
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+):
     """Mirror-source indices whose path delay is at most ``tau_max``.
 
     Parameters
     ----------
     room : Room
     source, receiver : array_like
-        Positions inside the room.
+        Positions inside the room: one pair of 3-vectors, or a block of
+        ``R`` arrangements as two ``(R, 3)`` arrays.
     tau_max : float
         Delay horizon in seconds; the comparison is closed (``<=``).
     speed : float
         Propagation speed in m/s.
     max_cells : int
-        Cap on the scanned index cube; exceeding it raises
+        Cap on the index cube scanned per arrangement; exceeding it raises
         :class:`ResourceLimitError`.
     cones : pair
         Support cones of the source and receiver beams, each
         ``(unit boresight, cos_min)`` or None (see
-        :attr:`~roomchan.antenna.AntennaPattern.cone`). Images whose
-        departure or arrival direction lies clearly outside its cone are
-        dropped; every image inside both cones is kept.
+        :attr:`~roomchan.antenna.AntennaPattern.cone`); for a block, the
+        boresights are an ``(R, 3)`` array and ``cos_min`` a scalar or one
+        value per arrangement. Images whose departure or arrival direction
+        lies clearly outside its cone are dropped; every image inside both
+        cones is kept.
 
     Returns
     -------
@@ -160,6 +169,10 @@ def enumerate_indices(
         Mirror-source positions.
     delays : (N,) float array
         Path delays in seconds.
+    runs : (N,) intp array
+        Only for a block: the arrangement of each row. Rows come in
+        arrangement order, each arrangement's in lexicographic index order,
+        and each row equals the one a call for its arrangement alone gives.
 
     Notes
     -----
@@ -170,63 +183,88 @@ def enumerate_indices(
     With ``o`` the image position relative to the receiver and ``d = |o|``,
     the arrival direction is ``o/d`` and the departure direction
     ``departure_signs(k) * o/d``. Both projections of ``o`` onto a boresight
-    are outer sums of per-axis terms over the index cube, like ``d**2``. The
-    cone test ``projection >= cos_min * d - slack`` runs on the cells within
-    the horizon before any per-image array is built, so the per-image work
-    scales with the cones' coverage fractions; the scan of the cube stays
-    O(cells). The slack is ``1e-9 * (speed*tau_max + Lx + Ly + Lz)`` metres.
+    are outer sums of per-axis terms over the index cube, like ``d**2``. Only
+    the ``(kx, ky)`` columns whose ``x**2 + y**2`` lies within the horizon
+    can hold images in it; on their cells, the horizon test and the cone
+    test ``projection >= cos_min * d - slack`` run before any per-image
+    array is built, so the per-image work scales with the cones' coverage
+    fractions. The slack is ``1e-9 * (speed*tau_max + Lx + Ly + Lz)`` metres.
     The test differs from the exact per-path test, which recomputes the
     direction from the image position, by at most about ``15 * 2**-53`` of
     that sum in rounding, so an image inside a cone is never dropped.
+
+    A block tests the columns of all its arrangements as one array, from
+    per-arrangement axis tables; every value is the same elementwise
+    arithmetic as for one arrangement, so the rows do not depend on the
+    block.
     """
     source = np.asarray(source, dtype=float)
     receiver = np.asarray(receiver, dtype=float)
+    block = source.ndim == 2
+    sources, receivers = source.reshape(-1, 3), receiver.reshape(-1, 3)
     if tau_max < 0.0:
         raise ValueError("tau_max must be non-negative")
     if speed <= 0.0:
         raise ValueError("propagation speed must be positive")
-    if not room.contains(source) or not room.contains(receiver):
+    if not room.contains(sources) or not room.contains(receivers):
         raise ValueError("source and receiver must lie inside the room")
 
     radius = speed * tau_max
-    bounds = np.ceil(radius / room.lengths).astype(np.int64) + 2
-    cells = int(np.prod(2 * bounds + 1))
+    bounds, cells = index_bounds(room, tau_max, speed)
     if cells > max_cells:
         raise ResourceLimitError(
             f"index cube holds {cells} cells, above the cap of {max_cells}"
         )
 
-    # Per-axis image offsets from the receiver on one shared index range;
+    # Per-axis image offsets from each receiver on one shared index range;
     # row i is read at |k| <= bounds[i].
     reach = int(bounds.max())
     k = np.arange(-reach, reach + 1, dtype=np.int64)
-    table = _axis_image_positions(room.lengths[:, None], source[:, None], k) - receiver[:, None]
+    table = (
+        _axis_image_positions(room.lengths[:, None], sources[:, :, None], k)
+        - receivers[:, :, None]
+    )
     rows = [slice(reach - b, reach + b + 1) for b in bounds]
 
     def per_axis(values):
-        return [values[i, rows[i]] for i in range(3)]
+        return [values[:, i, rows[i]] for i in range(3)]
 
+    def column_rows(values):
+        # Each column's row of a per-arrangement table; one arrangement's broadcasts.
+        return values if len(values) == 1 else values[run]
+
+    r2 = radius * radius
+    # Only the (arrangement, kx, ky) columns with x**2 + y**2 in the horizon
+    # ball can hold cells in it. Their cells are tested as one (column, kz)
+    # array, in C order: by arrangement, then lexicographically.
     x, y, z = per_axis(table**2)
-    dist_sq = x[:, None, None] + y[None, :, None] + z[None, None, :]
-    # Flat positions of the cells in the horizon ball, in C order, i.e.
-    # lexicographically over (kx, ky, kz), split into the (kx, ky) column
-    # and kz.
-    kept = np.flatnonzero(dist_sq <= radius * radius)
-    dist = np.sqrt(dist_sq.ravel()[kept])
-    column, kz = np.divmod(kept, dist_sq.shape[2])
+    plane = x[:, :, None] + y[:, None, :]
+    nx, ny, nz = plane.shape[1], plane.shape[2], z.shape[1]
+    columns = np.flatnonzero(plane <= r2)
+    run_kx, ky = np.divmod(columns, ny)
+    run, kx = np.divmod(run_kx, nx)
+    dist_sq = plane.ravel()[columns][:, None] + column_rows(z)
+    inside = dist_sq <= r2
+    dist = np.sqrt(dist_sq)
     slack = _CONE_SLACK * (radius + float(np.sum(room.lengths)))
     for cone, signs in zip(cones, (departure_signs(k), 1.0)):
         if cone is not None:
             boresight, cos_min = cone
-            x, y, z = per_axis(signs * table * boresight[:, None])
-            projection = (x[:, None] + y[None, :]).ravel()[column] + z[kz]
-            inside = projection >= cos_min * dist - slack
-            column, kz, dist = column[inside], kz[inside], dist[inside]
+            x, y, z = per_axis(signs * table * np.reshape(boresight, (-1, 3, 1)))
+            projection = (x[:, :, None] + y[:, None, :]).ravel()[columns][:, None] + column_rows(z)
+            cos_min = np.asarray(cos_min)
+            if cos_min.ndim:
+                cos_min = cos_min[run][:, None]
+            inside &= projection >= cos_min * dist - slack
 
-    hits = (*np.divmod(column, dist_sq.shape[1]), kz)
-    indices = np.stack(hits, axis=1) - bounds[None, :]
-    positions = np.stack(
-        [table[i, rows[i]][hits[i]] + receiver[i] for i in range(3)], axis=1
-    )
-    delays = dist / speed
+    cells = np.flatnonzero(inside)
+    column, kz = np.divmod(cells, nz)
+    x, y, z = per_axis(table + receivers[:, :, None])
+    x, y = x[run, kx], y[run, ky]  # image coordinates of each column
+    run, kx, ky = run[column], kx[column], ky[column]
+    indices = np.stack((kx, ky, kz), axis=1) - bounds[None, :]
+    positions = np.stack((x[column], y[column], z.ravel()[run * nz + kz]), axis=1)
+    delays = dist.ravel()[cells] / speed
+    if block:
+        return indices, positions, delays, run
     return indices, positions, delays

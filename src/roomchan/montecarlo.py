@@ -15,6 +15,11 @@ into the ensemble's raw curves, which are allocated once before any run. The
 means are numpy's buffered reductions of those curves and the squared
 deviations are summed in fixed row blocks, so the process holds one copy of
 the curves plus a few blocks.
+
+Speed: a worker takes its block's runs a few at a time (see _block_runs).
+Those runs are enumerated and gated in one pass, which shares the per-call
+cost of numpy that dominates runs with few paths; every run's values are
+the ones it gets alone.
 """
 
 from __future__ import annotations
@@ -35,15 +40,17 @@ from .channel import (
     PHASE_MODES,
     RadioConfig,
     SampleGrid,
-    SignalTrace,
+    _block_paths,
+    _moments,
     arrival_count_curve,
-    enumerate_paths,
-    signal_moments,
     synthesis_grid,
     synthesize_signal,
 )
-from .errors import ConfigError, EmptySampleError, ResourceLimitError, ZeroEnergyError
-from .geometry import DEFAULT_MAX_CELLS, Room
+# The one-run forms of the block's stages; perfbench/tracing.py wraps these
+# names here, though the ensemble takes the block forms.
+from .channel import enumerate_paths, signal_moments  # noqa: F401
+from .errors import ConfigError, EmptySampleError, ResourceLimitError
+from .geometry import DEFAULT_MAX_CELLS, Room, index_bounds
 
 MODES = ("both-random", "fixed-rx", "fixed-orientation-tx", "fixed-distance")
 
@@ -64,6 +71,15 @@ _FIT_WINDOW = (40e-9, 110e-9)
 #: Master seeds fill one 64-bit word of each run's Philox key; negative
 #: seeds map one-to-one onto the words from 2**63 up.
 SEED_RANGE = (-2**63, 2**63)
+
+# Budgets of a block of runs (see _block_runs). A block's scan of the index
+# cubes holds a few arrays of up to R x cells floats, 4 MB each at
+# _BLOCK_CELLS. Runs with many paths gain nothing from blocks, since their
+# synthesis outweighs the per-call costs that blocks share; _BLOCK_PATHS
+# keeps them at one run a block. 0.1-coverage caps at 120 ns (26 paths and
+# 12,789 cells a run) get 39 runs a block.
+_BLOCK_CELLS = 1 << 19
+_BLOCK_PATHS = 1024
 
 # Rows per block of the squared deviations: a block buffer holds
 # (_STAT_ROWS + 1) x grid floats, row 0 being the sums carried over.
@@ -158,7 +174,7 @@ class McConfig:
         points = SampleGrid.spanning(self.grid_start, self.grid_stop, self.grid_step).count
         if points < 2:
             raise ConfigError("count grid must hold at least two points")
-        if abs((self.grid_stop - self.grid_start) / self.grid_step - (points - 1)) > 1e-9:
+        if not SampleGrid.whole_steps(self.grid_start, self.grid_stop, self.grid_step):
             raise ConfigError("mc/grid: stop_s - start_s must be a whole number of step_s")
         return points
 
@@ -263,61 +279,101 @@ def _draw_terminals(cfg: McConfig, rng: np.random.Generator):
     return tx_pos, tx_ori, rx_pos, rx_ori
 
 
-def _run_tables(cfg: McConfig) -> tuple[np.ndarray, SampleGrid, np.ndarray, int]:
-    """Constants every run shares: count grid, synthesis grid, its times, samples to the cutoff."""
+def _block_runs(cfg: McConfig) -> int:
+    """Runs per block: the expected path count and the index cube, held against their budgets."""
+    scene = theory.SceneSummary.from_components(cfg.room, cfg.radio, cfg.tx_pattern, cfg.rx_pattern)
+    paths = max(float(theory.mean_count(scene, cfg.tau_max)), 1.0)
+    _, cells = index_bounds(cfg.room, cfg.tau_max, cfg.radio.speed_of_light)
+    return max(1, int(min(_BLOCK_PATHS / paths, _BLOCK_CELLS / cells)))
+
+
+def _run_tables(cfg: McConfig) -> tuple[np.ndarray, SampleGrid, np.ndarray, int, int]:
+    """Constants every run shares.
+
+    The count grid, the synthesis grid, its times, the samples up to the
+    moment cutoff and the runs per block.
+    """
     synthesis = cfg.synthesis_grid()
     times = synthesis.times()
     cut = int(np.searchsorted(times, cfg.moment_cutoff, side="right"))
-    return cfg.grid(), synthesis, times, cut
+    return cfg.grid(), synthesis, times, cut, _block_runs(cfg)
 
 
-def _simulate_run(cfg: McConfig, tables, index: int):
-    grid, synthesis, times, cut = tables
-    rng = run_rng(cfg.seed, index)
-    tx_pos, tx_ori, rx_pos, rx_ori = _draw_terminals(cfg, rng)
-    paths = enumerate_paths(
-        cfg.room, tx_pos, cfg.tx_pattern.aimed(tx_ori), rx_pos, cfg.rx_pattern.aimed(rx_ori),
+def _run_rows(runs: int, points: int):
+    """Empty per-run outputs of ``runs`` runs: count rows, power rows, terminals, summaries.
+
+    Row ``i`` of ``terminals`` holds the tx and rx positions and boresights
+    of run ``i``; row ``i`` of ``summary`` its path count, energy, mean
+    delay and rms spread, the moments NaN for a run without energy.
+    """
+    return (
+        np.empty((runs, points), dtype=np.int32), np.empty((runs, points)),
+        np.empty((runs, 4, 3)), np.empty((runs, 4)),
+    )
+
+
+def _simulate_runs(cfg: McConfig, tables, first: int, counts, power, terminals, summary) -> None:
+    """Runs ``first`` on, one per row of the outputs (see :func:`_run_rows`), which they fill.
+
+    The runs draw their terminals and are enumerated and gated as one
+    block, into the path lists :func:`enumerate_paths` gives them. They are
+    counted, draw their phases and are synthesized one at a time, and their
+    energies and moments are taken as rows.
+    """
+    grid, synthesis, times, cut, _ = tables
+    size = counts.shape[0]
+    rngs = [run_rng(cfg.seed, index) for index in range(first, first + size)]
+    tx_pos, tx_ori, rx_pos, rx_ori = zip(*(_draw_terminals(cfg, rng) for rng in rngs))
+    terminals[:, 0], terminals[:, 1] = tx_pos, rx_pos
+    # Boresights that fixed modes leave unset aim nothing.
+    for column, boresights in ((2, tx_ori), (3, rx_ori)):
+        terminals[:, column] = np.nan if boresights[0] is None else boresights
+    paths = _block_paths(
+        cfg.room, terminals[:, 0], [cfg.tx_pattern.aimed(b) for b in tx_ori],
+        terminals[:, 1], [cfg.rx_pattern.aimed(b) for b in rx_ori],
         cfg.radio, cfg.tau_max, cfg.max_cells,
     )
-    counts = arrival_count_curve(paths, grid).astype(np.int32)
+    abs2 = np.empty((size, synthesis.count))
+    for row, (run_paths, rng) in enumerate(zip(paths, rngs)):
+        counts[row] = arrival_count_curve(run_paths, grid)
+        abs2[row] = synthesize_signal(run_paths, cfg.radio, synthesis, cfg.phase_mode, rng).abs2
+        power[row] = np.interp(grid, times, abs2[row])
 
-    trace = synthesize_signal(paths, cfg.radio, synthesis, cfg.phase_mode, rng)
-    power = np.interp(grid, times, trace.abs2)
-
-    # Energy and moments of the samples up to the cutoff; an empty run's
-    # zero trace has energy 0 and no moments.
-    clipped = SignalTrace(trace.start, trace.step, trace.samples[:cut])
-    mean_delay = rms_spread = None
-    try:
-        mean_delay, rms_spread = signal_moments(clipped)
-    except ZeroEnergyError:
-        pass
-
-    record = RunRecord(
-        index=index,
-        tx_position=tx_pos,
-        rx_position=rx_pos,
-        tx_boresight=tx_ori if cfg.tx_pattern.cone is not None else None,
-        rx_boresight=rx_ori if cfg.rx_pattern.cone is not None else None,
-        n_paths=len(paths),
-        energy=clipped.energy,
-        mean_delay=mean_delay,
-        rms_spread=rms_spread,
-    )
-    return counts, power, record
+    # Energy and moments of the samples up to the cutoff.
+    summary[:, 0] = [len(run_paths) for run_paths in paths]
+    summary[:, 1:] = np.transpose(_moments(abs2[:, :cut], synthesis.step, times[:cut]))
 
 
 def _simulate_block(cfg: McConfig, tables, bounds: tuple[int, int]):
-    """Runs ``start`` to ``stop - 1``: first index, count rows, power rows, records."""
+    """Runs ``start`` to ``stop - 1``: first index and their outputs (see :func:`_run_rows`)."""
     start, stop = bounds
-    points = tables[0].shape[0]
-    counts = np.empty((stop - start, points), dtype=np.int32)
-    power = np.empty((stop - start, points))
+    outputs = _run_rows(stop - start, tables[0].shape[0])
+    size = tables[4]
+    for lo in range(0, stop - start, size):
+        _simulate_runs(cfg, tables, start + lo, *(rows[lo:lo + size] for rows in outputs))
+    return start, outputs
+
+
+def _records(cfg: McConfig, terminals: np.ndarray, summary: np.ndarray) -> list[RunRecord]:
+    """Run records from the per-run outputs; boresights only for directive patterns."""
+    aims = (cfg.tx_pattern.cone is not None, cfg.rx_pattern.cone is not None)
     records = []
-    for row, index in enumerate(range(start, stop)):
-        counts[row], power[row], record = _simulate_run(cfg, tables, index)
-        records.append(record)
-    return start, counts, power, records
+    for index, ((tx_pos, rx_pos, tx_ori, rx_ori), (paths, energy, mean, spread)) in enumerate(
+        zip(terminals, summary)
+    ):
+        moments = energy > 0.0
+        records.append(RunRecord(
+            index=index,
+            tx_position=tx_pos,
+            rx_position=rx_pos,
+            tx_boresight=tx_ori if aims[0] else None,
+            rx_boresight=rx_ori if aims[1] else None,
+            n_paths=int(paths),
+            energy=float(energy),
+            mean_delay=float(mean) if moments else None,
+            rms_spread=float(spread) if moments else None,
+        ))
+    return records
 
 
 def _estimate(grid: np.ndarray, raw: np.ndarray) -> McEstimate:
@@ -368,16 +424,12 @@ def run_ensemble(cfg: McConfig, workers: int = 1) -> McResult:
     """
     tables = _run_tables(cfg)
     grid = tables[0]
-    counts_raw = np.empty((cfg.runs, grid.shape[0]), dtype=np.int32)
-    power_raw = np.empty((cfg.runs, grid.shape[0]))
-    records: list = [None] * cfg.runs
+    outputs = _run_rows(cfg.runs, grid.shape[0])
 
     def place(blocks_done) -> None:
-        for start, counts, power, block_records in blocks_done:
-            stop = start + len(block_records)
-            counts_raw[start:stop] = counts
-            power_raw[start:stop] = power
-            records[start:stop] = block_records
+        for start, block in blocks_done:
+            for rows, done in zip(outputs, block):
+                rows[start:start + done.shape[0]] = done
 
     workers = max(1, min(workers, os.cpu_count() or 1))
     size = max(1, cfg.runs // (8 * workers))
@@ -390,9 +442,8 @@ def run_ensemble(cfg: McConfig, workers: int = 1) -> McResult:
         with multiprocessing.Pool(processes=workers) as pool:
             place(pool.imap_unordered(simulate, blocks))
 
-    # A float array holds a run without moments (None) as NaN.
-    delays = np.array([r.mean_delay for r in records], dtype=float)
-    spreads = np.array([r.rms_spread for r in records], dtype=float)
+    counts_raw, power_raw, terminals, summary = outputs
+    delays, spreads = summary[:, 2], summary[:, 3]
     missing = int(np.sum(~np.isfinite(delays)))
     delay_ecdf = ecdf(delays) if missing < cfg.runs else None
     spread_ecdf = ecdf(spreads) if missing < cfg.runs else None
@@ -403,7 +454,7 @@ def run_ensemble(cfg: McConfig, workers: int = 1) -> McResult:
         power=_estimate(grid, power_raw),
         mean_delay=delay_ecdf,
         rms_spread=spread_ecdf,
-        records=records,
+        records=_records(cfg, terminals, summary),
         missing_moments=missing,
         counts_raw=counts_raw,
         power_raw=power_raw,

@@ -199,3 +199,22 @@ class TestSamplePosition:
         for axis in range(3):
             result = stats.kstest(draws[:, axis], "uniform", args=(0, ROOM.lengths[axis]))
             assert result.pvalue > 0.01
+
+    @pytest.mark.parametrize(
+        "lengths", [(5.0, 5.0, 3.0), (10.0, 4.0, 3.0), (0.3, 7.0, 1e-3), (1.0, 1.0, 1.0)]
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 99, 2**63 - 1])
+    def test_draws_equal_uniform_and_leave_the_stream_alike(self, lengths, seed):
+        # The ensemble's per-run Philox streams interleave position, normal
+        # and phase draws; each must see the stream the uniform draw leaves.
+        room = Room(lengths, 0.6)
+        streams = [np.random.Generator(np.random.Philox(key=[seed, 7])) for _ in range(2)]
+        for _ in range(50):
+            got = sample_position(streams[0], room)
+            expected = streams[1].uniform(0.0, room.lengths)
+            assert got.tobytes() == expected.tobytes()
+            for stream in streams:
+                stream.standard_normal(3)
+            assert sample_orientation(streams[0]).tobytes() == sample_orientation(streams[1]).tobytes()
+            assert streams[0].uniform(0.0, 2.0 * np.pi, 7).tobytes() == \
+                streams[1].uniform(0.0, 2.0 * np.pi, 7).tobytes()

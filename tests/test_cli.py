@@ -319,9 +319,16 @@ class TestTheoryCommand:
         lines = (tmp_path / "count.csv").read_text().strip().split("\n")
         assert len(lines) == 6  # header + 5 grid points
 
+    def test_grid_flag_within_a_billionth_of_a_step(self, tmp_path):
+        cfg = write_config(tmp_path, {})
+        assert main(["--config", cfg, "theory", "--curves", "count",
+                     "--grid", "0,10e-9,1.00000000001e-9", "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "count.csv").read_text().strip().split("\n")
+        assert len(lines) == 12  # header + 11 grid points
 
     @pytest.mark.parametrize(
-        "grid", ["0,1e-7", "a,b,c", "0,1e-7,-1e-9", "0,nan,1e-9", "0,1e-7,0", "1e-7,0,1e-9"]
+        "grid", ["0,1e-7", "a,b,c", "0,1e-7,-1e-9", "0,nan,1e-9", "0,1e-7,0", "1e-7,0,1e-9",
+                 "0,10e-9,4e-9", "0,10e-9,3e-9", "0,10e-9,1.00000001e-9"]
     )
     def test_bad_grid_flag_is_usage_error(self, tmp_path, capsys, grid):
         cfg = write_config(tmp_path, {})

@@ -3,17 +3,18 @@ import pickle
 import numpy as np
 import pytest
 
-from roomchan import geometry, montecarlo, theory
+from roomchan import channel, geometry, montecarlo, theory
 from roomchan.antenna import AntennaPattern, Isotropic, SphericalCap
 from roomchan.channel import (
     MAX_ENSEMBLE_POINTS,
     RadioConfig,
     SignalTrace,
+    arrival_count_curve,
     enumerate_paths,
     signal_moments,
     synthesize_signal,
 )
-from roomchan.errors import ConfigError, EmptySampleError, ResourceLimitError
+from roomchan.errors import ConfigError, EmptySampleError, ResourceLimitError, ZeroEnergyError
 from roomchan.geometry import Room
 from roomchan.montecarlo import (
     Ecdf,
@@ -220,12 +221,29 @@ class TestStreamedAggregation:
 
     @pytest.fixture(scope="class")
     def reference(self, cfg):
-        tables = montecarlo._run_tables(cfg)
-        runs = [montecarlo._simulate_run(cfg, tables, i) for i in range(cfg.runs)]
-        return (
-            np.stack([r[0] for r in runs]), np.stack([r[1] for r in runs]),
-            [record_key(r[2]) for r in runs],
-        )
+        # Run by run through the one-scene functions, not the ensemble's blocks.
+        grid, synthesis = cfg.grid(), cfg.synthesis_grid()
+        times = synthesis.times()
+        inside = int(np.searchsorted(times, cfg.moment_cutoff, side="right"))
+        counts, power, records = [], [], []
+        for index in range(cfg.runs):
+            rng = montecarlo.run_rng(cfg.seed, index)
+            tx_pos, tx_ori, rx_pos, rx_ori = montecarlo._draw_terminals(cfg, rng)
+            paths = enumerate_paths(
+                cfg.room, tx_pos, cfg.tx_pattern.aimed(tx_ori), rx_pos, cfg.rx_pattern.aimed(rx_ori),
+                cfg.radio, cfg.tau_max,
+            )
+            counts.append(arrival_count_curve(paths, grid))
+            trace = synthesize_signal(paths, cfg.radio, synthesis, cfg.phase_mode, rng)
+            power.append(np.interp(grid, times, trace.abs2))
+            clipped = SignalTrace(trace.start, trace.step, trace.samples[:inside])
+            try:
+                moments = signal_moments(clipped)
+            except ZeroEnergyError:
+                moments = (None, None)
+            arrays = (tx_pos, rx_pos, tx_ori, rx_ori)
+            records.append((index, *(a.tobytes() for a in arrays), len(paths), clipped.energy, *moments))
+        return np.stack(counts), np.stack(power), records
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_blocks_land_at_their_runs(self, cfg, reference, workers, monkeypatch):
@@ -298,12 +316,16 @@ class TestConePruning:
         )
         pruned = run_ensemble(cfg)
         enumerate_indices = geometry.enumerate_indices
+        calls = []
 
         def without_cones(*args, cones, **kwargs):
+            calls.append(cones)
             return enumerate_indices(*args, **kwargs)
 
         monkeypatch.setattr(geometry, "enumerate_indices", without_cones)
         reference = run_ensemble(cfg)
+        # The ensemble went through the patched name, with cones to drop.
+        assert calls and all(cone is not None for cones in calls for cone in cones)
         assert pruned.counts_raw.tobytes() == reference.counts_raw.tobytes()
         assert pruned.power_raw.tobytes() == reference.power_raw.tobytes()
         assert [(r.n_paths, r.energy, r.mean_delay, r.rms_spread) for r in pruned.records] == [
@@ -345,6 +367,60 @@ class TestCustomPattern:
             assert b.tx_boresight is not None and b.rx_boresight is not None
             assert b.tx_boresight.tobytes() == a.tx_boresight.tobytes()
             assert b.rx_boresight.tobytes() == a.rx_boresight.tobytes()
+
+
+class TestBlockIndependence:
+    """A run's rows and record do not depend on the block it ran in.
+
+    A short ensemble runs one run a block; a 300-run ensemble puts up to
+    _block_runs runs in a block. The first runs must agree bitwise.
+    """
+
+    SHORT = 8
+    CAP = dict(tau_max=120e-9, moment_cutoff=120e-9, grid_stop=120e-9, grid_step=0.25e-9)
+    CASES = {
+        "iso": dict(),
+        "cap01-mixed-kernels": dict(tx_pattern=SphericalCap(0.1), rx_pattern=SphericalCap(0.1),
+                                    phase_mode="carrier", **CAP),
+        "cap01-zero-paths": dict(tx_pattern=SphericalCap(0.1), rx_pattern=SphericalCap(0.1),
+                                 tau_max=30e-9, moment_cutoff=30e-9, grid_stop=30e-9),
+        "cap05-fixed-rx": dict(tx_pattern=SphericalCap(0.5), rx_pattern=SphericalCap(0.5),
+                               mode="fixed-rx", rx_position=(1.0, 2.0, 1.2),
+                               rx_orientation=(0.3, -0.5, 0.2)),
+        "cap05-fixed-orientation-tx": dict(
+            tx_pattern=SphericalCap(0.5), rx_pattern=SphericalCap(0.1), mode="fixed-orientation-tx",
+            rx_position=(4.0, 1.0, 2.2), rx_orientation=(-0.3, 0.5, 0.1),
+            tx_orientation=(0.0, 1.0, 0.2), phase_mode="carrier", **CAP),
+        "sector-fixed-distance": dict(tx_pattern=Sector(SphericalCap(0.25)),
+                                      rx_pattern=Sector(SphericalCap(0.25)),
+                                      mode="fixed-distance", distance=2.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_first_runs_match_a_short_ensemble(self, case, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        cfg = quick_config(runs=300, **self.CASES[case])
+        assert montecarlo._run_tables(cfg)[4] > 1
+        # Built from the same arguments: McConfig normalizes the fixed
+        # orientations it is given, so a replace() of cfg could differ in
+        # their last bits.
+        short = quick_config(runs=self.SHORT, **self.CASES[case])
+        kernels = []
+        for name in ("_direct_sum", "_lattice_sum"):
+            kernel = getattr(channel, name)
+            monkeypatch.setattr(channel, name, lambda *a, _k=kernel, _n=name: kernels.append(_n) or _k(*a))
+        reference = run_ensemble(short, workers=1)
+        if case == "cap01-mixed-kernels":
+            assert set(kernels) == {"_direct_sum", "_lattice_sum"}
+        if case == "cap01-zero-paths":
+            assert 0 < reference.missing_moments < self.SHORT
+        keys = [record_key(r) for r in reference.records]
+        for workers in (1, 2):
+            result = run_ensemble(cfg, workers=workers)
+            assert result.counts_raw[: self.SHORT].tobytes() == reference.counts_raw.tobytes()
+            assert result.power_raw[: self.SHORT].tobytes() == reference.power_raw.tobytes()
+            assert [record_key(r) for r in result.records[: self.SHORT]] == keys
+        assert run_ensemble(short, workers=2).power_raw.tobytes() == reference.power_raw.tobytes()
 
 
 class TestModes:

@@ -126,29 +126,6 @@ class PathList:
         self.indices, self.dods, self.doas, self.power_gains, self.phases = (row[order] for row in rows)
         self.horizon = float(horizon)
 
-    @classmethod
-    def _split(cls, runs, count: int, indices, delays, dods, doas, power_gains, phases, horizon):
-        """Path lists of ``count`` arrangements from the rows of a block.
-
-        Row ``i`` belongs to arrangement ``runs[i]``; the arrays are as
-        :func:`enumerate_paths` builds them. One stable sort of the block by
-        arrangement, then delay, puts every list in the order its own
-        construction would, so list ``r`` equals ``PathList`` of arrangement
-        ``r``'s rows.
-        """
-        order = np.lexsort((delays, runs))
-        rows = [row[order] for row in (indices, delays, dods, doas, power_gains, phases)]
-        bounds = np.searchsorted(runs[order], np.arange(count + 1))
-        lists = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            paths = cls.__new__(cls)
-            paths.indices, paths.delays, paths.dods, paths.doas, paths.power_gains, paths.phases = (
-                row[lo:hi] for row in rows
-            )
-            paths.horizon = float(horizon)
-            lists.append(paths)
-        return lists
-
     def __len__(self) -> int:
         return self.delays.shape[0]
 
@@ -228,9 +205,11 @@ def _block_paths(room: Room, tx_positions, tx_patterns, rx_positions, rx_pattern
     phases = (-2.0 * np.pi * radio.speed_of_light * delays / radio.wavelength) % (
         2.0 * np.pi
     )
-    # Each arrangement's rows arrive in lexicographic index order, so
-    # PathList's stable sort by delay breaks ties by index.
-    return PathList._split(runs, len(tx_patterns), indices, delays, dods, doas, power, phases, tau_max)
+    # Rows arrive by arrangement, each arrangement's in lexicographic index
+    # order, so PathList's stable sort by delay breaks ties by index.
+    bounds = np.searchsorted(runs, np.arange(len(tx_patterns) + 1))
+    rows = (indices, delays, dods, doas, power, phases)
+    return [PathList(*(row[lo:hi] for row in rows), tau_max) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def enumerate_paths(
@@ -452,10 +431,7 @@ def _direct_sum(amplitudes, delays, radio: RadioConfig, grid: SampleGrid) -> np.
         arg[small] = 1.0
         kernel /= arg
         kernel[small] = 1.0
-        # Per component: a real kernel times a complex amplitude is two real
-        # products, without a complex temporary of paths x samples.
-        out.real += (amplitudes.real[sl, None] * kernel).sum(axis=0)
-        out.imag += (amplitudes.imag[sl, None] * kernel).sum(axis=0)
+        out += (amplitudes[sl, None] * kernel).sum(axis=0)
     return out
 
 

@@ -136,7 +136,7 @@ def enumerate_indices(
     max_cells: int = DEFAULT_MAX_CELLS,
     *,
     cones=(None, None),
-):
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Mirror-source indices whose path delay is at most ``tau_max``.
 
     Parameters
@@ -170,7 +170,7 @@ def enumerate_indices(
     delays : (N,) float array
         Path delays in seconds.
     runs : (N,) intp array
-        Only for a block: the arrangement of each row. Rows come in
+        The arrangement of each row (all 0 for one pair). Rows come in
         arrangement order, each arrangement's in lexicographic index order,
         and each row equals the one a call for its arrangement alone gives.
 
@@ -185,10 +185,11 @@ def enumerate_indices(
     ``departure_signs(k) * o/d``. Both projections of ``o`` onto a boresight
     are outer sums of per-axis terms over the index cube, like ``d**2``. Only
     the ``(kx, ky)`` columns whose ``x**2 + y**2`` lies within the horizon
-    can hold images in it; on their cells, the horizon test and the cone
-    test ``projection >= cos_min * d - slack`` run before any per-image
-    array is built, so the per-image work scales with the cones' coverage
-    fractions. The slack is ``1e-9 * (speed*tau_max + Lx + Ly + Lz)`` metres.
+    can hold images in it. The horizon test and the first cone test
+    ``projection >= cos_min * d - slack`` run on their cells, and the second
+    cone test on the cells the first kept, before any per-image array is
+    built, so the per-image work scales with the cones' coverage fractions.
+    The slack is ``1e-9 * (speed*tau_max + Lx + Ly + Lz)`` metres.
     The test differs from the exact per-path test, which recomputes the
     direction from the image position, by at most about ``15 * 2**-53`` of
     that sum in rounding, so an image inside a cone is never dropped.
@@ -200,7 +201,6 @@ def enumerate_indices(
     """
     source = np.asarray(source, dtype=float)
     receiver = np.asarray(receiver, dtype=float)
-    block = source.ndim == 2
     sources, receivers = source.reshape(-1, 3), receiver.reshape(-1, 3)
     if tau_max < 0.0:
         raise ValueError("tau_max must be non-negative")
@@ -243,28 +243,38 @@ def enumerate_indices(
     columns = np.flatnonzero(plane <= r2)
     run_kx, ky = np.divmod(columns, ny)
     run, kx = np.divmod(run_kx, nx)
-    dist_sq = plane.ravel()[columns][:, None] + column_rows(z)
-    inside = dist_sq <= r2
-    dist = np.sqrt(dist_sq)
+    dist = plane.ravel()[columns][:, None] + column_rows(z)
+    inside = dist <= r2
+    np.sqrt(dist, out=dist)
     slack = _CONE_SLACK * (radius + float(np.sum(room.lengths)))
+    tests = []
     for cone, signs in zip(cones, (departure_signs(k), 1.0)):
         if cone is not None:
             boresight, cos_min = cone
             x, y, z = per_axis(signs * table * np.reshape(boresight, (-1, 3, 1)))
-            projection = (x[:, :, None] + y[:, None, :]).ravel()[columns][:, None] + column_rows(z)
-            cos_min = np.asarray(cos_min)
-            if cos_min.ndim:
-                cos_min = cos_min[run][:, None]
-            inside &= projection >= cos_min * dist - slack
+            tests.append(((x[:, :, None] + y[:, None, :]).ravel()[columns], z, np.asarray(cos_min)))
 
+    # The first cone test runs on every cell of the columns, the second only
+    # on the cells the first kept: after a narrow first cone few remain, and
+    # gathering those costs less than a second pass over every cell.
+    for projection, z, cos_min in tests[:1]:
+        if cos_min.ndim:
+            cos_min = cos_min[run][:, None]
+        inside &= projection[:, None] + column_rows(z) >= cos_min * dist - slack
     cells = np.flatnonzero(inside)
     column, kz = np.divmod(cells, nz)
+    dist = dist.ravel()[cells]
+    for projection, z, cos_min in tests[1:]:
+        runs = run[column]
+        if cos_min.ndim:
+            cos_min = cos_min[runs]
+        keep = projection[column] + z[runs, kz] >= cos_min * dist - slack
+        column, kz, dist = column[keep], kz[keep], dist[keep]
+
     x, y, z = per_axis(table + receivers[:, :, None])
     x, y = x[run, kx], y[run, ky]  # image coordinates of each column
     run, kx, ky = run[column], kx[column], ky[column]
     indices = np.stack((kx, ky, kz), axis=1) - bounds[None, :]
     positions = np.stack((x[column], y[column], z.ravel()[run * nz + kz]), axis=1)
-    delays = dist.ravel()[cells] / speed
-    if block:
-        return indices, positions, delays, run
-    return indices, positions, delays
+    delays = dist / speed
+    return indices, positions, delays, run

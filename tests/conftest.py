@@ -77,7 +77,7 @@ def hand_gated_paths(room, tx, tx_pattern, rx, rx_pattern, speed, tau_max):
     Raises :class:`DegenerateGeometryError` for a zero-delay image.
     """
     rx = np.asarray(rx, dtype=float)
-    indices, positions, delays = enumerate_indices(room, tx, rx, tau_max, speed)
+    indices, positions, delays, _ = enumerate_indices(room, tx, rx, tau_max, speed)
     if np.any(delays == 0.0):
         raise DegenerateGeometryError("zero-delay image")
     doas = (positions - rx) / (delays * speed)[:, None]

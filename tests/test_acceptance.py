@@ -275,7 +275,7 @@ def test_criterion_10_property_pack():
     room = Room((2.0, 1.5, 1.0), 0.7)
     src, rcv = np.array([0.3, 1.1, 0.45]), np.array([1.7, 0.2, 0.8])
     oracle = brute_force_indices(room, src, rcv, 25e-9, C)
-    indices, _, delays = enumerate_indices(room, src, rcv, 25e-9, C)
+    indices, _, delays, _ = enumerate_indices(room, src, rcv, 25e-9, C)
     got = {tuple(row): d for row, d in zip(indices, delays)}
     checks["brute-force equivalence"] = got.keys() == oracle.keys() and all(
         abs(got[k] - oracle[k]) <= 1e-12 * oracle[k] for k in oracle

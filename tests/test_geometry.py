@@ -39,7 +39,7 @@ def image_rows(ks, source=TX, receiver=RX, room=ROOM):
     ks = np.array(ks, dtype=np.int64).reshape(-1, 3)
     # Per axis an image lies within (|k| + 1) L of any point in the room.
     reach = float(np.max(np.linalg.norm((np.abs(ks) + 1) * room.lengths, axis=1)))
-    indices, positions, delays = enumerate_indices(room, source, receiver, reach / C, C)
+    indices, positions, delays, _ = enumerate_indices(room, source, receiver, reach / C, C)
     rows = [np.flatnonzero((indices == k).all(axis=1)) for k in ks]
     assert all(row.size == 1 for row in rows)
     rows = np.concatenate(rows)
@@ -127,7 +127,7 @@ class TestMirrorSourcePosition:
 
 class TestPathDelay:
     def test_coincident_points(self):
-        indices, _, delays = enumerate_indices(ROOM, TX, TX, 1e-9, C)
+        indices, _, delays, _ = enumerate_indices(ROOM, TX, TX, 1e-9, C)
         assert indices.tolist() == [[0, 0, 0]] and delays[0] == 0.0
 
     def test_direct_path_delay(self):
@@ -231,8 +231,8 @@ class TestMirrorReceiverIndex:
     def test_is_involution(self, f1, f2):
         # the receiver-image map pairs the images of the two directions one to one
         src, rcv = interior(f1), interior(f2)
-        forward, _, d_forward = enumerate_indices(ROOM, src, rcv, 30e-9, C)
-        backward, _, d_backward = enumerate_indices(ROOM, rcv, src, 30e-9, C)
+        forward, _, d_forward, _ = enumerate_indices(ROOM, src, rcv, 30e-9, C)
+        backward, _, d_backward, _ = enumerate_indices(ROOM, rcv, src, 30e-9, C)
         mapped = {receiver_image_index(k): d for k, d in zip(forward.tolist(), d_forward)}
         assert set(mapped) == {tuple(k) for k in backward.tolist()}
         for k, d in zip(backward.tolist(), d_backward):
@@ -285,14 +285,14 @@ class TestReflectionGain:
 
 class TestEnumerateIndices:
     def test_empty_below_direct_delay(self):
-        indices, positions, delays = enumerate_indices(ROOM, TX, RX, 0.5 * TAU0, C)
+        indices, positions, delays, _ = enumerate_indices(ROOM, TX, RX, 0.5 * TAU0, C)
         assert indices.shape == (0, 3)
 
     def test_boundary_delay_included(self):
         # horizon placed exactly at a known path delay keeps that path
         k = (1, 0, 0)
         _, (exact,) = image_rows([k])
-        indices, _, delays = enumerate_indices(ROOM, TX, RX, exact, C)
+        indices, _, delays, _ = enumerate_indices(ROOM, TX, RX, exact, C)
         assert (1, 0, 0) in {tuple(row) for row in indices}
         assert np.max(delays) == exact
 
@@ -302,21 +302,53 @@ class TestEnumerateIndices:
         rcv = np.array([1.7, 0.2, 0.8])
         tau_max = 25e-9
         oracle = brute_force_indices(room, src, rcv, tau_max, C)
-        indices, positions, delays = enumerate_indices(room, src, rcv, tau_max, C)
+        indices, positions, delays, _ = enumerate_indices(room, src, rcv, tau_max, C)
         got = {tuple(row): delay for row, delay in zip(indices, delays)}
         assert got.keys() == oracle.keys()
         for key, delay in got.items():
             assert delay == pytest.approx(oracle[key], rel=1e-12)
 
     def test_lexicographic_order(self):
-        indices, _, _ = enumerate_indices(ROOM, TX, RX, 40e-9, C)
+        indices, _, _, _ = enumerate_indices(ROOM, TX, RX, 40e-9, C)
         as_tuples = [tuple(row) for row in indices]
         assert as_tuples == sorted(as_tuples)
 
     def test_monotone_in_horizon(self):
-        small, _, _ = enumerate_indices(ROOM, TX, RX, 30e-9, C)
-        large, _, _ = enumerate_indices(ROOM, TX, RX, 60e-9, C)
+        small, _, _, _ = enumerate_indices(ROOM, TX, RX, 30e-9, C)
+        large, _, _, _ = enumerate_indices(ROOM, TX, RX, 60e-9, C)
         assert {tuple(r) for r in small} <= {tuple(r) for r in large}
+
+    @pytest.mark.parametrize("sides, shared", [
+        ("both", False), ("both", True), ("tx", True), ("rx", False), ("none", False),
+    ])
+    def test_block_rows_equal_lone_calls(self, sides, shared):
+        # A block's rows are its arrangements' own rows, bit for bit, in
+        # arrangement order, whichever cones the arrangements carry.
+        rng = np.random.default_rng(7)
+        count = 6
+        sources = rng.random((count, 3)) * ROOM.lengths
+        receivers = rng.random((count, 3)) * ROOM.lengths
+        aims = rng.standard_normal((2, count, 3))
+        aims /= np.linalg.norm(aims, axis=-1, keepdims=True)
+        cos_min = np.full((2, count), 0.3) if shared else rng.uniform(-0.5, 0.9, (2, count))
+        cones = tuple(
+            (aim, cos[0] if shared else cos) if sides in ("both", side) else None
+            for aim, cos, side in zip(aims, cos_min, ("tx", "rx"))
+        )
+        indices, positions, delays, runs = enumerate_indices(
+            ROOM, sources, receivers, 60e-9, C, cones=cones
+        )
+        assert len(runs) > 0 and np.all(np.diff(runs) >= 0)
+        for run in range(count):
+            lone_cones = tuple(
+                None if cone is None else (aim[run], float(cos[run]))
+                for cone, aim, cos in zip(cones, aims, cos_min)
+            )
+            lone = enumerate_indices(ROOM, sources[run], receivers[run], 60e-9, C, cones=lone_cones)
+            assert np.all(lone[3] == 0)
+            rows = runs == run
+            for got, want in zip((indices, positions, delays), lone[:3]):
+                assert got[rows].tobytes() == want.tobytes()
 
     def test_cardinality_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -331,6 +363,6 @@ class TestEnumerateIndices:
         # (4/3)*pi*r^3 / V, here at c*tau = 10 diagonals
         room = Room((2.0, 1.5, 1.0), 0.7)
         tau = 10.0 * room.diagonal / C
-        indices, _, _ = enumerate_indices(room, (0.4, 0.7, 0.3), (1.1, 0.9, 0.6), tau, C)
+        indices, _, _, _ = enumerate_indices(room, (0.4, 0.7, 0.3), (1.1, 0.9, 0.6), tau, C)
         expected = 4.0 * np.pi * (C * tau) ** 3 / (3.0 * room.volume)
         assert len(indices) == pytest.approx(expected, rel=0.05)

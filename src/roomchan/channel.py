@@ -23,9 +23,9 @@ from .errors import DegenerateGeometryError, OutOfHorizonError, ResourceLimitErr
 from .geometry import Room
 
 # Direct synthesis kernel: paths per block. Blocks accumulate in a fixed
-# order, so a trace never depends on scheduling; a block's temporaries hold
-# _SYNTH_CHUNK x samples values.
-_SYNTH_CHUNK = 512
+# order, so a trace never depends on scheduling; a block's reciprocal
+# matrix, in the per-thread workspace, holds _SYNTH_CHUNK x samples floats.
+_SYNTH_CHUNK = 128
 
 #: Cap on the points of a delay grid. Synthesis holds kilobytes per sample
 #: (the direct kernel's blocks of paths, the lattice kernel's per-cell
@@ -61,11 +61,12 @@ _ORDER = 10
 # Cost model of the kernel choice, in units of one direct kernel evaluation
 # (one path at one sample): the lattice kernel costs about
 # _LATTICE_PER_PATH per path plus _LATTICE_PER_FFT_OP per nfft*log2(nfft).
-# Fit to the measured crossover, where both kernels take equally long: 60-75
-# paths on grids of 481-4001 samples (2-vCPU x86-64 VM, numpy 2.4.6 with
-# pocketfft; a direct evaluation took 12-30 ns there).
-_LATTICE_PER_PATH = 40.0
-_LATTICE_PER_FFT_OP = 3.0
+# Fit to the measured crossover, where both kernels take equally long: about
+# 260 paths on grids of 1121-4001 samples and 330 on 481 (2-vCPU x86-64 VM,
+# numpy 2.4.6 with pocketfft; a direct evaluation took about 4 ns there,
+# one reciprocal and one four-row projection step).
+_LATTICE_PER_PATH = 230.0
+_LATTICE_PER_FFT_OP = 9.7
 
 
 @dataclass(frozen=True)
@@ -372,7 +373,7 @@ def _kernel_spectra(nfft: int, end: int) -> np.ndarray:
 
 
 class _Workspace(threading.local):
-    """Per-thread buffers of the lattice kernel, grown to the largest call seen.
+    """Per-thread buffers of the synthesis kernels, grown to the largest call seen.
 
     Every thread gets its own buffers, so concurrent calls never share them,
     and memory stays bounded at one workspace per thread. Reusing them keeps
@@ -414,24 +415,36 @@ def _direct_table(bandwidth: float, grid: SampleGrid) -> tuple[np.ndarray, np.nd
 
 
 def _direct_sum(amplitudes, delays, radio: RadioConfig, grid: SampleGrid) -> np.ndarray:
-    # sin(a - b) expansion: transcendentals cost O(paths + samples), not their
-    # product.
-    out = np.zeros(grid.count, dtype=complex)
+    # sin(a - b) = sin(a)cos(b) - cos(a)sin(b) splits the trace into
+    # cos(a) P_sin - sin(a) P_cos, where P_f projects the four real rows
+    # of amplitude * f(b) onto R[k, m] = 1/(b_k - a_m). Transcendentals cost
+    # O(paths + samples); R, in the per-thread workspace, costs one division
+    # per path and sample. einsum, unlike BLAS, sums in an order that does
+    # not depend on the thread count.
     scale = np.pi * radio.bandwidth
     a, sin_a, cos_a = _direct_table(radio.bandwidth, grid)
+    # The split loses relative precision as a - b nears 0. Every sample but
+    # a path's nearest lies at least half a step away (pi/8 in a at 4x
+    # oversampling), so R skips the nearest and np.sinc evaluates it exactly.
+    near = np.clip(np.rint((delays - grid.start) / grid.step), 0, grid.count - 1).astype(np.intp)
+    projection = np.zeros((4, grid.count))
     for lo in range(0, delays.shape[0], _SYNTH_CHUNK):
-        sl = slice(lo, lo + _SYNTH_CHUNK)
-        b = scale * delays[sl]
-        # In place: each call allocates few large temporaries, which keeps
-        # its cost from depending on how earlier calls left the allocator.
-        arg = a[None, :] - b[:, None]
-        kernel = np.cos(b)[:, None] * sin_a[None, :]
-        kernel -= np.sin(b)[:, None] * cos_a[None, :]
-        small = np.abs(arg) < 1e-9
-        arg[small] = 1.0
-        kernel /= arg
-        kernel[small] = 1.0
-        out += (amplitudes[sl, None] * kernel).sum(axis=0)
+        block = slice(lo, lo + _SYNTH_CHUNK)
+        b = scale * delays[block]
+        size = b.shape[0]
+        reciprocals = _WORKSPACE.take("reciprocals", (size, grid.count))
+        np.subtract(b[:, None], a, out=reciprocals)
+        reciprocals[np.arange(size), near[block]] = np.inf
+        np.reciprocal(reciprocals, out=reciprocals)
+        cos_b, sin_b = amplitudes[block] * np.cos(b), amplitudes[block] * np.sin(b)
+        rows = np.stack((cos_b.real, cos_b.imag, sin_b.real, sin_b.imag))
+        projection += np.einsum("pk,km->pm", rows, reciprocals)
+    out = np.empty(grid.count, dtype=complex)
+    # Rows: real cos, imaginary cos, real sin, imaginary sin projections.
+    out.real = cos_a * projection[2] - sin_a * projection[0]
+    out.imag = cos_a * projection[3] - sin_a * projection[1]
+    t_near = grid.start + grid.step * near
+    np.add.at(out, near, amplitudes * np.sinc(radio.bandwidth * (t_near - delays)))
     return out
 
 
@@ -554,8 +567,13 @@ def synthesize_signal(
     Two kernels compute ``y_m = sum_k a_k sinc(B (t_m - tau_k))`` with
     ``a_k = sqrt(gain_k) exp(i phase_k)``:
 
-    - Direct: each path at each sample, O(paths x samples), summed over
-      fixed blocks of paths.
+    - Direct: with ``phi_m = pi B t_m`` and ``theta_k = pi B tau_k``, the
+      trace is ``cos(phi_m) P_m - sin(phi_m) Q_m``, where ``P`` and ``Q``
+      project ``a_k sin(theta_k)`` and ``a_k cos(theta_k)`` onto the
+      reciprocal matrix ``1/(theta_k - phi_m)``: O(paths x samples)
+      divisions and products, over fixed blocks of paths. Each path's
+      nearest sample, where that split would lose precision, is evaluated
+      by ``np.sinc`` instead.
     - Lattice: write ``tau_k = start + s_k step`` with
       ``s_k = j_k + 1/2 + d_k``, integer ``j_k`` and ``|d_k| <= 1/2``. The 16
       samples ``j_k - 7 .. j_k + 8`` nearest each delay are evaluated
@@ -576,9 +594,9 @@ def synthesize_signal(
 
     A cost model on the number of paths, the number of samples and the FFT
     length picks the kernel predicted to be faster. Short path lists take
-    the direct kernel: up to 66 paths on the 1121-sample grid of a 120 ns
-    horizon, for instance. Both kernels are deterministic, so a trace does
-    not depend on scheduling or on the worker count.
+    the direct kernel: up to about 250 paths on the 1121-sample grid of a
+    120 ns horizon, for instance. Both kernels are deterministic, so a
+    trace does not depend on scheduling or on the worker count.
     """
     if grid.step > 1.0 / (2.0 * radio.bandwidth):
         raise ValueError("grid step must not exceed 1/(2*bandwidth)")

@@ -86,12 +86,15 @@ _BLOCK_PATHS = 1024
 _STAT_ROWS = 128
 
 
-def _as_unit(vector, name: str) -> np.ndarray:
+def _norm(v: np.ndarray) -> float:
+    return float(np.sqrt(np.sum(v * v)))
+
+
+def _nonzero_vector(vector, name: str) -> np.ndarray:
     v = np.asarray(vector, dtype=float)
-    norm = float(np.sqrt(np.sum(v * v)))
-    if v.shape != (3,) or norm == 0.0:
+    if v.shape != (3,) or _norm(v) == 0.0:
         raise ConfigError(f"{name} must be a nonzero 3-vector")
-    return v / norm
+    return v
 
 
 @dataclass(frozen=True)
@@ -153,7 +156,7 @@ class McConfig:
                 raise ConfigError("rx_position must lie inside the room")
             if self.rx_orientation is not None:
                 object.__setattr__(
-                    self, "rx_orientation", _as_unit(self.rx_orientation, "rx_orientation")
+                    self, "rx_orientation", _nonzero_vector(self.rx_orientation, "rx_orientation")
                 )
             elif self.rx_pattern.cone is not None:
                 raise ConfigError(f"mode {self.mode!r} needs rx_orientation for a directive receiver")
@@ -161,13 +164,25 @@ class McConfig:
             if self.tx_orientation is None:
                 raise ConfigError("mode 'fixed-orientation-tx' needs tx_orientation")
             object.__setattr__(
-                self, "tx_orientation", _as_unit(self.tx_orientation, "tx_orientation")
+                self, "tx_orientation", _nonzero_vector(self.tx_orientation, "tx_orientation")
             )
         if self.mode == "fixed-distance":
             if self.distance is None or self.distance <= 0.0:
                 raise ConfigError("mode 'fixed-distance' needs a positive distance")
             if self.distance >= self.room.diagonal:
                 raise ConfigError("distance does not fit inside the room")
+
+    @functools.cached_property
+    def fixed_boresights(self) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """Unit tx and rx boresights that the mode fixes; None where it draws them or none is set.
+
+        The orientation fields keep the vectors as given, so
+        ``dataclasses.replace`` keeps them bitwise; each config normalizes
+        them once, here.
+        """
+        tx = self.tx_orientation if self.mode == "fixed-orientation-tx" else None
+        rx = self.rx_orientation if self.mode in ("fixed-rx", "fixed-orientation-tx") else None
+        return tuple(None if v is None else v / _norm(v) for v in (tx, rx))
 
     def _grid_points(self) -> int:
         """Count-grid size; the span must be a whole number of steps, within 1e-9 steps."""
@@ -259,12 +274,11 @@ def _draw_terminals(cfg: McConfig, rng: np.random.Generator):
         tx_pos = sample_position(rng, cfg.room)
         tx_ori = sample_orientation(rng)
         rx_pos = cfg.rx_position
-        rx_ori = cfg.rx_orientation
+        rx_ori = cfg.fixed_boresights[1]
     elif cfg.mode == "fixed-orientation-tx":
         tx_pos = sample_position(rng, cfg.room)
-        tx_ori = cfg.tx_orientation
+        tx_ori, rx_ori = cfg.fixed_boresights
         rx_pos = cfg.rx_position
-        rx_ori = cfg.rx_orientation
     else:  # fixed-distance
         for _ in range(_PLACEMENT_ATTEMPTS):
             rx_pos = sample_position(rng, cfg.room)

@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 
@@ -396,8 +397,13 @@ def per_path_sum(paths, grid, phases=None):
     return out
 
 
-def assert_near_per_path_sum(samples, reference):
-    assert np.max(np.abs(samples - reference)) <= 1e-12 * np.max(np.abs(reference))
+def assert_near_per_path_sum(samples, reference, tolerance=1e-12):
+    assert np.max(np.abs(samples - reference)) <= tolerance * np.max(np.abs(reference))
+
+
+def model_crossover(grid):
+    """Fewest paths for which the cost model picks the lattice kernel, delays spanning the grid."""
+    return next(n for n in itertools.count(1) if channel._lattice_is_cheaper(n, grid.count, 2 * grid.count))
 
 
 @pytest.fixture
@@ -416,15 +422,28 @@ def kernels_run(monkeypatch):
 class TestSynthesisKernels:
     GRID = synthesis_grid(RADIO, 120e-9)
 
-    @pytest.mark.parametrize("n, kernel", [
-        (3, "_direct_sum"), (12, "_direct_sum"), (300, "_lattice_sum"), (3000, "_lattice_sum"),
+    # Path counts as shares of the cost model's crossover, so that each
+    # kernel is tested whatever the model's fitted constants.
+    @pytest.mark.parametrize("share, kernel", [
+        (0.01, "_direct_sum"), (0.5, "_direct_sum"), (2.0, "_lattice_sum"), (12.0, "_lattice_sum"),
     ])
-    def test_matches_per_path_sum_on_both_sides_of_crossover(self, n, kernel, kernels_run):
+    def test_matches_per_path_sum_on_both_sides_of_crossover(self, share, kernel, kernels_run):
+        n = max(1, round(share * model_crossover(self.GRID)))
         rng = np.random.default_rng(n)
         paths = paths_with_delays(rng, np.sort(rng.uniform(5e-9, 120e-9, n)))
         trace = synthesize_signal(paths, RADIO, self.GRID)
         assert kernels_run == [kernel]
         assert_near_per_path_sum(trace.samples, per_path_sum(paths, self.GRID))
+
+    def test_delays_just_past_samples(self, kernels_run):
+        # Where a delay nears a sample, sin(a)cos(b) - cos(a)sin(b) loses the
+        # relative precision of sin(a - b); that sample must stay exact.
+        offsets = np.array([0.0, 1e-18, 1e-17, 1e-16, 1e-15])
+        delays = (self.GRID.times()[[100, 333, 517, 999], None] + offsets).ravel()
+        paths = paths_with_delays(np.random.default_rng(15), delays)
+        trace = synthesize_signal(paths, RADIO, self.GRID)
+        assert kernels_run == ["_direct_sum"]
+        assert_near_per_path_sum(trace.samples, per_path_sum(paths, self.GRID), 1e-13)
 
     def test_delays_on_samples_and_outside_the_grid(self, kernels_run):
         rng = np.random.default_rng(3)
@@ -484,7 +503,7 @@ class TestSynthesisKernels:
         grids = (self.GRID, synthesis_grid(RADIO, 300e-9))
         jobs = [
             (paths_with_delays(rng, np.sort(rng.uniform(5e-9, 120e-9, n))), grids[i % 2])
-            for i, n in enumerate((400, 3000, 1500, 800))
+            for i, n in enumerate((400, 3000, 1500, 800, 60, 150))
         ]
         serial = [synthesize_signal(paths, RADIO, grid).samples.tobytes() for paths, grid in jobs]
         mismatches = []

@@ -1,10 +1,11 @@
+import dataclasses
 import pickle
 
 import numpy as np
 import pytest
 
 from roomchan import channel, geometry, montecarlo, theory
-from roomchan.antenna import AntennaPattern, Isotropic, SphericalCap
+from roomchan.antenna import AntennaPattern, Isotropic, SphericalCap, sample_orientation
 from roomchan.channel import (
     MAX_ENSEMBLE_POINTS,
     RadioConfig,
@@ -399,12 +400,13 @@ class TestBlockIndependence:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_first_runs_match_a_short_ensemble(self, case, monkeypatch):
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        if case == "cap01-mixed-kernels":
+            # A path-count rule in place of the fitted cost model, so that
+            # the first runs take both kernels whatever its constants.
+            monkeypatch.setattr(channel, "_lattice_is_cheaper", lambda n, samples, nfft: n > 30)
         cfg = quick_config(runs=300, **self.CASES[case])
         assert montecarlo._run_tables(cfg)[4] > 1
-        # Built from the same arguments: McConfig normalizes the fixed
-        # orientations it is given, so a replace() of cfg could differ in
-        # their last bits.
-        short = quick_config(runs=self.SHORT, **self.CASES[case])
+        short = dataclasses.replace(cfg, runs=self.SHORT)
         kernels = []
         for name in ("_direct_sum", "_lattice_sum"):
             kernel = getattr(channel, name)
@@ -440,6 +442,20 @@ class TestModes:
         result = run_ensemble(cfg)
         for record in result.records:
             assert np.allclose(record.tx_boresight, [0.0, 1.0, 0.0])
+
+    def test_replace_keeps_fixed_orientations_bitwise(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            cfg = quick_config(
+                mode="fixed-orientation-tx", tx_pattern=SphericalCap(0.5),
+                rx_pattern=SphericalCap(0.5), rx_position=(1.0, 2.0, 1.2),
+                tx_orientation=sample_orientation(rng), rx_orientation=sample_orientation(rng),
+            )
+            again = dataclasses.replace(cfg, runs=3)
+            for field in ("tx_orientation", "rx_orientation"):
+                assert getattr(again, field).tobytes() == getattr(cfg, field).tobytes()
+            for ours, theirs in zip(again.fixed_boresights, cfg.fixed_boresights):
+                assert ours.tobytes() == theirs.tobytes()
 
     def test_fixed_distance_pins_separation(self):
         cfg = quick_config(mode="fixed-distance", distance=1.5)

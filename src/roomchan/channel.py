@@ -42,31 +42,28 @@ MAX_ENSEMBLE_POINTS = 50_000_000
 #: paths, or i.i.d. uniform phases.
 PHASE_MODES = ("carrier", "random")
 
-# Lattice synthesis kernel: paths per block of its per-path stages, the
-# exact near band and the far-field moment rows. A block's largest
-# temporaries hold 2*_ORDER x _LATTICE_BLOCK complex values (82 kB), below
-# glibc's default mmap threshold (128 kB), so the heap reuses them from call
-# to call instead of mapping and faulting in fresh pages.
-_LATTICE_BLOCK = 256
+# Lattice synthesis kernel: paths per block of its per-path stage. A
+# block's temporaries, its offsets and cell entries repeated for the real
+# and imaginary parts, hold 2 x _LATTICE_BLOCK values (64 kB), below glibc's
+# default mmap threshold (128 kB), so the heap reuses them from call to call
+# instead of mapping and faulting in fresh pages.
+_LATTICE_BLOCK = 4096
 
-# Lattice synthesis kernel: half-width in samples of the band each path
-# evaluates exactly, and the number of terms of the far-field expansion.
-# With |d| <= 1/2 and far-field distances of at least _NEAR + 1/2 samples,
-# the truncation error per path and sample is at most
-# |a| * (2*_NEAR + 1)**-_ORDER / (beta*_NEAR): 7.9e-14 |a| on a grid
-# oversampled 4x (beta = pi/4).
-_NEAR = 8
-_ORDER = 10
+# Lattice synthesis kernel: bound on the truncation error of its Taylor
+# expansion per path and sample, relative to the path's amplitude. The
+# number of terms Q follows from it and the grid (see _taylor_order): 15 at
+# 2x oversampling, 12 at 4x and 10 at 8x.
+_TAYLOR_TOLERANCE = 1e-14
 
 # Cost model of the kernel choice, in units of one direct kernel evaluation
 # (one path at one sample): the lattice kernel costs about
 # _LATTICE_PER_PATH per path plus _LATTICE_PER_FFT_OP per nfft*log2(nfft).
 # Fit to the measured crossover, where both kernels take equally long: about
-# 260 paths on grids of 1121-4001 samples and 330 on 481 (2-vCPU x86-64 VM,
-# numpy 2.4.6 with pocketfft; a direct evaluation took about 4 ns there,
-# one reciprocal and one four-row projection step).
-_LATTICE_PER_PATH = 230.0
-_LATTICE_PER_FFT_OP = 9.7
+# 105-135 paths on grids of 481-4001 samples (2-vCPU x86-64 VM, numpy 2.4.6
+# with pocketfft; a direct evaluation took about 4 ns there, one reciprocal
+# and one four-row projection step).
+_LATTICE_PER_PATH = 50.0
+_LATTICE_PER_FFT_OP = 4.7
 
 
 @dataclass(frozen=True)
@@ -356,18 +353,47 @@ def _fft_length(n: int) -> int:
     return best
 
 
-@functools.lru_cache(maxsize=8)
-def _kernel_spectra(nfft: int, end: int) -> np.ndarray:
-    """Real FFTs of the far-field kernels ``(n - 1/2)**-(p+1)``, ``p < _ORDER``.
+def _taylor_order(beta: float) -> int:
+    """Fewest terms Q of the lattice kernel's expansion at ``beta = pi B step``.
 
-    Row ``p`` holds the ``nfft // 2 + 1`` frequencies of the kernel on the
-    lags ``n = end - nfft .. end - 1``, which is zero on the near band
-    ``1-_NEAR <= n <= _NEAR``. Cached: within an ensemble the grid, and with
-    it the window, rarely changes.
+    The pulse ``f(x) = sin(beta x)/(beta x)`` has ``|f^(Q)| <= beta**Q/(Q+1)``,
+    so truncating its Taylor series after Q terms errs by at most
+    ``(beta/2)**Q / ((Q+1) Q!)`` for offsets ``|d| <= 1/2``.
     """
-    lags = np.arange(end - nfft, end) - 0.5
-    inverse = np.where(np.abs(lags) > _NEAR, 1.0 / lags, 0.0)
-    spectra = np.fft.rfft(np.cumprod(np.broadcast_to(inverse, (_ORDER, nfft)), axis=0), axis=-1)
+    order = 1
+    while (beta / 2.0) ** order / ((order + 1) * math.factorial(order)) > _TAYLOR_TOLERANCE:
+        order += 1
+    return order
+
+
+def _taylor_table(lags: np.ndarray, beta: float) -> np.ndarray:
+    """Row ``q``: the coefficient ``c_q[n]`` of ``d**q`` in ``f(n - 1/2 - d)``, at each lag ``n``.
+
+    With ``x0 = n - 1/2`` (never 0), ``f(x0 - d) * beta * (x0 - d)`` is the
+    d-series of ``sin(beta x0) cos(beta d) - cos(beta x0) sin(beta d)``,
+    whose term q is ``s_q beta**q / q!`` with ``s_q`` cycling through
+    ``sin, -cos, -sin, cos`` of ``beta x0``. Matching terms gives
+    ``c_q = (s_q beta**(q-1) / q! + c_{q-1}) / x0``.
+    """
+    x0 = lags - 0.5
+    sin0, cos0 = np.sin(beta * x0), np.cos(beta * x0)
+    table = np.empty((_taylor_order(beta), x0.shape[0]))
+    previous = 0.0
+    for q, row in enumerate(table):
+        sine = (sin0, -cos0, -sin0, cos0)[q % 4]
+        np.divide(sine * (beta ** (q - 1) / math.factorial(q)) + previous, x0, out=row)
+        previous = row
+    return table
+
+
+@functools.lru_cache(maxsize=8)
+def _kernel_spectra(nfft: int, end: int, beta: float) -> np.ndarray:
+    """Real FFTs of the rows of :func:`_taylor_table` on the lags ``end - nfft .. end - 1``.
+
+    Cached on first use: within an ensemble the grid, and with it the
+    window, rarely changes.
+    """
+    spectra = np.fft.rfft(_taylor_table(np.arange(end - nfft, end), beta), axis=-1)
     spectra.flags.writeable = False
     return spectra
 
@@ -450,82 +476,39 @@ def _direct_sum(amplitudes, delays, radio: RadioConfig, grid: SampleGrid) -> np.
 
 def _lattice_sum(amplitudes, cells, radio: RadioConfig, grid: SampleGrid) -> np.ndarray:
     # cells = (delays - start) / step = j + 1/2 + d with integer j, |d| <= 1/2,
-    # in delay order: the segment sums below need each cell's paths side by side.
+    # in delay order. Sample m lies n - 1/2 - d steps past a delay, n = m - j,
+    # so with f(n - 1/2 - d) = sum_q c_q[n] d**q (see _taylor_table) the trace
+    # is sum_q (c_q * mu_q)[m], a lattice convolution of the per-cell moments
+    # mu_q[j] = sum a d**q over the paths in cell j.
     n, count = cells.shape[0], grid.count
     beta = np.pi * radio.bandwidth * grid.step
+    order = _taylor_order(beta)
     j = np.floor(cells)
     d = cells - j - 0.5
     # Cells are indexed from base = min(first cell, 0), so the kernel window
     # below depends on the grid alone for delays after its start.
     j_hi = int(j[-1])
     base = min(int(j[0]), 0)
-    used = j_hi - base + 1
     column = j.astype(np.intp) - base
-    # A path opens a segment where its cell changes or a block begins.
-    opens = np.empty(n, dtype=bool)
-    opens[0] = True
-    np.not_equal(column[1:], column[:-1], out=opens[1:])
-    opens[::_LATTICE_BLOCK] = True
-    trig = np.stack((np.cos(beta * cells), np.sin(beta * cells)))
-    sin_d, cos_d = np.sin(beta * d), np.cos(beta * d)
 
-    # Near band: samples m = j + o, o = 1-_NEAR .. _NEAR, lie x = o - 1/2 - d
-    # cells from the delay. Elsewhere than on the two samples around it,
-    # |x| >= 1 and sin(beta*x) splits into known sines of beta*(o - 1/2) and
-    # of beta*d; on those two, where x can vanish, np.sinc keeps full
-    # relative precision. Rows hold the split offsets first, then those two.
-    offsets = np.arange(1 - _NEAR, _NEAR + 1) - 0.5
-    offsets = np.concatenate((offsets[np.abs(offsets) > 1.0], offsets[np.abs(offsets) < 1.0]))
-    split = 2 * _NEAR - 2
-    sin_o = np.sin(beta * offsets[:split, None])
-    cos_o = np.cos(beta * offsets[:split, None])
-
-    # Per cell: the near band's 2*_NEAR sums of a * pulse, then the
-    # far-field moments sum a cos(beta s) d**p and sum a sin(beta s) d**p,
-    # p < _ORDER (see below).
-    table = _WORKSPACE.take("cells", (2 * _NEAR + 2 * _ORDER, used), complex)
-    table.fill(0.0)
-    width = min(n, _LATTICE_BLOCK)
-    rows = _WORKSPACE.take("rows", (table.shape[0], width), complex)
-    pulses = _WORKSPACE.take("pulses", (2 * _NEAR, width))
-    powers = _WORKSPACE.take("powers", (_ORDER, width))
+    # Row q of the moments as interleaved real and imaginary parts: a path
+    # adds the two parts of a d**q, the last row's times d, at 2*column and
+    # 2*column + 1, in path order.
+    moments = _WORKSPACE.take("moments", (order, j_hi - base + 1), complex)
+    moments.fill(0.0)
+    rows = moments.view(float)
+    weights = _WORKSPACE.take("weights", (2 * min(n, _LATTICE_BLOCK),))
     for lo in range(0, n, _LATTICE_BLOCK):
         block = slice(lo, lo + _LATTICE_BLOCK)
-        dk = d[block]
-        size = dk.shape[0]
-        x = offsets[:, None] - dk
-        split_sin = sin_o * cos_d[block]
-        split_sin -= cos_o * sin_d[block]
-        np.divide(split_sin, beta * x[:split], out=pulses[:split, :size])
-        pulses[split:, :size] = np.sinc(radio.bandwidth * grid.step * x[split:])
-        np.multiply(amplitudes[block], pulses[:, :size], out=rows[: 2 * _NEAR, :size])
-
-        # Far field: sin(beta*(m - s)) = sin(beta*m)cos(beta*s) - cos(beta*m)sin(beta*s)
-        # splits it into two Cauchy sums over q/(m - s), and with n = m - j,
-        # 1/((n - 1/2) - d) = sum_p d**p / (n - 1/2)**(p + 1). Each term is a
-        # lattice convolution of the per-cell moments W_p[j] = sum q d**p.
-        powers[0, :size] = 1.0
-        powers[1, :size] = dk
-        for p in range(2, _ORDER):
-            np.multiply(powers[p - 1, :size], dk, out=powers[p, :size])
-        np.multiply(
-            (amplitudes[block] * trig[:, block])[:, None, :], powers[:, :size],
-            out=rows[2 * _NEAR :, :size].reshape(2, _ORDER, size),
-        )
-
-        # Sum each run of paths in one cell; a block's runs have distinct
-        # cells. Near band and moments go apart to halve the temporaries.
-        runs = np.flatnonzero(opens[block])
-        hit = column[block][runs]
-        for part in (slice(None, 2 * _NEAR), slice(2 * _NEAR, None)):
-            table[part, hit] += np.add.reduceat(rows[part, :size], runs, axis=1)
-
-    # Bins from the first to the last sample touched; the grid is a slice.
-    first = base + 1 - _NEAR
-    padded = np.zeros(max(count, j_hi + 1 + _NEAR) - first, dtype=complex)
-    for row, shift in enumerate((offsets + _NEAR - 0.5).astype(int)):
-        padded[shift : shift + used] += table[row]
-    out = padded[-first : count - first]
+        offsets = np.repeat(d[block], 2)
+        entries = np.repeat(2 * column[block], 2)
+        entries[1::2] += 1
+        terms = weights[: offsets.shape[0]]
+        terms[:] = amplitudes[block].view(float)
+        for q in range(order):
+            if q:
+                np.multiply(terms, offsets, out=terms)
+            np.add.at(rows[q], entries, terms)
 
     # Lags m - j of samples 0 .. count-1 and cells base .. j_hi lie in the
     # window count-base-nfft .. count-base-1 when nfft >= count + j_hi - base;
@@ -533,21 +516,16 @@ def _lattice_sum(amplitudes, cells, radio: RadioConfig, grid: SampleGrid) -> np.
     # entries. The real and imaginary parts of the moments are real rows.
     nfft = _fft_length(count + j_hi - base)
     half = nfft // 2 + 1
-    moments = table[2 * _NEAR :]
-    spectra = _WORKSPACE.take("spectra", (2, 2 * _ORDER, half), complex)
+    spectra = _WORKSPACE.take("spectra", (2, order, half), complex)
     np.fft.rfft(moments.real, nfft, out=spectra[0])
     np.fft.rfft(moments.imag, nfft, out=spectra[1])
     products = np.einsum(
-        "cpk,pk->ck", spectra.reshape(4, _ORDER, half), _kernel_spectra(nfft, count - base),
-        out=_WORKSPACE.take("products", (4, half), complex),
+        "cqk,qk->ck", spectra, _kernel_spectra(nfft, count - base, beta),
+        out=_WORKSPACE.take("products", (2, half), complex),
     )
-    # Rows: real cos, real sin, imaginary cos, imaginary sin Cauchy sums.
-    cauchy = np.fft.irfft(products, nfft, out=_WORKSPACE.take("cauchy", (4, nfft)))
-    cauchy = cauchy[:, nfft - count :]
-    m = beta * np.arange(count)
-    sin_m, cos_m = np.sin(m) / beta, np.cos(m) / beta
-    out.real += sin_m * cauchy[0] - cos_m * cauchy[1]
-    out.imag += sin_m * cauchy[2] - cos_m * cauchy[3]
+    trace = np.fft.irfft(products, nfft, out=_WORKSPACE.take("trace", (2, nfft)))
+    out = np.empty(count, dtype=complex)
+    out.real, out.imag = trace[:, nfft - count :]
     return out
 
 
@@ -575,26 +553,25 @@ def synthesize_signal(
       nearest sample, where that split would lose precision, is evaluated
       by ``np.sinc`` instead.
     - Lattice: write ``tau_k = start + s_k step`` with
-      ``s_k = j_k + 1/2 + d_k``, integer ``j_k`` and ``|d_k| <= 1/2``. The 16
-      samples ``j_k - 7 .. j_k + 8`` nearest each delay are evaluated
-      exactly. With ``beta = pi B step``, the rest of the trace is
-      ``(sin(beta m) C_m - cos(beta m) S_m) / beta``, where ``C_m`` and
-      ``S_m`` are the Cauchy sums ``sum_k a_k cos(beta s_k) / (m - s_k)``
-      and ``sum_k a_k sin(beta s_k) / (m - s_k)``. Expanding
-      ``1/((n - 1/2) - d) = sum_{p<10} d**p / (n - 1/2)**(p+1)``, with
-      ``n = m - j_k``, turns them into 10 lattice convolutions of per-cell
-      moments ``sum a_k cos(beta s_k) d_k**p`` (and likewise with sin), done
-      in one batch of real FFTs. It costs O(paths + nfft log nfft), where
-      ``nfft`` covers the samples and the cells the delays occupy. The
-      truncation error is at most ``|a_k| 17**-10 / (8 beta)`` per path and
-      sample: 7.9e-14 of the path's amplitude at 4x oversampling, the order
-      of the rounding error of either kernel. The per-path stages run over
-      fixed blocks of paths in delay order, and the per-cell sums and their
-      spectra live in a per-thread workspace that later calls reuse.
+      ``s_k = j_k + 1/2 + d_k``, integer ``j_k`` and ``|d_k| <= 1/2``. With
+      ``beta = pi B step`` the pulse ``f(x) = sin(beta x)/(beta x)`` is
+      entire, and sample ``m`` receives ``a_k f(n - 1/2 - d_k)``, where
+      ``n = m - j_k``, expanded as ``a_k sum_{q<Q} c_q[n] d_k**q``. The trace
+      is then ``sum_q (c_q * mu_q)[m]``: Q lattice convolutions of the
+      per-cell moments ``mu_q[j] = sum a_k d_k**q`` over the paths in cell
+      ``j``, done in one batch of real FFTs against cached spectra of the
+      coefficient rows ``c_q``. It costs O(Q paths + Q nfft log nfft), where
+      ``nfft`` covers the samples and the cells the delays occupy. Q is the
+      fewest terms whose truncation error, at most
+      ``(beta/2)**Q / ((Q+1) Q!)`` of the path's amplitude per sample, is
+      below 1e-14: 12 on a grid oversampled 4x, 15 at 2x and 10 at 8x. The
+      per-path stage runs over fixed blocks of paths in delay order, and the
+      per-cell moments and their spectra live in a per-thread workspace
+      that later calls reuse.
 
     A cost model on the number of paths, the number of samples and the FFT
     length picks the kernel predicted to be faster. Short path lists take
-    the direct kernel: up to about 250 paths on the 1121-sample grid of a
+    the direct kernel: up to about 110 paths on the 1121-sample grid of a
     120 ns horizon, for instance. Both kernels are deterministic, so a
     trace does not depend on scheduling or on the worker count.
     """

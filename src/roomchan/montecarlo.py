@@ -305,12 +305,18 @@ def _run_tables(cfg: McConfig) -> tuple[np.ndarray, SampleGrid, np.ndarray, int,
     """Constants every run shares.
 
     The count grid, the synthesis grid, its times, the samples up to the
-    moment cutoff and the runs per block.
+    moment cutoff and the runs per block. The synthesis grid is
+    :meth:`McConfig.synthesis_grid` cut after the last sample a run reads:
+    the moments read the samples before ``cut``, and ``np.interp`` at the
+    count grid's last point reads up to the first sample at or after it.
     """
-    synthesis = cfg.synthesis_grid()
-    times = synthesis.times()
+    padded = cfg.synthesis_grid()
+    times = padded.times()
+    grid = cfg.grid()
     cut = int(np.searchsorted(times, cfg.moment_cutoff, side="right"))
-    return cfg.grid(), synthesis, times, cut, _block_runs(cfg)
+    read = max(cut, int(np.searchsorted(times, grid[-1], side="left")) + 1)
+    synthesis = SampleGrid(padded.start, padded.step, read)
+    return grid, synthesis, times[:read], cut, _block_runs(cfg)
 
 
 def _run_rows(runs: int, points: int):

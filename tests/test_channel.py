@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 import threading
 
@@ -503,7 +504,7 @@ class TestSynthesisKernels:
         grids = (self.GRID, synthesis_grid(RADIO, 300e-9))
         jobs = [
             (paths_with_delays(rng, np.sort(rng.uniform(5e-9, 120e-9, n))), grids[i % 2])
-            for i, n in enumerate((400, 3000, 1500, 800, 60, 150))
+            for i, n in enumerate((400, 3000, 1500, 800, 60, 90))
         ]
         serial = [synthesize_signal(paths, RADIO, grid).samples.tobytes() for paths, grid in jobs]
         mismatches = []
@@ -541,6 +542,85 @@ class TestSynthesisKernels:
         phases = expected.uniform(0.0, 2 * np.pi, n)
         assert draws.uniform() == expected.uniform()
         assert_near_per_path_sum(trace.samples, per_path_sum(paths, self.GRID, phases))
+
+
+def oversampled_grid(oversample):
+    """The 120 ns synthesis span, -10 to 130 ns, at ``oversample`` samples a pulse width."""
+    return SampleGrid.spanning(-10e-9, 130e-9, 1.0 / (oversample * RADIO.bandwidth))
+
+
+def per_sample_sum(paths, grid):
+    """Reference in sample units: one np.sinc pulse per path at ``(m - s_k) B step``.
+
+    ``s_k = (tau_k - start) / step`` as the lattice kernel takes it, so the
+    reference does not inherit the rounding of ``t_m - tau_k`` in seconds.
+    """
+    cells = (paths.delays - grid.start) / grid.step
+    lags = np.arange(grid.count) - cells[:, None]
+    amplitudes = np.sqrt(paths.power_gains) * np.exp(1j * paths.phases)
+    return amplitudes @ np.sinc(RADIO.bandwidth * grid.step * lags)
+
+
+class TestLatticeKernel:
+    # Terms of the expansion the grid asks for, by oversampling.
+    ORDERS = {2: 15, 4: 12, 8: 10}
+
+    @pytest.mark.parametrize("oversample", sorted(ORDERS))
+    def test_taylor_table_sums_to_the_pulse(self, oversample):
+        # Every lag of the 120 ns grid's convolution window, every offset d
+        # from -1/2 to 1/2, both ends included.
+        grid = oversampled_grid(oversample)
+        beta = np.pi * RADIO.bandwidth * grid.step
+        nfft = channel._fft_length(2 * grid.count)
+        lags = np.arange(grid.count - nfft, grid.count)
+        table = channel._taylor_table(lags, beta)
+        order = self.ORDERS[oversample]
+        assert table.shape == (order, nfft)
+        # The remainder bound of the order, plus 1e-15 for rounding.
+        bound = (beta / 2) ** order / ((order + 1) * math.factorial(order))
+        for d in np.linspace(-0.5, 0.5, 41):
+            series = table[-1]
+            for row in table[-2::-1]:
+                series = series * d + row
+            pulse = np.sinc(RADIO.bandwidth * grid.step * (lags - 0.5 - d))
+            assert np.max(np.abs(series - pulse)) <= bound + 1e-15
+
+    @pytest.mark.parametrize("oversample", sorted(ORDERS))
+    def test_matches_per_sample_sum_at_cell_edges(self, oversample, kernels_run):
+        grid = oversampled_grid(oversample)
+        rng = np.random.default_rng(oversample)
+        samples = grid.times()[[0, 1, 2, 100, grid.count // 2, grid.count - 2, grid.count - 1]]
+        edges = np.concatenate([
+            samples,  # on a sample: a cell's lower edge, d = -1/2
+            np.nextafter(samples, -np.inf),  # just below: the previous cell's upper edge
+            samples + grid.step / 2,  # mid-cell, d = 0
+            grid.start - np.array([0.01e-9, 0.3e-9, 1e-9, 4e-9]),  # before the grid
+            grid.times()[-1] + np.array([0.01e-9, 0.3e-9, 1e-9, 4e-9]),  # past its end
+        ])
+        delays = np.sort(np.concatenate([edges, rng.uniform(0.0, 120e-9, 400)]))
+        paths = paths_with_delays(rng, delays)
+        trace = synthesize_signal(paths, RADIO, grid)
+        assert kernels_run == ["_lattice_sum"]
+        assert_near_per_path_sum(trace.samples, per_sample_sum(paths, grid), 1e-13)
+
+    def test_spectra_follow_the_step_at_equal_sample_counts(self, kernels_run):
+        # 4x and 4.5x oversampling: the same count, the same cells, so the
+        # same FFT length and window, and the same order, 12; only the
+        # pulse width in samples differs.
+        grids = [SampleGrid(-10e-9, 1.0 / (over * RADIO.bandwidth), 1121) for over in (4.0, 4.5)]
+        assert {channel._taylor_order(np.pi * RADIO.bandwidth * g.step) for g in grids} == {12}
+        rng = np.random.default_rng(16)
+        cells = np.sort(rng.uniform(80.0, 1040.0, 500))
+        lists = [paths_with_delays(np.random.default_rng(17), g.start + cells * g.step) for g in grids]
+        references = [per_sample_sum(paths, g) for paths, g in zip(lists, grids)]
+        first = [None, None]
+        for _ in range(2):
+            for i in (0, 1):
+                samples = synthesize_signal(lists[i], RADIO, grids[i]).samples
+                assert_near_per_path_sum(samples, references[i], 1e-13)
+                first[i] = first[i] if first[i] is not None else samples.tobytes()
+                assert samples.tobytes() == first[i]
+        assert kernels_run == ["_lattice_sum"] * 4
 
 
 class TestSignalMoments:

@@ -279,11 +279,60 @@ class TestStreamedAggregation:
             assert estimate.stderr.tobytes() == stderr.tobytes()
 
 
+def padded_tables(cfg, _run_tables=montecarlo._run_tables):
+    """The ensemble's run tables on the full :meth:`McConfig.synthesis_grid`."""
+    grid, _, _, cut, runs = _run_tables(cfg)
+    synthesis = cfg.synthesis_grid()
+    return grid, synthesis, synthesis.times(), cut, runs
+
+
+class TestSynthesisGrid:
+    CAP = dict(tau_max=120e-9, moment_cutoff=120e-9, grid_stop=120e-9, grid_step=0.25e-9)
+
+    @pytest.mark.parametrize("cutoff, stop, read", [
+        (120e-9, 120e-9, 1041),  # both end on sample 1040, at 120 ns
+        (30e-9, 120e-9, 1041),  # the count grid reads further
+        (30e-9, 59.75e-9, 559),  # ... and ends on sample 558
+        (120e-9, 30e-9, 1041),  # the moments read further
+        (60e-9, 30e-9, 560),  # ... and 60 ns lies a rounding error past sample 560
+    ])
+    def test_ensemble_grid_ends_at_its_last_read_sample(self, cutoff, stop, read):
+        cfg = quick_config(**{**self.CAP, "moment_cutoff": cutoff, "grid_stop": stop})
+        grid, synthesis, times, cut, _ = montecarlo._run_tables(cfg)
+        padded = cfg.synthesis_grid()
+        assert (padded.count, synthesis.count) == (1121, read)
+        assert (synthesis.start, synthesis.step) == (padded.start, padded.step)
+        assert times.tobytes() == padded.times()[:read].tobytes()
+        # The moments read samples 0 .. cut-1, np.interp up to the first
+        # sample at or after the count grid's end.
+        assert cut <= read and times[-1] >= grid[-1]
+        assert read == cut or times[-2] < grid[-1]
+
+    def test_direct_kernel_runs_match_the_padded_grid(self, monkeypatch, tmp_path):
+        # 0.1 caps with carrier phases, every run on the direct kernel: its
+        # samples on the trimmed grid are the padded grid's first ones, bit
+        # for bit, so the ensemble and its bundle do not change.
+        monkeypatch.setattr(channel, "_lattice_is_cheaper", lambda n, samples, nfft: False)
+        cfg = quick_config(tx_pattern=SphericalCap(0.1), rx_pattern=SphericalCap(0.1), runs=40,
+                           phase_mode="carrier", **self.CAP)
+        trimmed = run_ensemble(cfg)
+        monkeypatch.setattr(montecarlo, "_run_tables", padded_tables)
+        padded = run_ensemble(cfg)
+        assert sum(r.n_paths for r in trimmed.records) > 0
+        assert trimmed.counts_raw.tobytes() == padded.counts_raw.tobytes()
+        assert trimmed.power_raw.tobytes() == padded.power_raw.tobytes()
+        assert [record_key(r) for r in trimmed.records] == [record_key(r) for r in padded.records]
+        for name, result in (("trimmed", trimmed), ("padded", padded)):
+            write_bundle(result, tmp_path / name, {"seed": cfg.seed}, {"pass": True})
+        for name in ("counts.csv", "power.csv", "ecdf_mean_delay.csv", "ecdf_rms.csv"):
+            assert (tmp_path / "trimmed" / name).read_bytes() == (tmp_path / "padded" / name).read_bytes()
+
+
 class TestMomentWindow:
     def test_moments_come_from_samples_up_to_the_cutoff(self):
         cfg = quick_config(runs=8, moment_cutoff=30e-9)
         result = run_ensemble(cfg)
-        synthesis = cfg.synthesis_grid()
+        synthesis = montecarlo._run_tables(cfg)[1]
         times = synthesis.times()
         inside = int(np.sum(times <= cfg.moment_cutoff))
         assert 0 < inside < times.size

@@ -29,7 +29,7 @@ _SYNTH_CHUNK = 128
 
 #: Cap on the points of a delay grid. Synthesis holds kilobytes per sample
 #: (the direct kernel's blocks of paths, the lattice kernel's per-cell
-#: table), so a grid this size already needs gigabytes per run; a larger one
+#: moments), so a grid this size already needs gigabytes per run; a larger one
 #: is a mistyped step or bandwidth.
 MAX_GRID_POINTS = 1_000_000
 

@@ -476,8 +476,8 @@ class TestSynthesisKernels:
 
     def test_unsorted_delays_with_recurring_cells(self, kernels_run):
         # 100 cells hold four delays each, given 100 list positions apart:
-        # PathList's sort must bring each cell's paths side by side for the
-        # kernel's per-cell sums.
+        # PathList's sort must put them in delay order, whose first and last
+        # cells the kernel takes as the extremes.
         rng = np.random.default_rng(12)
         cells = rng.choice(np.arange(20, self.GRID.count - 20), 100, replace=False)
         offsets = rng.uniform(0.0, 1.0, 400)

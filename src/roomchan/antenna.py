@@ -19,8 +19,13 @@ from .geometry import Room
 
 
 def _dot_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # elementwise + pairwise sum keeps results independent of BLAS threading
-    return (a * b).sum(axis=-1)
+    """``a . b`` over the last axis of ``a`` against the 3-vector ``b``.
+
+    Column by column and summed left to right: the same rounding as
+    ``(a * b).sum(axis=-1)``, whose three-element reduction adds in that
+    order, without its (N, 3) temporary or per-row reduction.
+    """
+    return a[..., 0] * b[0] + a[..., 1] * b[1] + a[..., 2] * b[2]
 
 
 class AntennaPattern:

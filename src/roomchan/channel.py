@@ -99,30 +99,56 @@ class RadioConfig:
 class PathList:
     """Delay-sorted paths for one transmitter/receiver arrangement.
 
-    Array-backed: row ``i`` of every array describes path ``i``. Construction
-    sorts the rows by delay, keeping the given order among equal delays, and
-    raises ``ValueError`` unless every array holds one row per delay.
-    ``horizon`` records the enumeration delay limit so count queries beyond it
-    can be rejected.
-    """
+    Array-backed: row ``i`` of every array describes path ``i``, in delay
+    order, keeping the given order among equal delays. Construction raises
+    ``ValueError`` unless every array holds one row per delay. ``horizon``
+    records the enumeration delay limit so count queries beyond it can be
+    rejected.
 
-    __slots__ = ("indices", "delays", "dods", "doas", "power_gains", "phases", "horizon")
+    ``delays`` and ``power_gains``, which counting and synthesis read, are
+    sorted at construction. ``indices``, ``dods``, ``doas`` and ``phases``
+    are gathered in that same order on their first read and kept, so a
+    caller that reads none of them, like a random-phase ensemble, never
+    pays for them.
+    """
 
     def __init__(self, indices, delays, dods, doas, power_gains, phases, horizon):
         delays = np.asarray(delays, dtype=float).reshape(-1)
-        rows = (
-            np.asarray(indices, dtype=np.int64).reshape(-1, 3),
-            np.asarray(dods, dtype=float).reshape(-1, 3),
-            np.asarray(doas, dtype=float).reshape(-1, 3),
-            np.asarray(power_gains, dtype=float).reshape(-1),
-            np.asarray(phases, dtype=float).reshape(-1),
-        )
-        if any(row.shape[0] != delays.shape[0] for row in rows):
+        power_gains = np.asarray(power_gains, dtype=float).reshape(-1)
+        # The columns gathered on first read, in the given row order.
+        self._given = {
+            "indices": np.asarray(indices, dtype=np.int64).reshape(-1, 3),
+            "dods": np.asarray(dods, dtype=float).reshape(-1, 3),
+            "doas": np.asarray(doas, dtype=float).reshape(-1, 3),
+            "phases": np.asarray(phases, dtype=float).reshape(-1),
+        }
+        if any(row.shape[0] != delays.shape[0] for row in (power_gains, *self._given.values())):
             raise ValueError("path arrays must hold one row per delay")
-        order = np.argsort(delays, kind="stable")
-        self.delays = delays[order]
-        self.indices, self.dods, self.doas, self.power_gains, self.phases = (row[order] for row in rows)
+        # Without ties the sorted order is unique, so numpy's fast unstable
+        # sort gives the stable one; any tie (or NaN) takes the stable sort.
+        self._order = np.argsort(delays)
+        self.delays = delays[self._order]
+        if not np.all(self.delays[1:] > self.delays[:-1]):
+            self._order = np.argsort(delays, kind="stable")
+            self.delays = delays[self._order]
+        self.power_gains = power_gains[self._order]
         self.horizon = float(horizon)
+
+    @functools.cached_property
+    def indices(self) -> np.ndarray:
+        return self._given["indices"][self._order]
+
+    @functools.cached_property
+    def dods(self) -> np.ndarray:
+        return self._given["dods"][self._order]
+
+    @functools.cached_property
+    def doas(self) -> np.ndarray:
+        return self._given["doas"][self._order]
+
+    @functools.cached_property
+    def phases(self) -> np.ndarray:
+        return self._given["phases"][self._order]
 
     def __len__(self) -> int:
         return self.delays.shape[0]
@@ -589,7 +615,11 @@ def synthesize_signal(
         phases = rng.uniform(0.0, 2.0 * np.pi, n)
     else:
         raise ValueError(f"unknown phase_mode: {phase_mode!r}")
-    amplitudes = np.sqrt(paths.power_gains) * np.exp(1j * phases)
+    # sqrt(g) exp(i phase), written as its real and imaginary parts.
+    amplitudes = np.empty(n, dtype=complex)
+    root = np.sqrt(paths.power_gains)
+    np.multiply(root, np.cos(phases), out=amplitudes.real)
+    np.multiply(root, np.sin(phases), out=amplitudes.imag)
 
     # The lattice kernel's FFT spans the samples and the cells from
     # min(first cell, 0) to the last (see _lattice_sum).

@@ -102,22 +102,25 @@ def _wall_hits(k) -> tuple[np.ndarray, np.ndarray]:
     return np.abs(k // 2), np.abs((k + 1) // 2)
 
 
-_WALLS = np.arange(6)
-
-
 def wall_gain_products(room: Room, indices) -> np.ndarray:
     """Power gain of the wall reflections of each row of an ``(N, 3)`` index array.
 
     Product of per-wall reflectances raised to the interaction counts; for
     identical walls with gain ``g`` this equals ``g ** (|kx|+|ky|+|kz|)``.
     """
-    # Columns in wall order: near and far wall of each axis.
-    hits = np.stack(_wall_hits(indices), axis=-1).reshape(-1, 6)
-    powers = room.wall_gains[:, None] ** np.arange(hits.max(initial=0) + 1)
-    factors = powers[_WALLS, hits]
-    out = factors[:, 0] * factors[:, 1]
+    indices = np.asarray(indices, dtype=np.int64).reshape(-1, 3)
+    # Row w of the tables is wall w's factor at each k in [-reach, reach]:
+    # its gain raised to the hits on the near (even w) or far (odd w) wall.
+    reach = int(np.abs(indices).max(initial=0))
+    k = np.arange(-reach, reach + 1, dtype=np.int64)
+    hits = np.stack(_wall_hits(k))
+    powers = room.wall_gains[:, None] ** np.arange(hits.max() + 1)
+    tables = powers[np.arange(6)[:, None], hits[[0, 1, 0, 1, 0, 1]]]
+    # Factors multiply in wall order: near and far wall of x, then y, then z.
+    columns = indices + reach
+    out = tables[0][columns[:, 0]] * tables[1][columns[:, 0]]
     for wall in range(2, 6):
-        out *= factors[:, wall]
+        out *= tables[wall][columns[:, wall // 2]]
     return out
 
 

@@ -19,7 +19,10 @@ the curves plus a few blocks.
 Speed: a worker takes its block's runs a few at a time (see _block_runs).
 Those runs are enumerated and gated in one pass, which shares the per-call
 cost of numpy that dominates runs with few paths; every run's values are
-the ones it gets alone.
+the ones it gets alone. A run then reads only the delays and power gains of
+its path list, the two columns its ``PathList`` sorts on construction; the
+indices, directions and carrier phases are put in delay order only when
+read, which an ensemble in random-phase mode never does.
 """
 
 from __future__ import annotations
@@ -337,8 +340,11 @@ def _simulate_runs(cfg: McConfig, tables, first: int, counts, power, terminals, 
 
     The runs draw their terminals and are enumerated and gated as one
     block, into the path lists :func:`enumerate_paths` gives them. They are
-    counted, draw their phases and are synthesized one at a time, and their
-    energies and moments are taken as rows.
+    counted, draw their phases and are synthesized one at a time, through
+    the module names ``arrival_count_curve`` and ``synthesize_signal``, and
+    their energies and moments are taken as rows. Counting and synthesis
+    read a path list's delays and power gains, and its carrier phases in
+    carrier mode; its other columns are never sorted.
     """
     grid, synthesis, times, cut, _ = tables
     size = counts.shape[0]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from roomchan.antenna import Isotropic, SphericalCap, sample_orientation, sample_position
+from roomchan.antenna import Isotropic, SphericalCap, _dot_last, sample_orientation, sample_position
 from roomchan.geometry import Room
 
 ROOM = Room((5.0, 5.0, 3.0), 0.6)
@@ -94,6 +94,33 @@ class TestGain:
         cap = SphericalCap(smallest)
         assert cap.threshold < 1.0
         assert float(cap.gain([0.0, 0.0, 1.0])) == pytest.approx(3.6e16, rel=1e-3)
+
+
+class TestSupportTest:
+    @pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])
+    def test_matches_the_summed_dot_product(self, fraction):
+        # The reference reduces d * b over its last axis; the cap's test must
+        # give the same bits and so the same verdicts, also on its threshold.
+        cap = SphericalCap(fraction, (0.3, -0.7, 0.5))
+        rng = np.random.default_rng(14)
+        random = rng.standard_normal((100_000, 3))
+        random /= np.linalg.norm(random, axis=1)[:, None]
+        # Directions at the threshold, each nudged until its summed dot
+        # product is exactly the threshold where a few ulps allow it.
+        helper = np.cross(cap.boresight, rng.standard_normal((2000, 3)))
+        helper /= np.linalg.norm(helper, axis=1)[:, None]
+        edge = cap.threshold * cap.boresight + np.sqrt(1.0 - cap.threshold**2) * helper
+        axis = int(np.argmax(np.abs(cap.boresight)))
+        for _ in range(8):
+            short = (edge * cap.boresight).sum(-1) - cap.threshold
+            edge[:, axis] -= np.sign(cap.boresight[axis]) * np.sign(short) * np.spacing(edge[:, axis])
+        reference_dot = (edge * cap.boresight).sum(-1)
+        assert np.count_nonzero(reference_dot == cap.threshold) > 100
+        assert np.count_nonzero(reference_dot < cap.threshold) > 0
+        for directions in (random, edge):
+            reference = (directions * cap.boresight).sum(-1)
+            assert _dot_last(directions, cap.boresight).tobytes() == reference.tobytes()
+            assert np.array_equal(cap.in_support(directions), reference >= cap.threshold)
 
 
 class TestCone:

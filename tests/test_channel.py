@@ -280,6 +280,28 @@ class TestPathList:
         assert paths.power_gains.tolist() == order
         assert paths.phases.tolist() == [0.5 * i for i in order]
 
+    @pytest.mark.parametrize("ties", [True, False])
+    @pytest.mark.parametrize("reads", [
+        ("indices", "dods", "doas", "phases"),
+        ("phases", "doas", "dods", "indices"),
+        ("doas", "phases", "indices", "dods"),
+    ])
+    def test_columns_read_later_in_any_order_sort_like_the_delays(self, reads, ties):
+        # indices, dods, doas and phases are put in delay order on first
+        # read; on tied delays they must land where a stable sort puts them.
+        rng = np.random.default_rng(14)
+        n = 500
+        delays = (rng.integers(0, 40, n) if ties else rng.permutation(n)) * 1e-9
+        rows = dict(
+            indices=rng.integers(-9, 10, (n, 3)), dods=rng.standard_normal((n, 3)),
+            doas=rng.standard_normal((n, 3)), phases=rng.uniform(0.0, 2.0 * np.pi, n),
+        )
+        paths = PathList(delays=delays, power_gains=rng.random(n), horizon=40e-9, **rows)
+        order = np.argsort(delays, kind="stable")
+        assert paths.delays.tobytes() == delays[order].tobytes()
+        for name in reads + reads:
+            assert getattr(paths, name).tobytes() == rows[name][order].tobytes()
+
     @pytest.mark.parametrize("short", ["indices", "dods", "doas", "power_gains", "phases"])
     def test_mismatched_row_counts_raise(self, short):
         fields = dict(

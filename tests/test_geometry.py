@@ -270,6 +270,23 @@ class TestReflectionGain:
         room = Room((5, 5, 3), (0.5, 0.9, 0.6, 0.6, 0.6, 0.6))
         assert wall_gain_products(room, [(2, 0, 0)])[0] == pytest.approx(0.45)
 
+    def test_distinct_walls_match_the_crossings_oracle(self):
+        # Six distinct reflectances, 0 and 1 among them, so a hit put on the
+        # wrong wall changes the product; the far z wall reflects nothing,
+        # so half the rows keep kz in {-1, 0}, where it is never hit.
+        gains = (0.5, 0.9, 1.0, 0.8, 0.7, 0.0)
+        room = Room(ROOM.lengths, gains)
+        rng = np.random.default_rng(14)
+        ks = rng.integers(-40, 41, (400, 3))
+        ks[::2, 2] = rng.integers(-1, 1, 200)
+        ks = np.concatenate([ks, [(0, 0, 0), (40, -40, -1), (-40, 40, 0), (1, -1, 40)]])
+        products = wall_gain_products(room, ks)
+        expected = [
+            math.prod(g**h for g, h in zip(gains, wall_crossings(room, TX, RX, k))) for k in ks
+        ]
+        assert 0 < np.count_nonzero(products) < len(ks)
+        assert products == pytest.approx(expected, rel=1e-13, abs=0.0)
+
     @given(k=st_index)
     def test_matches_power_of_order(self, k):
         order = sum(abs(v) for v in k)

@@ -474,6 +474,46 @@ class TestBlockIndependence:
         assert run_ensemble(short, workers=2).power_raw.tobytes() == reference.power_raw.tobytes()
 
 
+class TestStageCalls:
+    """Each run goes through ``arrival_count_curve`` and ``synthesize_signal`` once.
+
+    The benchmark's traced pass wraps these two module names and reads each
+    call's path list and synthesis grid, so an ensemble must keep calling
+    them run by run, with that run's paths and the ensemble's grid.
+    """
+
+    CAP = dict(tau_max=120e-9, moment_cutoff=120e-9, grid_stop=120e-9, grid_step=0.25e-9)
+    # Many runs a block on 0.1 caps, one a block on isotropic antennas.
+    CASES = {
+        "cap01": dict(tx_pattern=SphericalCap(0.1), rx_pattern=SphericalCap(0.1), runs=60, **CAP),
+        "iso": dict(runs=4, **CAP),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_every_run_is_counted_and_synthesized_once(self, case, monkeypatch):
+        cfg = quick_config(**self.CASES[case])
+        grid, synthesis, _, _, block = montecarlo._run_tables(cfg)
+        assert (block > 1) == (case == "cap01")
+        calls = {"count": [], "synth": []}
+
+        def counting(name, stage):
+            def wrapper(*args, **kwargs):
+                calls[name].append(args)
+                return stage(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(montecarlo, "arrival_count_curve", counting("count", arrival_count_curve))
+        monkeypatch.setattr(montecarlo, "synthesize_signal", counting("synth", synthesize_signal))
+        result = run_ensemble(cfg, workers=1)
+        n_paths = [record.n_paths for record in result.records]
+        assert sum(n_paths) > 0
+        for name in ("count", "synth"):
+            assert len(calls[name]) == cfg.runs
+            assert [len(args[0]) for args in calls[name]] == n_paths
+        assert all(args[1].tobytes() == grid.tobytes() for args in calls["count"])
+        assert all(args[2] == synthesis for args in calls["synth"])
+
+
 class TestModes:
     def test_fixed_rx_pins_receiver(self):
         cfg = quick_config(mode="fixed-rx", rx_position=(1.0, 2.0, 1.2))

@@ -42,13 +42,6 @@ MAX_ENSEMBLE_POINTS = 50_000_000
 #: paths, or i.i.d. uniform phases.
 PHASE_MODES = ("carrier", "random")
 
-# Lattice synthesis kernel: paths per block of its per-path stage. A
-# block's temporaries, its offsets and cell entries repeated for the real
-# and imaginary parts, hold 2 x _LATTICE_BLOCK values (64 kB), below glibc's
-# default mmap threshold (128 kB), so the heap reuses them from call to call
-# instead of mapping and faulting in fresh pages.
-_LATTICE_BLOCK = 4096
-
 # Lattice synthesis kernel: bound on the truncation error of its Taylor
 # expansion per path and sample, relative to the path's amplitude. The
 # number of terms Q follows from it and the grid (see _taylor_order): 15 at
@@ -163,11 +156,9 @@ class PathList:
 def _gains(patterns, directions: np.ndarray, runs: np.ndarray) -> np.ndarray:
     """Gain of each arrangement's pattern on its rows of ``directions``.
 
-    ``runs`` gives each row's arrangement, ascending. Patterns without a
-    direction are one object for the whole block, which one call serves.
+    ``runs`` gives each row's arrangement, ascending; a block of one
+    arrangement takes one call.
     """
-    if all(pattern is patterns[0] for pattern in patterns):
-        return np.asarray(patterns[0].gain(directions))
     offsets = np.searchsorted(runs, np.arange(len(patterns) + 1))
     return np.concatenate([
         np.asarray(pattern.gain(directions[lo:hi]), dtype=float)
@@ -506,7 +497,7 @@ def _lattice_sum(amplitudes, cells, radio: RadioConfig, grid: SampleGrid) -> np.
     # so with f(n - 1/2 - d) = sum_q c_q[n] d**q (see _taylor_table) the trace
     # is sum_q (c_q * mu_q)[m], a lattice convolution of the per-cell moments
     # mu_q[j] = sum a d**q over the paths in cell j.
-    n, count = cells.shape[0], grid.count
+    count = grid.count
     beta = np.pi * radio.bandwidth * grid.step
     order = _taylor_order(beta)
     j = np.floor(cells)
@@ -517,24 +508,19 @@ def _lattice_sum(amplitudes, cells, radio: RadioConfig, grid: SampleGrid) -> np.
     base = min(int(j[0]), 0)
     column = j.astype(np.intp) - base
 
-    # Row q of the moments as interleaved real and imaginary parts: a path
-    # adds the two parts of a d**q, the last row's times d, at 2*column and
-    # 2*column + 1, in path order.
+    # Row q of the moments: each path adds a d**q, the last row's term
+    # times d, at its column, in path order. The real and imaginary parts
+    # are multiplied as reals: a complex-by-real product would turn -0.0
+    # into +0.0.
     moments = _WORKSPACE.take("moments", (order, j_hi - base + 1), complex)
     moments.fill(0.0)
-    rows = moments.view(float)
-    weights = _WORKSPACE.take("weights", (2 * min(n, _LATTICE_BLOCK),))
-    for lo in range(0, n, _LATTICE_BLOCK):
-        block = slice(lo, lo + _LATTICE_BLOCK)
-        offsets = np.repeat(d[block], 2)
-        entries = np.repeat(2 * column[block], 2)
-        entries[1::2] += 1
-        terms = weights[: offsets.shape[0]]
-        terms[:] = amplitudes[block].view(float)
-        for q in range(order):
-            if q:
-                np.multiply(terms, offsets, out=terms)
-            np.add.at(rows[q], entries, terms)
+    terms = _WORKSPACE.take("terms", amplitudes.shape, complex)
+    terms[:] = amplitudes
+    for q, row in enumerate(moments):
+        if q:
+            np.multiply(terms.real, d, out=terms.real)
+            np.multiply(terms.imag, d, out=terms.imag)
+        np.add.at(row, column, terms)
 
     # Lags m - j of samples 0 .. count-1 and cells base .. j_hi lie in the
     # window count-base-nfft .. count-base-1 when nfft >= count + j_hi - base;
@@ -591,9 +577,9 @@ def synthesize_signal(
       fewest terms whose truncation error, at most
       ``(beta/2)**Q / ((Q+1) Q!)`` of the path's amplitude per sample, is
       below 1e-14: 12 on a grid oversampled 4x, 15 at 2x and 10 at 8x. The
-      per-path stage runs over fixed blocks of paths in delay order, and the
-      per-cell moments and their spectra live in a per-thread workspace
-      that later calls reuse.
+      per-path stage is one pass per moment row over the paths in delay
+      order, and the per-cell moments and their spectra live in a
+      per-thread workspace that later calls reuse.
 
     A cost model on the number of paths, the number of samples and the FFT
     length picks the kernel predicted to be faster. Short path lists take

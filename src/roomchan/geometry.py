@@ -91,9 +91,10 @@ def departure_signs(k) -> np.ndarray:
 
     Folding the straight mirror-space ray back into the room flips each axis
     once per reflection, so per axis ``dod_i = -(-1)**k_i * doa_i``. Takes
-    index arrays of any shape.
+    index arrays of any shape; ``k & 1`` is the parity of negative ``k``
+    too, in two's complement.
     """
-    return 2.0 * (np.asarray(k, dtype=np.int64) % 2) - 1.0
+    return 2.0 * (np.asarray(k, dtype=np.int64) & 1) - 1.0
 
 
 def _wall_hits(k) -> tuple[np.ndarray, np.ndarray]:

@@ -509,13 +509,26 @@ class TestSynthesisKernels:
         assert kernels_run == ["_lattice_sum"]
         assert_near_per_path_sum(trace.samples, per_path_sum(paths, self.GRID))
 
+    def test_ten_thousand_paths_with_far_recurring_cells(self, kernels_run):
+        # About as many paths as a 300 ns hemisphere-cap run: 2500 cells hold
+        # four delays each, given 2500 list positions apart.
+        grid = synthesis_grid(RADIO, 300e-9)
+        rng = np.random.default_rng(18)
+        cells = rng.choice(np.arange(20, grid.count - 20), 2500, replace=False)
+        delays = grid.start + (np.tile(cells, 4) + rng.uniform(0.0, 1.0, 10_000)) * grid.step
+        paths = paths_with_delays(rng, delays)
+        trace = synthesize_signal(paths, RADIO, grid)
+        assert kernels_run == ["_lattice_sum"]
+        assert_near_per_path_sum(trace.samples, per_path_sum(paths, grid))
+
     def test_workspace_reuse_keeps_results_bitwise(self, kernels_run):
         rng = np.random.default_rng(13)
         grids = (self.GRID, synthesis_grid(RADIO, 300e-9))
-        lists = [paths_with_delays(rng, np.sort(rng.uniform(5e-9, 120e-9, n))) for n in (300, 3000)]
+        lists = [paths_with_delays(rng, np.sort(rng.uniform(5e-9, 120e-9, n)))
+                 for n in (300, 3000, 10_000)]
         first = synthesize_signal(lists[0], RADIO, grids[0]).samples.copy()
         for grid in (grids[1], grids[0], grids[1]):
-            for paths in (lists[1], lists[0]):
+            for paths in (lists[2], lists[1], lists[0]):
                 synthesize_signal(paths, RADIO, grid)
         again = synthesize_signal(lists[0], RADIO, grids[0]).samples
         assert set(kernels_run) == {"_lattice_sum"}

@@ -14,7 +14,7 @@ from conftest import (
 from roomchan.antenna import Isotropic
 from roomchan.channel import RadioConfig, enumerate_paths
 from roomchan.errors import DegenerateGeometryError, ResourceLimitError
-from roomchan.geometry import Room, enumerate_indices, wall_gain_products
+from roomchan.geometry import Room, departure_signs, enumerate_indices, wall_gain_products
 
 C = 3e8
 ROOM = Room((5.0, 5.0, 3.0), 0.6)
@@ -203,6 +203,14 @@ class TestDepartureFromArrival:
         paths = paths_of(src, rcv, 30e-9)
         oracle = [receiver_image_departure(ROOM, src, rcv, k) for k in paths.indices.tolist()]
         assert np.allclose(paths.dods, np.reshape(oracle, (-1, 3)), atol=1e-12)
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "int64"])
+    def test_signs_are_minus_one_to_the_index(self, as_array):
+        # Negative indices included: their parity comes from two's complement.
+        k = list(range(-40, 41))
+        signs = departure_signs(np.array(k, dtype=np.int64) if as_array else k)
+        assert signs.dtype == np.float64
+        assert signs.tolist() == [-((-1.0) ** i) for i in k]
 
     @given(f1=st_point, f2=st_point)
     def test_involution(self, f1, f2):

@@ -1,4 +1,4 @@
-"""Smoke tests of the scripts: each runs to exit 0 and writes its files.
+"""Smoke tests of the scripts and the campaign configs: each runs to exit 0 and writes its files.
 
 ``bundle_diff.py`` runs in a throwaway git repository holding ``src/`` and
 ``scripts/``, so that it has a revision to compare against.
@@ -13,16 +13,14 @@ from pathlib import Path
 
 import pytest
 
+from roomchan import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
+BUNDLE = ("counts.csv", "power.csv", "ecdf_mean_delay.csv", "ecdf_rms.csv",
+          "manifest.json", "report.json")
 
 CASES = {
-    "run_campaign.py": (
-        ["--runs", "2", "--threads", "1", "--out-dir", "{out}"],
-        [f"{setting}/{name}" for setting in ("isotropic", "hemisphere", "quarter")
-         for name in ("counts.csv", "power.csv", "ecdf_mean_delay.csv", "ecdf_rms.csv",
-                      "manifest.json", "report.json")],
-    ),
     "count_vs_asymptote.py": (["--out", "{out}/count.csv"], ["count.csv"]),
     "signal_examples.py": (
         ["--out-dir", "{out}"],
@@ -42,6 +40,18 @@ def test_script_runs(tmp_path, script):
     assert done.returncode == 0, done.stderr
     for name in expected:
         assert (tmp_path / name).is_file(), name
+
+
+@pytest.mark.parametrize("setting", ["isotropic", "hemisphere", "quarter"])
+def test_campaign_config_writes_its_bundle(tmp_path, monkeypatch, setting):
+    # output.directory is relative to the working directory.
+    monkeypatch.chdir(tmp_path)
+    config = SCRIPTS / "campaign" / f"{setting}.json"
+    assert cli.main(["--config", str(config), "mc", "--runs", "2"]) == 0
+    bundle = tmp_path / "results" / "campaign" / setting
+    for name in BUNDLE:
+        assert (bundle / name).is_file(), name
+    assert json.loads((bundle / "manifest.json").read_text())["seed"] == 202
 
 
 def test_bundle_diff_names_changed_files(tmp_path):
@@ -76,8 +86,7 @@ def test_bundle_diff_names_changed_files(tmp_path):
             capture_output=True, text=True, timeout=300,
         )
 
-    bundle = [f"mc/{name}" for name in ("counts.csv", "power.csv", "ecdf_mean_delay.csv",
-                                        "ecdf_rms.csv", "manifest.json", "report.json")]
+    bundle = [f"mc/{name}" for name in BUNDLE]
     done = bundle_diff(scene, fixed_rx)
     assert done.returncode == 0, done.stderr
     lines = dict(line.split(": ", 1) for line in done.stdout.splitlines())

@@ -10,25 +10,31 @@ keyed by ``(master seed, run index)``, and aggregation reduces in run-index
 order, so results are a pure function of the configuration regardless of how
 many workers execute the runs.
 
-Memory: runs go out in contiguous blocks, and each finished block is copied
-into the ensemble's raw curves, which are allocated once before any run. The
-means are numpy's buffered reductions of those curves and the squared
-deviations are summed in fixed row blocks, so the process holds one copy of
-the curves plus a few blocks.
+Memory: the ensemble's raw curves, terminals and summaries are allocated
+once, before any run, in one anonymous shared mapping, and every run writes
+its rows there in place; no block buffer or copy stands between. The means
+are numpy's buffered reductions of those curves and the squared deviations
+are summed in fixed row blocks, so the process holds one copy of the curves
+plus one block's temporaries.
 
-Speed: a worker takes its block's runs a few at a time (see _block_runs).
-Those runs are enumerated and gated in one pass, which shares the per-call
-cost of numpy that dominates runs with few paths; every run's values are
-the ones it gets alone. A run then reads only the delays and power gains of
-its path list, the two columns its ``PathList`` sorts on construction; the
-indices, directions and carrier phases are put in delay order only when
-read, which an ensemble in random-phase mode never does.
+Speed: the runs form contiguous blocks, which forked workers claim in
+order from a shared counter, so a worker's next block costs it one locked
+counter step, not a round trip through the main process. A worker takes
+its block's runs a few at a time (see _block_runs). Those runs are
+enumerated and gated in one pass, which shares the per-call cost of numpy
+that dominates runs with few paths; every run's values are the ones it gets
+alone. A run then reads only the delays and power gains of its path list,
+the two columns its ``PathList`` sorts on construction; the indices,
+directions and carrier phases are put in delay order only when read, which
+an ensemble in random-phase mode never does.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import mmap
 import multiprocessing
 import os
 from dataclasses import dataclass, field
@@ -323,15 +329,23 @@ def _run_tables(cfg: McConfig) -> tuple[np.ndarray, SampleGrid, np.ndarray, int,
 
 
 def _run_rows(runs: int, points: int):
-    """Empty per-run outputs of ``runs`` runs: count rows, power rows, terminals, summaries.
+    """Per-run outputs of ``runs`` runs: count rows, power rows, terminals, summaries.
 
     Row ``i`` of ``terminals`` holds the tx and rx positions and boresights
     of run ``i``; row ``i`` of ``summary`` its path count, energy, mean
-    delay and rms spread, the moments NaN for a run without energy.
+    delay and rms spread, the moments NaN for a run without energy. The four
+    arrays are views of one anonymous shared mapping, each starting on a
+    64-byte boundary, so processes forked after this call write the rows
+    their caller reads.
     """
-    return (
-        np.empty((runs, points), dtype=np.int32), np.empty((runs, points)),
-        np.empty((runs, 4, 3)), np.empty((runs, 4)),
+    shapes = ((runs, points), (runs, points), (runs, 4, 3), (runs, 4))
+    dtypes = (np.dtype(np.int32), np.dtype(float), np.dtype(float), np.dtype(float))
+    items = [int(np.prod(shape)) for shape in shapes]
+    offsets = np.cumsum([0] + [-(-n * dtype.itemsize // 64) * 64 for n, dtype in zip(items, dtypes)])
+    shared = mmap.mmap(-1, int(offsets[-1]))
+    return tuple(
+        np.frombuffer(shared, dtype, n, int(offset)).reshape(shape)
+        for shape, dtype, n, offset in zip(shapes, dtypes, items, offsets)
     )
 
 
@@ -370,14 +384,88 @@ def _simulate_runs(cfg: McConfig, tables, first: int, counts, power, terminals, 
     summary[:, 1:] = np.transpose(_moments(abs2[:, :cut], synthesis.step, times[:cut]))
 
 
-def _simulate_block(cfg: McConfig, tables, bounds: tuple[int, int]):
-    """Runs ``start`` to ``stop - 1``: first index and their outputs (see :func:`_run_rows`)."""
+def _simulate_block(cfg: McConfig, tables, rows, bounds: tuple[int, int]) -> None:
+    """Runs ``start`` to ``stop - 1``, written into their rows of ``rows`` (see :func:`_run_rows`)."""
     start, stop = bounds
-    outputs = _run_rows(stop - start, tables[0].shape[0])
     size = tables[4]
-    for lo in range(0, stop - start, size):
-        _simulate_runs(cfg, tables, start + lo, *(rows[lo:lo + size] for rows in outputs))
-    return start, outputs
+    for lo in range(start, stop, size):
+        hi = min(lo + size, stop)
+        _simulate_runs(cfg, tables, lo, *(array[lo:hi] for array in rows))
+
+
+def _simulate_blocks(cfg: McConfig, tables, rows, blocks, claim) -> None:
+    """Simulates block ``claim()`` of ``blocks`` until ``claim`` gives an index past the last."""
+    while (index := claim()) < len(blocks):
+        _simulate_block(cfg, tables, rows, blocks[index])
+
+
+def _claim(counter) -> int:
+    """The shared counter's block index, which it then advances."""
+    with counter.get_lock():
+        index = counter.value
+        counter.value = index + 1
+    return index
+
+
+def _worker(cfg: McConfig, tables, rows, blocks, counter, report) -> None:
+    """Body of a forked worker: claims blocks in order until none is left.
+
+    It sends None over ``report`` when done. On an exception it moves the
+    counter past the last block, so that the other workers stop claiming,
+    and sends the exception instead.
+    """
+    try:
+        _simulate_blocks(cfg, tables, rows, blocks, functools.partial(_claim, counter))
+    except Exception as exc:
+        with counter.get_lock():
+            counter.value = len(blocks)
+        report.send(exc)
+    else:
+        report.send(None)
+
+
+def _run_workers(cfg: McConfig, tables, rows, blocks, workers: int) -> None:
+    """Runs ``blocks`` on ``workers`` forked processes, each writing its runs into ``rows``.
+
+    Raises the first exception a worker reports, and RuntimeError for a
+    worker that exits without reporting. Every worker has been terminated
+    and joined when this returns or raises.
+    """
+    # Imported on first use: importing the package and one-worker ensembles
+    # do without it.
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("fork")
+    counter = ctx.Value("q", 0)
+    started = []
+    try:
+        for _ in range(workers):
+            reader, writer = ctx.Pipe(duplex=False)
+            process = ctx.Process(target=_worker, args=(cfg, tables, rows, blocks, counter, writer))
+            process.start()
+            started.append((reader, process))
+            # Closed before the next fork, so that the worker holds the only
+            # send end and its exit ends the reader's file.
+            writer.close()
+        waiting = dict(started)
+        while waiting:
+            for reader in wait(list(waiting)):
+                process = waiting.pop(reader)
+                try:
+                    error = reader.recv()
+                except EOFError:
+                    process.join()
+                    raise RuntimeError(
+                        f"ensemble worker {process.pid} exited with code {process.exitcode} "
+                        "before it reported"
+                    ) from None
+                if error is not None:
+                    raise error
+    finally:
+        for reader, process in started:
+            process.terminate()
+            process.join()
+            reader.close()
 
 
 def _records(cfg: McConfig, terminals: np.ndarray, summary: np.ndarray) -> list[RunRecord]:
@@ -443,32 +531,30 @@ def ecdf(samples) -> Ecdf:
 def run_ensemble(cfg: McConfig, workers: int = 1) -> McResult:
     """Execute the ensemble and aggregate in run-index order.
 
-    ``workers > 1`` distributes runs over processes; the result is identical
-    for any worker count. At most one process per CPU and one per block of
-    runs is started. Runs whose beams pick up no energy are counted in
-    ``missing_moments`` and excluded from the moment distributions.
+    The result is identical for any worker count. ``workers > 1`` starts
+    processes with the ``fork`` start method, at most one per CPU and one
+    per block of runs; they inherit ``cfg`` and the shared rows and write
+    each run's rows in place. With one worker, the caller's process runs the
+    blocks itself and starts none. An exception in a worker is raised here
+    with its type and message, a worker that exits without reporting raises
+    RuntimeError, and no worker outlives the call. Runs whose beams pick up
+    no energy are counted in ``missing_moments`` and excluded from the
+    moment distributions.
     """
     tables = _run_tables(cfg)
     grid = tables[0]
-    outputs = _run_rows(cfg.runs, grid.shape[0])
-
-    def place(blocks_done) -> None:
-        for start, block in blocks_done:
-            for rows, done in zip(outputs, block):
-                rows[start:start + done.shape[0]] = done
+    rows = _run_rows(cfg.runs, grid.shape[0])
 
     workers = max(1, min(workers, os.cpu_count() or 1))
     size = max(1, cfg.runs // (8 * workers))
     blocks = [(start, min(start + size, cfg.runs)) for start in range(0, cfg.runs, size)]
     workers = min(workers, len(blocks))
-    simulate = functools.partial(_simulate_block, cfg, tables)
     if workers == 1:
-        place(map(simulate, blocks))
+        _simulate_blocks(cfg, tables, rows, blocks, itertools.count().__next__)
     else:
-        with multiprocessing.Pool(processes=workers) as pool:
-            place(pool.imap_unordered(simulate, blocks))
+        _run_workers(cfg, tables, rows, blocks, workers)
 
-    counts_raw, power_raw, terminals, summary = outputs
+    counts_raw, power_raw, terminals, summary = rows
     delays, spreads = summary[:, 2], summary[:, 3]
     missing = int(np.sum(~np.isfinite(delays)))
     delay_ecdf = ecdf(delays) if missing < cfg.runs else None

@@ -1,5 +1,8 @@
 import dataclasses
-import pickle
+import multiprocessing
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -138,6 +141,32 @@ class TestEcdf:
         assert dist.median == 3.0
 
 
+class CountingContext:
+    """Stands in for ``multiprocessing.get_context``: the real context, recording its use.
+
+    ``methods`` holds each start method asked for and ``started`` each
+    process made, in order.
+    """
+
+    def __init__(self, monkeypatch):
+        self.methods, self.started, self.context = [], [], None
+        get_context = multiprocessing.get_context
+
+        def counting(method):
+            self.methods.append(method)
+            self.context = get_context(method)
+            return self
+
+        monkeypatch.setattr(montecarlo.multiprocessing, "get_context", counting)
+
+    def __getattr__(self, name):
+        return getattr(self.context, name)
+
+    def Process(self, *args, **kwargs):
+        self.started.append(self.context.Process(*args, **kwargs))
+        return self.started[-1]
+
+
 class TestDeterminism:
     def test_same_config_same_output(self):
         cfg = quick_config()
@@ -164,28 +193,13 @@ class TestDeterminism:
         (2, 2, 6, 2),
     ])
     def test_pool_size_is_clamped(self, monkeypatch, cpus, workers, runs, processes):
-        started = []
-
-        class FakePool:
-            """Runs the pool's work in this process and records its size."""
-
-            def __init__(self, processes):
-                started.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap_unordered(self, func, items):
-                return map(pickle.loads(pickle.dumps(func)), items)
-
-        monkeypatch.setattr(montecarlo.multiprocessing, "Pool", FakePool)
+        context = CountingContext(monkeypatch)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         cfg = quick_config(runs=runs)
         result = run_ensemble(cfg, workers=workers)
-        assert started == ([processes] if processes else [])
+        assert context.methods == (["fork"] if processes else [])
+        assert len(context.started) == processes
+        assert multiprocessing.active_children() == []
         assert np.array_equal(result.counts_raw, run_ensemble(cfg).counts_raw)
 
     def test_seed_changes_results(self):
@@ -199,6 +213,84 @@ class TestDeterminism:
         short = run_ensemble(quick_config(runs=3))
         longer = run_ensemble(quick_config(runs=6))
         assert np.array_equal(short.counts_raw, longer.counts_raw[:3])
+
+
+class TestForkedWorkers:
+    """Workers claim each block once; a failing or dying worker ends the ensemble with an error.
+
+    No worker outlives the ensemble either way.
+    """
+
+    @pytest.fixture(autouse=True)
+    def three_cpus(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+
+    @pytest.fixture
+    def deadline(self):
+        """Interrupts the test after 30 s, so that a hanging ensemble fails it."""
+        def expire(signum, frame):
+            raise TimeoutError("run_ensemble did not return within 30 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(30)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    def test_every_run_is_simulated_once_by_a_worker(self, deadline, monkeypatch):
+        # 64 runs on three workers: 32 blocks of 2 runs, claimed concurrently.
+        cfg = quick_config(runs=64)
+        owners = multiprocessing.get_context("fork").Array("q", cfg.runs)
+        simulate = montecarlo._simulate_runs
+
+        def recording(cfg, tables, first, *rows):
+            with owners.get_lock():
+                for index in range(first, first + rows[0].shape[0]):
+                    owners[index] = os.getpid() if owners[index] == 0 else -1
+            simulate(cfg, tables, first, *rows)
+
+        monkeypatch.setattr(montecarlo, "_simulate_runs", recording)
+        result = run_ensemble(cfg, workers=3)
+        assert multiprocessing.active_children() == []
+        assert min(owners) > 0 and os.getpid() not in set(owners)
+        monkeypatch.setattr(montecarlo, "_simulate_runs", simulate)
+        assert result.power_raw.tobytes() == run_ensemble(cfg).power_raw.tobytes()
+
+    def test_worker_error_reaches_the_caller(self, deadline):
+        # An index cube above the cell cap: every run raises.
+        cfg = quick_config(runs=8, max_cells=100)
+        with pytest.raises(ResourceLimitError) as alone:
+            run_ensemble(cfg, workers=1)
+        with pytest.raises(ResourceLimitError) as forked:
+            run_ensemble(cfg, workers=2)
+        assert type(forked.value) is ResourceLimitError
+        assert str(forked.value) == str(alone.value)
+        assert "above the cap" in str(forked.value)
+        assert multiprocessing.active_children() == []
+
+    # Whichever worker takes run 3 dies, or the last worker started dies at
+    # its first run: no later fork or rebinding closes the main process's
+    # copy of that worker's pipe, only the explicit close does.
+    @pytest.mark.parametrize("victim", ["run-three", "last-started"])
+    def test_dying_worker_raises_instead_of_hanging(self, deadline, monkeypatch, victim):
+        context = CountingContext(monkeypatch)
+        simulate = montecarlo._simulate_runs
+
+        def dies(cfg, tables, first, *rows):
+            if victim == "run-three":
+                doomed = first <= 3 < first + rows[0].shape[0]
+            else:
+                doomed = len(context.started) == 2  # as seen at this worker's fork
+            if doomed:
+                os._exit(3)
+            simulate(cfg, tables, first, *rows)
+
+        monkeypatch.setattr(montecarlo, "_simulate_runs", dies)
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="exited with code 3 before it reported"):
+            run_ensemble(quick_config(runs=8), workers=2)
+        assert time.monotonic() - started < 10.0
+        assert multiprocessing.active_children() == []
 
 
 def record_key(record):

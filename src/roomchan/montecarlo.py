@@ -11,22 +11,21 @@ order, so results are a pure function of the configuration regardless of how
 many workers execute the runs.
 
 Memory: the ensemble's raw curves, terminals and summaries are allocated
-once, before any run, in one anonymous shared mapping, and every run writes
-its rows there in place; no block buffer or copy stands between. The means
-are numpy's buffered reductions of those curves and the squared deviations
-are summed in fixed row blocks, so the process holds one copy of the curves
-plus one block's temporaries.
+once, before any run, each in its own anonymous shared mapping, and every
+run writes its rows there in place; no block buffer or copy stands between.
+The means are numpy's buffered reductions of those curves and the squared
+deviations are summed in fixed row blocks, so the process holds one copy of
+the curves plus one block's temporaries.
 
-Speed: the runs form contiguous blocks, which forked workers claim in
-order from a shared counter, so a worker's next block costs it one locked
-counter step, not a round trip through the main process. A worker takes
-its block's runs a few at a time (see _block_runs). Those runs are
-enumerated and gated in one pass, which shares the per-call cost of numpy
-that dominates runs with few paths; every run's values are the ones it gets
-alone. A run then reads only the delays and power gains of its path list,
-the two columns its ``PathList`` sorts on construction; the indices,
-directions and carrier phases are put in delay order only when read, which
-an ensemble in random-phase mode never does.
+Speed: the runs form contiguous blocks of R runs (see _block_runs), which
+forked workers claim in order from a shared counter, so a worker's next
+block costs it one locked counter step, not a round trip through the main
+process. A block's runs are enumerated and gated in one pass, which shares
+the per-call cost of numpy that dominates runs with few paths; every run's
+values are the ones it gets alone. A run then reads only the delays and
+power gains of its path list, the two columns its ``PathList`` sorts on
+construction; the indices, directions and carrier phases are put in delay
+order only when read, which an ensemble in random-phase mode never does.
 """
 
 from __future__ import annotations
@@ -333,19 +332,15 @@ def _run_rows(runs: int, points: int):
 
     Row ``i`` of ``terminals`` holds the tx and rx positions and boresights
     of run ``i``; row ``i`` of ``summary`` its path count, energy, mean
-    delay and rms spread, the moments NaN for a run without energy. The four
-    arrays are views of one anonymous shared mapping, each starting on a
-    64-byte boundary, so processes forked after this call write the rows
-    their caller reads.
+    delay and rms spread, the moments NaN for a run without energy. Each
+    array views its own anonymous shared mapping, which starts on a page
+    boundary, so processes forked after this call write the rows their
+    caller reads.
     """
-    shapes = ((runs, points), (runs, points), (runs, 4, 3), (runs, 4))
-    dtypes = (np.dtype(np.int32), np.dtype(float), np.dtype(float), np.dtype(float))
-    items = [int(np.prod(shape)) for shape in shapes]
-    offsets = np.cumsum([0] + [-(-n * dtype.itemsize // 64) * 64 for n, dtype in zip(items, dtypes)])
-    shared = mmap.mmap(-1, int(offsets[-1]))
+    layout = (((runs, points), np.int32), ((runs, points), float), ((runs, 4, 3), float), ((runs, 4), float))
     return tuple(
-        np.frombuffer(shared, dtype, n, int(offset)).reshape(shape)
-        for shape, dtype, n, offset in zip(shapes, dtypes, items, offsets)
+        np.frombuffer(mmap.mmap(-1, int(np.prod(shape)) * np.dtype(dtype).itemsize), dtype).reshape(shape)
+        for shape, dtype in layout
     )
 
 
@@ -384,19 +379,15 @@ def _simulate_runs(cfg: McConfig, tables, first: int, counts, power, terminals, 
     summary[:, 1:] = np.transpose(_moments(abs2[:, :cut], synthesis.step, times[:cut]))
 
 
-def _simulate_block(cfg: McConfig, tables, rows, bounds: tuple[int, int]) -> None:
-    """Runs ``start`` to ``stop - 1``, written into their rows of ``rows`` (see :func:`_run_rows`)."""
-    start, stop = bounds
+def _simulate_blocks(cfg: McConfig, tables, rows, claim) -> None:
+    """Simulates block ``claim()`` into its rows of ``rows`` until ``claim`` gives one past the last.
+
+    Block ``b`` holds runs ``b * R`` to ``b * R + R - 1`` (R from
+    :func:`_block_runs`), the last block those that remain.
+    """
     size = tables[4]
-    for lo in range(start, stop, size):
-        hi = min(lo + size, stop)
-        _simulate_runs(cfg, tables, lo, *(array[lo:hi] for array in rows))
-
-
-def _simulate_blocks(cfg: McConfig, tables, rows, blocks, claim) -> None:
-    """Simulates block ``claim()`` of ``blocks`` until ``claim`` gives an index past the last."""
-    while (index := claim()) < len(blocks):
-        _simulate_block(cfg, tables, rows, blocks[index])
+    while (first := claim() * size) < cfg.runs:
+        _simulate_runs(cfg, tables, first, *(array[first:first + size] for array in rows))
 
 
 def _claim(counter) -> int:
@@ -407,25 +398,25 @@ def _claim(counter) -> int:
     return index
 
 
-def _worker(cfg: McConfig, tables, rows, blocks, counter, report) -> None:
-    """Body of a forked worker: claims blocks in order until none is left.
+def _worker(cfg: McConfig, tables, rows, counter, report) -> None:
+    """Body of a forked worker: claims blocks of runs in order until none is left.
 
     It sends None over ``report`` when done. On an exception it moves the
     counter past the last block, so that the other workers stop claiming,
     and sends the exception instead.
     """
     try:
-        _simulate_blocks(cfg, tables, rows, blocks, functools.partial(_claim, counter))
+        _simulate_blocks(cfg, tables, rows, functools.partial(_claim, counter))
     except Exception as exc:
         with counter.get_lock():
-            counter.value = len(blocks)
+            counter.value = cfg.runs
         report.send(exc)
     else:
         report.send(None)
 
 
-def _run_workers(cfg: McConfig, tables, rows, blocks, workers: int) -> None:
-    """Runs ``blocks`` on ``workers`` forked processes, each writing its runs into ``rows``.
+def _run_workers(cfg: McConfig, tables, rows, workers: int) -> None:
+    """Runs the blocks on ``workers`` forked processes, each writing its runs into ``rows``.
 
     Raises the first exception a worker reports, and RuntimeError for a
     worker that exits without reporting. Every worker has been terminated
@@ -441,7 +432,7 @@ def _run_workers(cfg: McConfig, tables, rows, blocks, workers: int) -> None:
     try:
         for _ in range(workers):
             reader, writer = ctx.Pipe(duplex=False)
-            process = ctx.Process(target=_worker, args=(cfg, tables, rows, blocks, counter, writer))
+            process = ctx.Process(target=_worker, args=(cfg, tables, rows, counter, writer))
             process.start()
             started.append((reader, process))
             # Closed before the next fork, so that the worker holds the only
@@ -533,9 +524,9 @@ def run_ensemble(cfg: McConfig, workers: int = 1) -> McResult:
 
     The result is identical for any worker count. ``workers > 1`` starts
     processes with the ``fork`` start method, at most one per CPU and one
-    per block of runs; they inherit ``cfg`` and the shared rows and write
-    each run's rows in place. With one worker, the caller's process runs the
-    blocks itself and starts none. An exception in a worker is raised here
+    per block of R runs (see :func:`_block_runs`); they inherit ``cfg`` and
+    the shared rows and write each run's rows in place. With one worker, the
+    caller's process runs the blocks itself and starts none. An exception in a worker is raised here
     with its type and message, a worker that exits without reporting raises
     RuntimeError, and no worker outlives the call. Runs whose beams pick up
     no energy are counted in ``missing_moments`` and excluded from the
@@ -545,14 +536,11 @@ def run_ensemble(cfg: McConfig, workers: int = 1) -> McResult:
     grid = tables[0]
     rows = _run_rows(cfg.runs, grid.shape[0])
 
-    workers = max(1, min(workers, os.cpu_count() or 1))
-    size = max(1, cfg.runs // (8 * workers))
-    blocks = [(start, min(start + size, cfg.runs)) for start in range(0, cfg.runs, size)]
-    workers = min(workers, len(blocks))
+    workers = max(1, min(workers, os.cpu_count() or 1, -(-cfg.runs // tables[4])))
     if workers == 1:
-        _simulate_blocks(cfg, tables, rows, blocks, itertools.count().__next__)
+        _simulate_blocks(cfg, tables, rows, itertools.count().__next__)
     else:
-        _run_workers(cfg, tables, rows, blocks, workers)
+        _run_workers(cfg, tables, rows, workers)
 
     counts_raw, power_raw, terminals, summary = rows
     delays, spreads = summary[:, 2], summary[:, 3]

@@ -232,13 +232,17 @@ def kuttruff_correction(gain: float, gamma_sq: float = DEFAULT_GAMMA_SQ) -> floa
 
     Accounts for the spread of wall-interaction counts around their mean;
     ``gamma_sq`` is the variance-to-mean ratio of that count and depends on
-    the room aspect ratio.
+    the room aspect ratio. Undefined where the denominator is not positive,
+    for ``g <= exp(-2 / gamma_sq)`` (0.0033 at the default ``gamma_sq``).
     """
     if gain <= 0.0 or gain >= 1.0:
         raise ValueError("correction needs reflectance strictly in (0, 1)")
     if gamma_sq < 0.0:
         raise ValueError("gamma_sq must be non-negative")
-    return float(1.0 / (1.0 + gamma_sq * np.log(gain) / 2.0))
+    denominator = 1.0 + gamma_sq * np.log(gain) / 2.0
+    if denominator <= 0.0:
+        raise ValueError(f"correction needs reflectance above exp(-2/gamma_sq) = {np.exp(-2 / gamma_sq):.3g}")
+    return float(1.0 / denominator)
 
 
 def gain_second_moment(scene: SceneSummary, tau, mode: str = "deterministic"):

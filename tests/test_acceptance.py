@@ -333,8 +333,9 @@ def test_criterion_10_property_pack():
         np.allclose(paths.dods[low], direct, atol=1e-12)
     )
 
-    # seed determinism independent of worker count
-    cfg = table_config(ISO, 8, 99, tau_max=40e-9, moment_cutoff=40e-9,
+    # seed determinism independent of worker count; 40 runs make four
+    # blocks of R = 10, so that two workers start
+    cfg = table_config(ISO, 40, 99, tau_max=40e-9, moment_cutoff=40e-9,
                        grid_stop=40e-9, grid_step=1e-9)
     serial = run_ensemble(cfg, workers=1)
     parallel = run_ensemble(cfg, workers=2)

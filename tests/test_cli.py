@@ -122,6 +122,17 @@ class TestConfigValidation:
         assert main(["--config", cfg, "theory", "--out-dir", str(tmp_path)]) == 2
         assert capsys.readouterr().err == "config error: radio: speed of light must be positive\n"
 
+    # Volume, surface area and diagonal all overflow, or the diagonal alone.
+    @pytest.mark.parametrize("lengths", [[1e300, 1e300, 1e300], [1e200, 5, 3]])
+    @pytest.mark.parametrize("command", [["theory"], ["mc", "--runs", "2"]])
+    def test_overflowing_room_is_config_error(self, tmp_path, capsys, lengths, command):
+        cfg = write_config(tmp_path, {"room": {"lengths_m": lengths}, "mc": small_mc_section()})
+        assert main(["--config", cfg, *command, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: room: room lengths overflow its volume, surface area or diagonal\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_resource_limit_is_exit_two(self, tmp_path, capsys, threads):
         cfg = write_config(tmp_path, {"room": {"lengths_m": [1e-9, 5, 3]}, "mc": small_mc_section()})
@@ -355,6 +366,20 @@ class TestTheoryCommand:
             "count.csv", "mixing.csv", "rate.csv"
         ]
 
+    @pytest.mark.parametrize("gain", [0.002, 1e-300])
+    def test_corrected_pds_past_the_sign_change_is_config_error(self, tmp_path, capsys, gain):
+        # Kuttruff's correction turns negative below g = exp(-2/0.35) = 0.0033.
+        cfg = write_config(tmp_path, {"room": {"wall_gains": gain}})
+        code = main(["--config", cfg, "theory", "--curves", "pds", "--corrected",
+                     "--out-dir", str(tmp_path / "corrected")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: pds curve: correction needs reflectance above exp(-2/gamma_sq) = 0.0033\n"
+        )
+        assert not (tmp_path / "corrected").exists()
+        code = main(["--config", cfg, "theory", "--curves", "pds", "--out-dir", str(tmp_path / "plain")])
+        assert code == 0
+
 
 class TestMcCommand:
     @pytest.mark.parametrize("threads", ["0", "-1", "two"])
@@ -434,6 +459,24 @@ class TestMcCommand:
             "config error: pds curve: walls have distinct gains; no single reflectance\n"
         )
         assert not (tmp_path / "pds").exists()
+
+    @pytest.mark.parametrize("gain", [0.002, 1e-300])
+    def test_walls_past_the_correction_sign_change_skip_the_tail_checks(self, tmp_path, gain):
+        mc = dict(small_mc_section(runs=2), tau_max_s=60e-9, moment_cutoff_s=60e-9)
+        mc["grid"] = {"start_s": 0.0, "stop_s": 60e-9, "step_s": 1e-9}
+        cfg = write_config(tmp_path, {"room": {"wall_gains": gain}, "mc": mc})
+        out = tmp_path / "b"
+        code = main(["--config", cfg, "mc", "--check", "--out-dir", str(out)])
+
+        def reject(literal):
+            raise ValueError(f"report.json holds {literal}")
+
+        report = json.loads((out / "report.json").read_text(), parse_constant=reject)
+        assert set(report["checks"]) == {"mean_count"}
+        assert code == (0 if report["pass"] else 1)
+        assert report["notes"] == [
+            "tail checks skipped: correction needs reflectance above exp(-2/gamma_sq) = 0.0033"
+        ]
 
     def test_lossless_walls_keep_the_count_check(self, tmp_path):
         mc = dict(small_mc_section(runs=2), tau_max_s=60e-9, moment_cutoff_s=60e-9)

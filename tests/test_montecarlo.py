@@ -175,10 +175,14 @@ class TestDeterminism:
         assert np.array_equal(a.counts_raw, b.counts_raw)
         assert np.array_equal(a.power_raw, b.power_raw)
 
-    def test_worker_count_does_not_change_results(self):
-        cfg = quick_config(runs=8)
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        # Four blocks of R = 10 runs, so two workers really start.
+        cfg = quick_config(runs=40)
         serial = run_ensemble(cfg, workers=1)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        context = CountingContext(monkeypatch)
         parallel = run_ensemble(cfg, workers=2)
+        assert len(context.started) == 2
         assert np.array_equal(serial.counts_raw, parallel.counts_raw)
         assert np.array_equal(serial.power_raw, parallel.power_raw)
         for a, b in zip(serial.records, parallel.records):
@@ -186,16 +190,18 @@ class TestDeterminism:
             assert np.array_equal(a.tx_position, b.tx_position)
             assert a.mean_delay == b.mean_delay
 
+    # Run counts in blocks of R = 10 runs, the block size of quick_config.
     @pytest.mark.parametrize("cpus,workers,runs,processes", [
-        (3, 64, 6, 3),   # clamped to the CPUs
-        (8, 8, 2, 2),    # no more processes than blocks
-        (None, 4, 6, 0), # unknown CPU count: one worker, in process
-        (2, 2, 6, 2),
+        (3, 64, 60, 3),   # clamped to the CPUs
+        (8, 8, 20, 2),    # no more processes than blocks
+        (None, 4, 60, 0), # unknown CPU count: one worker, in process
+        (2, 2, 40, 2),
     ])
     def test_pool_size_is_clamped(self, monkeypatch, cpus, workers, runs, processes):
         context = CountingContext(monkeypatch)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         cfg = quick_config(runs=runs)
+        assert montecarlo._block_runs(cfg) == 10
         result = run_ensemble(cfg, workers=workers)
         assert context.methods == (["fork"] if processes else [])
         assert len(context.started) == processes
@@ -218,7 +224,8 @@ class TestDeterminism:
 class TestForkedWorkers:
     """Workers claim each block once; a failing or dying worker ends the ensemble with an error.
 
-    No worker outlives the ensemble either way.
+    No worker outlives the ensemble either way. quick_config's blocks hold
+    R = 10 runs, and each ensemble here gives every worker at least two.
     """
 
     @pytest.fixture(autouse=True)
@@ -238,13 +245,18 @@ class TestForkedWorkers:
         signal.signal(signal.SIGALRM, previous)
 
     def test_every_run_is_simulated_once_by_a_worker(self, deadline, monkeypatch):
-        # 64 runs on three workers: 32 blocks of 2 runs, claimed concurrently.
+        # 64 runs on three workers: six blocks of 10 runs and one of 4,
+        # claimed concurrently.
         cfg = quick_config(runs=64)
-        owners = multiprocessing.get_context("fork").Array("q", cfg.runs)
+        size = montecarlo._block_runs(cfg)
+        assert size == 10
+        shared = multiprocessing.get_context("fork")
+        owners, calls = shared.Array("q", cfg.runs), shared.Array("q", cfg.runs)
         simulate = montecarlo._simulate_runs
 
         def recording(cfg, tables, first, *rows):
             with owners.get_lock():
+                calls[first] = rows[0].shape[0] if calls[first] == 0 else -1
                 for index in range(first, first + rows[0].shape[0]):
                     owners[index] = os.getpid() if owners[index] == 0 else -1
             simulate(cfg, tables, first, *rows)
@@ -253,43 +265,54 @@ class TestForkedWorkers:
         result = run_ensemble(cfg, workers=3)
         assert multiprocessing.active_children() == []
         assert min(owners) > 0 and os.getpid() not in set(owners)
+        # One call a block, each starting at a multiple of R and holding R
+        # runs, the last the 4 that remain.
+        assert {first: runs for first, runs in enumerate(calls) if runs} == {
+            first: min(size, cfg.runs - first) for first in range(0, cfg.runs, size)
+        }
         monkeypatch.setattr(montecarlo, "_simulate_runs", simulate)
         assert result.power_raw.tobytes() == run_ensemble(cfg).power_raw.tobytes()
 
-    def test_worker_error_reaches_the_caller(self, deadline):
-        # An index cube above the cell cap: every run raises.
-        cfg = quick_config(runs=8, max_cells=100)
+    def test_worker_error_reaches_the_caller(self, deadline, monkeypatch):
+        # An index cube above the cell cap: every run raises. Four blocks of
+        # 10 runs, so two workers really start.
+        cfg = quick_config(runs=40, max_cells=100)
         with pytest.raises(ResourceLimitError) as alone:
             run_ensemble(cfg, workers=1)
+        context = CountingContext(monkeypatch)
         with pytest.raises(ResourceLimitError) as forked:
             run_ensemble(cfg, workers=2)
+        assert len(context.started) == 2
         assert type(forked.value) is ResourceLimitError
         assert str(forked.value) == str(alone.value)
         assert "above the cap" in str(forked.value)
         assert multiprocessing.active_children() == []
 
     # Whichever worker takes run 3 dies, or the last worker started dies at
-    # its first run: no later fork or rebinding closes the main process's
-    # copy of that worker's pipe, only the explicit close does.
+    # its first block: no later fork or rebinding closes the main process's
+    # copy of that worker's pipe, only the explicit close does. Only a
+    # forked process may exit, never the test runner itself.
     @pytest.mark.parametrize("victim", ["run-three", "last-started"])
     def test_dying_worker_raises_instead_of_hanging(self, deadline, monkeypatch, victim):
         context = CountingContext(monkeypatch)
         simulate = montecarlo._simulate_runs
+        runner = os.getpid()
 
         def dies(cfg, tables, first, *rows):
             if victim == "run-three":
                 doomed = first <= 3 < first + rows[0].shape[0]
             else:
                 doomed = len(context.started) == 2  # as seen at this worker's fork
-            if doomed:
+            if doomed and os.getpid() != runner:
                 os._exit(3)
             simulate(cfg, tables, first, *rows)
 
         monkeypatch.setattr(montecarlo, "_simulate_runs", dies)
         started = time.monotonic()
         with pytest.raises(RuntimeError, match="exited with code 3 before it reported"):
-            run_ensemble(quick_config(runs=8), workers=2)
+            run_ensemble(quick_config(runs=40), workers=2)
         assert time.monotonic() - started < 10.0
+        assert len(context.started) == 2
         assert multiprocessing.active_children() == []
 
 
@@ -302,8 +325,8 @@ def record_key(record):
 
 
 class TestStreamedAggregation:
-    # 203 runs: blocks of 25, 12 and 8 runs at 1, 2 and 3 workers and
-    # statistics blocks of _STAT_ROWS rows all end in a partial block.
+    # 203 runs: blocks of R = 42 runs at any worker count and statistics
+    # blocks of _STAT_ROWS rows both end in a partial block.
     RUNS = 203
 
     @pytest.fixture(scope="class")
@@ -341,7 +364,8 @@ class TestStreamedAggregation:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_blocks_land_at_their_runs(self, cfg, reference, workers, monkeypatch):
         assert self.RUNS % montecarlo._STAT_ROWS and self.RUNS > montecarlo._STAT_ROWS
-        # Keep the 3-worker block layout on machines with fewer CPUs.
+        assert self.RUNS % montecarlo._block_runs(cfg) and self.RUNS > montecarlo._block_runs(cfg)
+        # Keep three workers on machines with fewer CPUs.
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
         result = run_ensemble(cfg, workers=workers)
         counts, power, records = reference

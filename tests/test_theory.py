@@ -192,6 +192,19 @@ class TestKuttruffCorrection:
         with pytest.raises(ValueError):
             theory.kuttruff_correction(gain)
 
+    # The denominator 1 + gamma_sq*ln(g)/2 reaches 0 at g = exp(-2/gamma_sq):
+    # 0.0033 at the default 0.35, 0.0183 at 0.5.
+    @pytest.mark.parametrize("gamma_sq", [theory.DEFAULT_GAMMA_SQ, 0.5])
+    def test_sign_change_rejected(self, gamma_sq):
+        edge = np.exp(-2.0 / gamma_sq)
+        for gain in (edge * (1.0 - 1e-9), edge / 2.0, 0.002, 1e-300):
+            with pytest.raises(ValueError, match="correction needs reflectance above"):
+                theory.kuttruff_correction(gain, gamma_sq)
+        for gain in (edge * (1.0 + 1e-9), 2.0 * edge, 0.6):
+            xi = theory.kuttruff_correction(gain, gamma_sq)
+            assert 1.0 < xi < np.inf
+        assert theory.kuttruff_correction(1e-300, 0.0) == 1.0
+
 
 class TestGainSecondMoment:
     def test_decay_reaches_inverse_e_at_reverberation_time(self):

@@ -57,9 +57,6 @@ class Room:
             raise ValueError("wall gains must lie in [0, 1]")
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "wall_gains", gains)
-        with np.errstate(over="ignore"):
-            if not np.all(np.isfinite([self.volume, self.surface_area, self.diagonal])):
-                raise ValueError("room lengths overflow its volume, surface area or diagonal")
 
     @property
     def volume(self) -> float:

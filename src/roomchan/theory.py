@@ -58,8 +58,8 @@ class SceneSummary:
 
     def __post_init__(self) -> None:
         for name in ("volume", "surface", "diagonal", "speed_of_light", "wavelength", "bandwidth"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be positive and finite")
         if self.reflectance is not None and not 0.0 <= self.reflectance <= 1.0:
             raise ConfigError("reflectance must lie in [0, 1]")
         for name in ("tx_fraction", "rx_fraction"):
@@ -86,10 +86,12 @@ class SceneSummary:
             direct_delay = float(np.sqrt(np.sum(diff * diff)) / radio.speed_of_light)
             if direct_delay == 0.0:
                 raise DegenerateGeometryError("transmitter and receiver coincide")
+        with np.errstate(over="ignore"):  # an overflow fails the check in __post_init__
+            volume, surface, diagonal = room.volume, room.surface_area, room.diagonal
         return cls(
-            volume=room.volume,
-            surface=room.surface_area,
-            diagonal=room.diagonal,
+            volume=volume,
+            surface=surface,
+            diagonal=diagonal,
             reflectance=float(gains[0]) if np.all(gains == gains[0]) else None,
             speed_of_light=radio.speed_of_light,
             wavelength=radio.wavelength,

@@ -230,6 +230,7 @@ class TestForkedWorkers:
 
     @pytest.fixture(autouse=True)
     def three_cpus(self, monkeypatch):
+        """Lets up to three workers start on hosts with fewer CPUs."""
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
 
     @pytest.fixture
@@ -538,8 +539,9 @@ class TestCustomPattern:
 class TestBlockIndependence:
     """A run's rows and record do not depend on the block it ran in.
 
-    A short ensemble runs one run a block; a 300-run ensemble puts up to
-    _block_runs runs in a block. The first runs must agree bitwise.
+    The reference is a short ensemble with ``_block_runs`` patched to 1, so
+    each run is simulated alone; a 300-run ensemble puts _block_runs runs in
+    a block. The first runs must agree bitwise.
     """
 
     SHORT = 8
@@ -570,24 +572,34 @@ class TestBlockIndependence:
             # the first runs take both kernels whatever its constants.
             monkeypatch.setattr(channel, "_lattice_is_cheaper", lambda n, samples, nfft: n > 30)
         cfg = quick_config(runs=300, **self.CASES[case])
-        assert montecarlo._run_tables(cfg)[4] > 1
+        size = montecarlo._run_tables(cfg)[4]
+        assert size > 1
         short = dataclasses.replace(cfg, runs=self.SHORT)
         kernels = []
         for name in ("_direct_sum", "_lattice_sum"):
             kernel = getattr(channel, name)
             monkeypatch.setattr(channel, name, lambda *a, _k=kernel, _n=name: kernels.append(_n) or _k(*a))
-        reference = run_ensemble(short, workers=1)
+        with monkeypatch.context() as alone:
+            alone.setattr(montecarlo, "_block_runs", lambda cfg: 1)
+            reference = run_ensemble(short, workers=1)
+            context = CountingContext(alone)
+            forked = run_ensemble(short, workers=2)
+            assert len(context.started) == 2
+        assert forked.power_raw.tobytes() == reference.power_raw.tobytes()
         if case == "cap01-mixed-kernels":
             assert set(kernels) == {"_direct_sum", "_lattice_sum"}
         if case == "cap01-zero-paths":
             assert 0 < reference.missing_moments < self.SHORT
         keys = [record_key(r) for r in reference.records]
-        for workers in (1, 2):
+        # Two workers start only where the 300 runs span more than one block
+        # (not for cap01-zero-paths, whose R is 588).
+        context = CountingContext(monkeypatch)
+        for workers in (1, 2) if size < cfg.runs else (1,):
             result = run_ensemble(cfg, workers=workers)
             assert result.counts_raw[: self.SHORT].tobytes() == reference.counts_raw.tobytes()
             assert result.power_raw[: self.SHORT].tobytes() == reference.power_raw.tobytes()
             assert [record_key(r) for r in result.records[: self.SHORT]] == keys
-        assert run_ensemble(short, workers=2).power_raw.tobytes() == reference.power_raw.tobytes()
+        assert len(context.started) == (2 if size < cfg.runs else 0)
 
 
 class TestStageCalls:

@@ -11,11 +11,24 @@ every run. A cap of coverage 1 equals an isotropic antenna.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Room
+
+
+def unit_boresight(vector) -> np.ndarray:
+    """``v / sqrt(sum(v*v))`` of a 3-vector ``v``; raises ValueError unless its norm is positive and finite."""
+    v = np.asarray(vector, dtype=float)
+    if v.shape != (3,):
+        raise ValueError("boresight must be a 3-vector")
+    x, y, z = v.tolist()  # Python floats add in numpy's order and overflow to inf without a warning
+    norm = math.sqrt(x * x + y * y + z * z)
+    if not 0.0 < norm < math.inf:
+        raise ValueError("boresight must have a positive, finite norm")
+    return v / norm
 
 
 def _dot_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -50,7 +63,9 @@ class AntennaPattern:
         :func:`~roomchan.geometry.enumerate_indices` drops image cells whose
         direction lies outside the cone. None marks a pattern without a
         direction; a directive pattern that cannot prune declares the
-        trivial cone ``(boresight, -1.0)``.
+        trivial cone ``(boresight, -1.0)``. :meth:`aimed` turns the cone and
+        keeps ``cos_min``, so the patterns an ensemble aims share one
+        threshold.
         """
         return None
 
@@ -92,13 +107,7 @@ class SphericalCap(AntennaPattern):
             raise ValueError("beam coverage fraction must lie in (0, 1]")
         if self.threshold == 1.0:  # no representable width; 1/fraction overflows path powers
             raise ValueError(f"beam coverage fraction {self.fraction!r} is too small: 1 - 2 * fraction rounds to 1")
-        axis = np.asarray(self.boresight, dtype=float)
-        if axis.shape != (3,):
-            raise ValueError("boresight must be a 3-vector")
-        norm = float(np.sqrt(np.sum(axis * axis)))
-        if norm == 0.0:
-            raise ValueError("boresight must be nonzero")
-        object.__setattr__(self, "boresight", axis / norm)
+        object.__setattr__(self, "boresight", unit_boresight(self.boresight))
 
     @property
     def beam_fraction(self) -> float:

@@ -167,13 +167,16 @@ def _gains(patterns, directions: np.ndarray, runs: np.ndarray) -> np.ndarray:
 
 
 def _cones(patterns):
-    """Support cones of one side's patterns for a block, or None without a direction."""
+    """Support cone of one side's patterns for a block, or None without a direction.
+
+    They are one pattern aimed R ways; patterns that differ in ``cos_min`` raise ValueError.
+    """
     if patterns[0].cone is None:
         return None
     boresights, cos_min = zip(*(pattern.cone for pattern in patterns))
-    if cos_min.count(cos_min[0]) == len(cos_min):
-        return np.array(boresights), cos_min[0]
-    return np.array(boresights), np.array(cos_min)
+    if cos_min.count(cos_min[0]) != len(cos_min):
+        raise ValueError("a block's patterns on one side must share one cone threshold")
+    return np.array(boresights), cos_min[0]
 
 
 def _block_paths(room: Room, tx_positions, tx_patterns, rx_positions, rx_patterns,
@@ -187,17 +190,17 @@ def _block_paths(room: Room, tx_positions, tx_patterns, rx_positions, rx_pattern
     """
     if np.any(np.all(tx_positions == rx_positions, axis=1)):
         raise DegenerateGeometryError("transmitter and receiver coincide")
+    # Enumerated first, so that a cube over the cap is refused without the warning.
+    indices, positions, delays, runs = geometry.enumerate_indices(
+        room, tx_positions, rx_positions, tau_max, radio.speed_of_light, max_cells,
+        cones=(_cones(tx_patterns), _cones(rx_patterns)),
+    )
     if radio.wavelength > 0.1 * float(np.min(room.lengths)):
         warnings.warn(
             "carrier wavelength is not small against the room dimensions; "
             "the specular mirror-source model may not apply",
             stacklevel=3,
         )
-
-    indices, positions, delays, runs = geometry.enumerate_indices(
-        room, tx_positions, rx_positions, tau_max, radio.speed_of_light, max_cells,
-        cones=(_cones(tx_patterns), _cones(rx_patterns)),
-    )
     if np.any(delays == 0.0):
         raise DegenerateGeometryError("receiver sits exactly on a mirror source")
 

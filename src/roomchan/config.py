@@ -249,7 +249,10 @@ def aimed_patterns(doc: dict, tx_position, rx_position) -> tuple[AntennaPattern,
             if section.get("aim") == "los":
                 if not np.any(boresight):
                     raise DegenerateGeometryError("transmitter and receiver coincide")
-                pattern = pattern.aimed(boresight)
+                try:
+                    pattern = pattern.aimed(boresight)
+                except ValueError as exc:
+                    raise ConfigError(f"antennas/{side}: aim 'los': {exc}") from None
             elif "orientation" not in section:
                 raise ConfigError(
                     f"antennas/{side}: directive pattern needs 'orientation' or 'aim': 'los'"

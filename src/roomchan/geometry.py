@@ -125,10 +125,18 @@ def wall_gain_products(room: Room, indices) -> np.ndarray:
     return out
 
 
-def index_bounds(room: Room, tau_max: float, speed: float) -> tuple[np.ndarray, int]:
-    """Per-axis index bound ``ceil(speed * tau_max / L) + 2`` and the cells of its cube."""
-    bounds = np.ceil(speed * tau_max / room.lengths).astype(np.int64) + 2
-    return bounds, int(np.prod(2 * bounds + 1))
+def index_bounds(room: Room, tau_max: float, speed: float, max_cells: int) -> tuple[np.ndarray, int]:
+    """Per-axis index bound ``ceil(speed * tau_max / L) + 2`` and the cells of its cube, at most ``max_cells``.
+
+    The cube is sized in floating point, where it cannot wrap, and one above
+    the cap raises :class:`ResourceLimitError` before any integer is formed.
+    """
+    with np.errstate(over="ignore"):
+        bounds = np.ceil(speed * tau_max / room.lengths) + 2.0
+        cells = float(np.prod(2.0 * bounds + 1.0))
+    if not cells <= max_cells:
+        raise ResourceLimitError(f"index cube holds {cells:.6g} cells, above the cap of {max_cells}")
+    return bounds.astype(np.int64), int(cells)
 
 
 def enumerate_indices(
@@ -154,16 +162,16 @@ def enumerate_indices(
     speed : float
         Propagation speed in m/s.
     max_cells : int
-        Cap on the index cube scanned per arrangement; exceeding it raises
-        :class:`ResourceLimitError`.
+        Cap on the index cube scanned per arrangement, checked by
+        :func:`index_bounds`.
     cones : pair
         Support cones of the source and receiver beams, each
         ``(unit boresight, cos_min)`` or None (see
         :attr:`~roomchan.antenna.AntennaPattern.cone`); for a block, the
-        boresights are an ``(R, 3)`` array and ``cos_min`` a scalar or one
-        value per arrangement. Images whose departure or arrival direction
-        lies clearly outside its cone are dropped; every image inside both
-        cones is kept.
+        boresights are an ``(R, 3)`` array and ``cos_min`` one scalar that
+        every arrangement of the side shares. Images whose departure or
+        arrival direction lies clearly outside its cone are dropped; every
+        image inside both cones is kept.
 
     Returns
     -------
@@ -214,11 +222,7 @@ def enumerate_indices(
         raise ValueError("source and receiver must lie inside the room")
 
     radius = speed * tau_max
-    bounds, cells = index_bounds(room, tau_max, speed)
-    if cells > max_cells:
-        raise ResourceLimitError(
-            f"index cube holds {cells} cells, above the cap of {max_cells}"
-        )
+    bounds, _ = index_bounds(room, tau_max, speed, max_cells)
 
     # Per-axis image offsets from each receiver on one shared index range;
     # row i is read at |k| <= bounds[i].
@@ -256,23 +260,18 @@ def enumerate_indices(
         if cone is not None:
             boresight, cos_min = cone
             x, y, z = per_axis(signs * table * np.reshape(boresight, (-1, 3, 1)))
-            tests.append(((x[:, :, None] + y[:, None, :]).ravel()[columns], z, np.asarray(cos_min)))
+            tests.append(((x[:, :, None] + y[:, None, :]).ravel()[columns], z, cos_min))
 
     # The first cone test runs on every cell of the columns, the second only
     # on the cells the first kept: after a narrow first cone few remain, and
     # gathering those costs less than a second pass over every cell.
     for projection, z, cos_min in tests[:1]:
-        if cos_min.ndim:
-            cos_min = cos_min[run][:, None]
         inside &= projection[:, None] + column_rows(z) >= cos_min * dist - slack
     cells = np.flatnonzero(inside)
     column, kz = np.divmod(cells, nz)
     dist = dist.ravel()[cells]
     for projection, z, cos_min in tests[1:]:
-        runs = run[column]
-        if cos_min.ndim:
-            cos_min = cos_min[runs]
-        keep = projection[column] + z[runs, kz] >= cos_min * dist - slack
+        keep = projection[column] + z[run[column], kz] >= cos_min * dist - slack
         column, kz, dist = column[keep], kz[keep], dist[keep]
 
     x, y, z = per_axis(table + receivers[:, :, None])

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import theory
 from ._csv import write_csv
-from .antenna import AntennaPattern, sample_orientation, sample_position
+from .antenna import AntennaPattern, sample_orientation, sample_position, unit_boresight
 from .channel import (
     MAX_ENSEMBLE_POINTS,
     PHASE_MODES,
@@ -92,17 +92,6 @@ _BLOCK_PATHS = 1024
 # Rows per block of the squared deviations: a block buffer holds
 # (_STAT_ROWS + 1) x grid floats, row 0 being the sums carried over.
 _STAT_ROWS = 128
-
-
-def _norm(v: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(v * v)))
-
-
-def _nonzero_vector(vector, name: str) -> np.ndarray:
-    v = np.asarray(vector, dtype=float)
-    if v.shape != (3,) or _norm(v) == 0.0:
-        raise ConfigError(f"{name} must be a nonzero 3-vector")
-    return v
 
 
 @dataclass(frozen=True)
@@ -162,18 +151,11 @@ class McConfig:
             )
             if not self.room.contains(self.rx_position):
                 raise ConfigError("rx_position must lie inside the room")
-            if self.rx_orientation is not None:
-                object.__setattr__(
-                    self, "rx_orientation", _nonzero_vector(self.rx_orientation, "rx_orientation")
-                )
-            elif self.rx_pattern.cone is not None:
+            if self.rx_orientation is None and self.rx_pattern.cone is not None:
                 raise ConfigError(f"mode {self.mode!r} needs rx_orientation for a directive receiver")
-        if self.mode == "fixed-orientation-tx":
-            if self.tx_orientation is None:
-                raise ConfigError("mode 'fixed-orientation-tx' needs tx_orientation")
-            object.__setattr__(
-                self, "tx_orientation", _nonzero_vector(self.tx_orientation, "tx_orientation")
-            )
+        if self.mode == "fixed-orientation-tx" and self.tx_orientation is None:
+            raise ConfigError("mode 'fixed-orientation-tx' needs tx_orientation")
+        self.fixed_boresights  # normalized, and refused unless their norms are positive and finite
         if self.mode == "fixed-distance":
             if self.distance is None or self.distance <= 0.0:
                 raise ConfigError("mode 'fixed-distance' needs a positive distance")
@@ -186,11 +168,17 @@ class McConfig:
 
         The orientation fields keep the vectors as given, so
         ``dataclasses.replace`` keeps them bitwise; each config normalizes
-        them once, here.
+        them once, here, through :func:`~roomchan.antenna.unit_boresight`.
         """
         tx = self.tx_orientation if self.mode == "fixed-orientation-tx" else None
         rx = self.rx_orientation if self.mode in ("fixed-rx", "fixed-orientation-tx") else None
-        return tuple(None if v is None else v / _norm(v) for v in (tx, rx))
+        boresights = []
+        for name, vector in (("tx_orientation", tx), ("rx_orientation", rx)):
+            try:
+                boresights.append(None if vector is None else unit_boresight(vector))
+            except ValueError as exc:
+                raise ConfigError(f"{name}: {exc}") from None
+        return tuple(boresights)
 
     def _grid_points(self) -> int:
         """Count-grid size; the span must be a whole number of steps, within 1e-9 steps."""
@@ -305,7 +293,7 @@ def _block_runs(cfg: McConfig) -> int:
     """Runs per block: the expected path count and the index cube, held against their budgets."""
     scene = theory.SceneSummary.from_components(cfg.room, cfg.radio, cfg.tx_pattern, cfg.rx_pattern)
     paths = max(float(theory.mean_count(scene, cfg.tau_max)), 1.0)
-    _, cells = index_bounds(cfg.room, cfg.tau_max, cfg.radio.speed_of_light)
+    _, cells = index_bounds(cfg.room, cfg.tau_max, cfg.radio.speed_of_light, cfg.max_cells)
     return max(1, int(min(_BLOCK_PATHS / paths, _BLOCK_CELLS / cells)))
 
 

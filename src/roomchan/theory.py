@@ -60,6 +60,17 @@ class SceneSummary:
         for name in ("volume", "surface", "diagonal", "speed_of_light", "wavelength", "bandwidth"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be positive and finite")
+        # The scales every closed form multiplies by, in the order that
+        # _arrivals and pds evaluate them.
+        c = np.float64(self.speed_of_light)
+        with np.errstate(over="ignore"):
+            scales = {
+                "4*pi*c**3/(3*V)": 4.0 * np.pi * c**3 / (3.0 * self.volume),
+                "wavelength**2*c/(4*pi*V)": np.float64(self.wavelength) ** 2 * c / (4.0 * np.pi * self.volume),
+            }
+        for name, scale in scales.items():
+            if not scale < np.inf:
+                raise ConfigError(f"{name} must be finite")
         if self.reflectance is not None and not 0.0 <= self.reflectance <= 1.0:
             raise ConfigError("reflectance must lie in [0, 1]")
         for name in ("tx_fraction", "rx_fraction"):

@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from roomchan.antenna import Isotropic, SphericalCap, _dot_last, sample_orientation, sample_position
+from roomchan.antenna import (
+    Isotropic,
+    SphericalCap,
+    _dot_last,
+    sample_orientation,
+    sample_position,
+    unit_boresight,
+)
 from roomchan.geometry import Room
 
 ROOM = Room((5.0, 5.0, 3.0), 0.6)
@@ -135,6 +142,28 @@ class TestCone:
     def test_pattern_without_cone_is_not_re_aimed(self):
         iso = Isotropic()
         assert iso.aimed((1.0, 0.0, 0.0)) is iso and iso.aimed(None) is iso
+
+
+class TestUnitBoresight:
+    def test_keeps_the_bits_of_the_plain_quotient(self):
+        rng = np.random.default_rng(3)
+        for v in rng.standard_normal((200, 3)) * 10.0 ** rng.uniform(-150, 150, (200, 1)):
+            assert unit_boresight(v).tobytes() == (v / np.sqrt(np.sum(v * v))).tobytes()
+        assert SphericalCap(0.5, (3.0, 0.0, 4.0)).boresight.tolist() == [0.6, 0.0, 0.8]
+
+    # The norm overflows, underflows to zero, or the vector is not a 3-vector.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("vector,message", [
+        ([1e200, 0.0, 0.0], "positive, finite norm"),
+        ([1e-170, 0.0, 0.0], "positive, finite norm"),
+        ([0.0, 0.0, 0.0], "positive, finite norm"),
+        ([1.0, 0.0], "3-vector"),
+    ])
+    def test_rejects_norms_that_are_not_positive_and_finite(self, vector, message):
+        with pytest.raises(ValueError, match=message):
+            unit_boresight(vector)
+        with pytest.raises(ValueError, match=message):
+            SphericalCap(0.5, vector)
 
 
 class TestBeamFraction:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import hand_gated_paths
-from roomchan import channel
+from roomchan import channel, geometry
 from roomchan.antenna import AntennaPattern, Isotropic, SphericalCap
 from roomchan.channel import (
     PathList,
@@ -221,6 +221,21 @@ class TestConePruning:
         assert pattern.cone is None
         paths = assert_matches_reference(TX, pattern, RX, SphericalCap(0.2, (1.0, 0.0, 0.0)), 40e-9)
         assert 0 < len(paths) < len(enumerate_paths(ROOM, TX, ISO, RX, ISO, RADIO, 40e-9))
+
+    def test_block_sides_share_one_threshold(self):
+        # One pattern aimed R ways keeps its threshold; caps of two
+        # fractions on one side of a block are refused.
+        aims = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        boresights, cos_min = channel._cones([SphericalCap(0.25).aimed(aim) for aim in aims])
+        assert boresights.tolist() == aims and cos_min == 0.5
+        assert channel._cones([ISO, ISO]) is None
+        with pytest.raises(ValueError, match="share one cone threshold"):
+            channel._cones([SphericalCap(0.25, aims[0]), SphericalCap(0.5, aims[1])])
+        with pytest.raises(ValueError, match="share one cone threshold"):
+            channel._block_paths(
+                ROOM, np.array([TX, TX]), [ISO, ISO], np.array([RX, RX]),
+                [SphericalCap(0.25), SphericalCap(0.5)], RADIO, 30e-9, geometry.DEFAULT_MAX_CELLS,
+            )
 
     def test_zero_delay_image_still_raises(self):
         # |tx - rx| = 1e-170 m squares to zero: the direct path and its

@@ -131,6 +131,47 @@ class TestConfigValidation:
         assert capsys.readouterr().err == f"config error: {name} must be positive and finite\n"
         assert not (tmp_path / "out").exists()
 
+    # Inputs of extreme magnitude: a boresight whose norm overflows, a line
+    # of sight whose norm underflows or overflows, an index cube past int64
+    # or float64, and closed-form scales that overflow. Each is refused with
+    # one stderr line, no numpy warning and no output.
+    CAP = {"pattern": "cap", "beam_fraction": 0.5}
+    THIN = {"room": {"lengths_m": [1e-100, 5, 3]}, "positions": {"tx_m": [0, 1, 1], "rx_m": [5e-101, 3, 2]}}
+    TINY = {"room": {"lengths_m": [1e-100, 1e-100, 1e-100]}}
+    FAST = {"radio": {"speed_of_light_m_per_s": 1e120}}
+    SCALE = "config error: 4*pi*c**3/(3*V) must be finite"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("doc,argv,err", [
+        ({"antennas": {"tx": dict(CAP, orientation=[1e200, 0, 0])}, "positions": FIG_POSITIONS}, ["paths"],
+         "config error: antennas/tx: boresight must have a positive, finite norm"),
+        ({"antennas": {"rx": dict(CAP, orientation=[0, 0, 1])},
+          "mc": dict(small_mc_section(), mode="fixed-rx",
+                     fixed={"rx_position_m": [1, 1, 1], "rx_orientation": [1e200, 0, 0]})}, ["mc"],
+         "config error: rx_orientation: boresight must have a positive, finite norm"),
+        ({"antennas": {"tx": dict(CAP, aim="los")}, "positions": {"tx_m": [0, 0, 0], "rx_m": [1e-170, 0, 0]}},
+         ["paths"], "config error: antennas/tx: aim 'los': boresight must have a positive, finite norm"),
+        ({"room": {"lengths_m": [1e200, 5, 3]}, "antennas": {"rx": dict(CAP, aim="los")},
+          "positions": {"tx_m": [0, 1, 1], "rx_m": [9e199, 1, 1]}},
+         ["paths"], "config error: antennas/rx: aim 'los': boresight must have a positive, finite norm"),
+        (THIN, ["paths"], "resource limit: index cube holds 1.782e+103 cells"),
+        (THIN, ["mc", "--runs", "2"], "resource limit: index cube holds 1.782e+103 cells"),
+        (TINY, ["mc"], SCALE),
+        (TINY, ["theory"], SCALE),
+        ({"positions": FIG_POSITIONS}, ["paths", "--tau-max", "1e12"], "resource limit: index cube holds 2.88e+60 cells"),
+        (FAST, ["theory"], SCALE),
+        (FAST, ["mc"], SCALE),
+    ], ids=["orientation", "fixed-rx-orientation", "los-underflow", "los-overflow", "thin-paths", "thin-mc", "tiny-mc", "tiny-theory",
+            "tau-max", "speed-theory", "speed-mc"])
+    def test_extreme_magnitude_is_exit_two(self, tmp_path, capsys, doc, argv, err):
+        cfg = write_config(tmp_path, dict({"mc": small_mc_section()}, **doc))
+        out = tmp_path / "out"
+        flag = "--out" if argv[0] == "paths" else "--out-dir"
+        assert main(["--config", cfg, *argv, flag, str(out)]) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(err) and stderr.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_resource_limit_is_exit_two(self, tmp_path, capsys, threads):
         cfg = write_config(tmp_path, {"room": {"lengths_m": [1e-9, 5, 3]}, "mc": small_mc_section()})

@@ -4,10 +4,13 @@ Documents cover room lengths, scalar or six wall gains, radio values,
 isotropic and cap antennas (with ``orientation``, ``aim`` or neither),
 fixed positions, every ``mc.mode`` with its ``fixed`` section, seeds up to
 +-2**64 and moment cutoffs at or before zero. About half of the documents
-carry one fault: a bad number, a zero vector, a position outside the room,
-coincident terminals, a seed outside the 64-bit key word, or a cutoff at or
-before zero. The ensembles stay tiny: at most two runs on a 30 ns horizon
-and grid.
+carry one fault: a bad number, a number of extreme magnitude (a room side
+of 1e-100 m, a speed of light of 1e120 m/s), a zero vector or one whose norm
+overflows, a position outside the room, coincident terminals, a seed outside
+the 64-bit key word, or a cutoff at or before zero. A second test gives
+every document one of the extreme magnitudes and also turns numpy's
+overflow and cast warnings into errors. The ensembles stay tiny: at most
+two runs on a 30 ns horizon and grid.
 """
 
 import contextlib
@@ -16,6 +19,7 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from roomchan.cli import main
@@ -25,12 +29,12 @@ HORIZON = 30e-9
 
 # Each fault replaces one value of an otherwise valid document.
 FAULTS = {
-    "length": st.sampled_from([0.0, -1.0]),
+    "length": st.sampled_from([0.0, -1.0, 1e-100]),
     "gain": st.sampled_from([1.5, -0.1]),
     "bandwidth": st.sampled_from([0.0, -1e9]),
-    "speed": st.just(0.0),
+    "speed": st.sampled_from([0.0, 1e120]),
     "carrier": st.sampled_from([0.0, -0.005]),
-    "orientation": st.just([0.0, 0.0, 0.0]),
+    "orientation": st.sampled_from([[0.0, 0.0, 0.0], [1e200, 0.0, 0.0]]),
     "outside": st.lists(st.floats(1.01, 2.0), min_size=3, max_size=3),
     "coincident": st.none(),
     "distance": st.sampled_from([0.0, -1.0, 50.0]),
@@ -38,15 +42,23 @@ FAULTS = {
     "cutoff": st.sampled_from([0.0, -5e-9, -1e-6]),
 }
 
+# The faults of extreme magnitude alone.
+EXTREME = {
+    "length": st.just(1e-100),
+    "speed": st.just(1e120),
+    "orientation": st.just([1e200, 0.0, 0.0]),
+}
+
 vec3 = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
 
 
 @st.composite
-def documents(draw):
-    fault = draw(st.sampled_from([None] * len(FAULTS) + sorted(FAULTS)))
+def documents(draw, faults=FAULTS, clean=len(FAULTS)):
+    """A document with one fault of ``faults``, or none in ``clean`` draws out of ``clean + len(faults)``."""
+    fault = draw(st.sampled_from([None] * clean + sorted(faults)))
 
     def value(name, valid):
-        return draw(FAULTS[name] if fault == name else valid)
+        return draw(faults[name] if fault == name else valid)
 
     def point(lengths):
         fractions = value("outside", st.lists(st.floats(0.0, 0.99), min_size=3, max_size=3))
@@ -104,6 +116,18 @@ def documents(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(doc=documents())
 def test_every_command_exits_with_a_documented_code(doc):
+    exits_with_a_documented_code(doc)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=documents(EXTREME, clean=0))
+def test_extreme_magnitudes_exit_with_a_documented_code(doc):
+    exits_with_a_documented_code(doc)
+
+
+def exits_with_a_documented_code(doc):
     with tempfile.TemporaryDirectory() as tmp:
         config = os.path.join(tmp, "config.json")
         with open(config, "w", encoding="utf-8") as fh:

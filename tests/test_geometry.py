@@ -14,7 +14,14 @@ from conftest import (
 from roomchan.antenna import Isotropic
 from roomchan.channel import RadioConfig, enumerate_paths
 from roomchan.errors import DegenerateGeometryError, ResourceLimitError
-from roomchan.geometry import Room, departure_signs, enumerate_indices, wall_gain_products
+from roomchan.geometry import (
+    DEFAULT_MAX_CELLS,
+    Room,
+    departure_signs,
+    enumerate_indices,
+    index_bounds,
+    wall_gain_products,
+)
 
 C = 3e8
 ROOM = Room((5.0, 5.0, 3.0), 0.6)
@@ -343,32 +350,27 @@ class TestEnumerateIndices:
         large, _, _, _ = enumerate_indices(ROOM, TX, RX, 60e-9, C)
         assert {tuple(r) for r in small} <= {tuple(r) for r in large}
 
-    @pytest.mark.parametrize("sides, shared", [
-        ("both", False), ("both", True), ("tx", True), ("rx", False), ("none", False),
-    ])
-    def test_block_rows_equal_lone_calls(self, sides, shared):
+    @pytest.mark.parametrize("sides", ["both", "tx", "rx", "none"])
+    def test_block_rows_equal_lone_calls(self, sides):
         # A block's rows are its arrangements' own rows, bit for bit, in
-        # arrangement order, whichever cones the arrangements carry.
+        # arrangement order, whichever sides carry a cone. The arrangements
+        # of a side share its threshold, as one pattern aimed R ways does.
         rng = np.random.default_rng(7)
         count = 6
         sources = rng.random((count, 3)) * ROOM.lengths
         receivers = rng.random((count, 3)) * ROOM.lengths
         aims = rng.standard_normal((2, count, 3))
         aims /= np.linalg.norm(aims, axis=-1, keepdims=True)
-        cos_min = np.full((2, count), 0.3) if shared else rng.uniform(-0.5, 0.9, (2, count))
         cones = tuple(
-            (aim, cos[0] if shared else cos) if sides in ("both", side) else None
-            for aim, cos, side in zip(aims, cos_min, ("tx", "rx"))
+            (aim, cos_min) if sides in ("both", side) else None
+            for aim, cos_min, side in zip(aims, (0.3, -0.2), ("tx", "rx"))
         )
         indices, positions, delays, runs = enumerate_indices(
             ROOM, sources, receivers, 60e-9, C, cones=cones
         )
         assert len(runs) > 0 and np.all(np.diff(runs) >= 0)
         for run in range(count):
-            lone_cones = tuple(
-                None if cone is None else (aim[run], float(cos[run]))
-                for cone, aim, cos in zip(cones, aims, cos_min)
-            )
+            lone_cones = tuple(None if cone is None else (cone[0][run], cone[1]) for cone in cones)
             lone = enumerate_indices(ROOM, sources[run], receivers[run], 60e-9, C, cones=lone_cones)
             assert np.all(lone[3] == 0)
             rows = runs == run
@@ -378,6 +380,25 @@ class TestEnumerateIndices:
     def test_cardinality_cap(self):
         with pytest.raises(ResourceLimitError):
             enumerate_indices(ROOM, TX, RX, 120e-9, C, max_cells=100)
+
+    # ceil(c*tau/L) of the short axis is past int64 (and the cube past
+    # float64 at 1e12 s), where a cast before the check wrapped the cube.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lengths,tau_max", [((1e-100, 5.0, 3.0), 120e-9), ((5.0, 5.0, 3.0), 1e12)])
+    def test_cube_is_sized_before_any_integer_cast(self, lengths, tau_max):
+        room = Room(lengths, 0.6)
+        with pytest.raises(ResourceLimitError, match="above the cap"):
+            index_bounds(room, tau_max, C, DEFAULT_MAX_CELLS)
+        with pytest.raises(ResourceLimitError, match="above the cap"):
+            enumerate_indices(room, np.zeros(3), room.lengths / 2, tau_max, C)
+
+    def test_index_bounds_at_the_cap(self):
+        # c*tau = 36 m: bounds ceil(36/L) + 2, and a cube of 21 x 21 x 29 cells.
+        bounds, cells = index_bounds(ROOM, 120e-9, C, 12789)
+        assert bounds.dtype == np.int64 and bounds.tolist() == [10, 10, 14]
+        assert cells == 12789
+        with pytest.raises(ResourceLimitError, match="holds 12789 cells, above the cap of 12788$"):
+            index_bounds(ROOM, 120e-9, C, 12788)
 
     def test_positions_must_be_inside(self):
         with pytest.raises(ValueError):

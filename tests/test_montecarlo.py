@@ -79,6 +79,18 @@ class TestMcConfigValidation:
         with pytest.raises(ConfigError):
             quick_config(mode="fixed-rx", rx_pattern=SphericalCap(0.5), rx_position=(1, 1, 1))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("field,mode", [
+        ("rx_orientation", "fixed-rx"), ("rx_orientation", "fixed-orientation-tx"),
+        ("tx_orientation", "fixed-orientation-tx"),
+    ])
+    @pytest.mark.parametrize("vector", [(1e200, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0)])
+    def test_fixed_orientation_needs_a_positive_finite_norm(self, field, mode, vector):
+        orientations = dict(rx_orientation=(0.0, 0.0, 1.0), tx_orientation=(1.0, 0.0, 0.0))
+        orientations[field] = vector
+        with pytest.raises(ConfigError, match=f"^{field}: boresight must"):
+            quick_config(mode=mode, rx_position=(1, 1, 1), **orientations)
+
     def test_fixed_distance_needs_feasible_distance(self):
         with pytest.raises(ConfigError):
             quick_config(mode="fixed-distance")
@@ -275,9 +287,17 @@ class TestForkedWorkers:
         assert result.power_raw.tobytes() == run_ensemble(cfg).power_raw.tobytes()
 
     def test_worker_error_reaches_the_caller(self, deadline, monkeypatch):
-        # An index cube above the cell cap: every run raises. Four blocks of
-        # 10 runs, so two workers really start.
-        cfg = quick_config(runs=40, max_cells=100)
+        # Every block from the second on raises. Four blocks of 10 runs, so
+        # two workers really start.
+        simulate = montecarlo._simulate_runs
+
+        def fails(cfg, tables, first, *rows):
+            if first >= tables[4]:
+                raise ResourceLimitError("block of runs above the cap")
+            simulate(cfg, tables, first, *rows)
+
+        monkeypatch.setattr(montecarlo, "_simulate_runs", fails)
+        cfg = quick_config(runs=40)
         with pytest.raises(ResourceLimitError) as alone:
             run_ensemble(cfg, workers=1)
         context = CountingContext(monkeypatch)
@@ -288,6 +308,14 @@ class TestForkedWorkers:
         assert str(forked.value) == str(alone.value)
         assert "above the cap" in str(forked.value)
         assert multiprocessing.active_children() == []
+
+    def test_cube_over_the_cap_is_refused_before_rows_or_workers(self, monkeypatch):
+        context = CountingContext(monkeypatch)
+        allocated = []
+        monkeypatch.setattr(montecarlo, "_run_rows", lambda *args: allocated.append(args))
+        with pytest.raises(ResourceLimitError, match="above the cap of 100$"):
+            run_ensemble(quick_config(runs=40, max_cells=100), workers=2)
+        assert allocated == [] and context.methods == [] and context.started == []
 
     # Whichever worker takes run 3 dies, or the last worker started dies at
     # its first block: no later fork or rebinding closes the main process's

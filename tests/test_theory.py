@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -47,6 +50,19 @@ class TestSceneSummary:
     def test_coincident_positions_rejected(self):
         with pytest.raises(DegenerateGeometryError, match="transmitter and receiver coincide"):
             SceneSummary.from_components(ROOM, RADIO, Isotropic(), Isotropic(), TX, TX)
+
+    # The closed forms' scales overflow: a huge speed of light, or a tiny
+    # room; raised as ConfigError, without a numpy warning.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("changes,name", [
+        (dict(speed_of_light=1e120), "4*pi*c**3/(3*V)"),
+        (dict(speed_of_light=2.5e102, volume=1e10), "4*pi*c**3/(3*V)"),
+        (dict(volume=1e-300), "4*pi*c**3/(3*V)"),
+        (dict(wavelength=1e160), "wavelength**2*c/(4*pi*V)"),
+    ])
+    def test_overflowing_scales_rejected(self, changes, name):
+        with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be finite$"):
+            dataclasses.replace(SCENE, **changes)
 
     def test_distinct_wall_gains_rejected(self):
         # Only the tail quantities need a single reflectance; the counts do not.

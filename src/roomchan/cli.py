@@ -82,6 +82,8 @@ def _scene_paths(args):
     radio = cfgmod.build_radio(doc)
     tx_pos, rx_pos = cfgmod.positions_from(doc)
     tx_pattern, rx_pattern = cfgmod.aimed_patterns(doc, tx_pos, rx_pos)
+    # Refuses the scene scales that theory and mc refuse.
+    SceneSummary.from_components(room, radio, tx_pattern, rx_pattern, tx_pos, rx_pos)
     tau_max = args.tau_max if args.tau_max is not None else doc["mc"]["tau_max_s"]
     if tau_max < 0.0:
         raise ConfigError("mc/tau_max_s: must be non-negative")

@@ -20,18 +20,19 @@ the curves plus one block's temporaries.
 Speed: the runs form contiguous blocks of R runs (see _block_runs), which
 forked workers claim in order from a shared counter, so a worker's next
 block costs it one locked counter step, not a round trip through the main
-process. A block's runs are enumerated and gated in one pass, which shares
-the per-call cost of numpy that dominates runs with few paths; every run's
-values are the ones it gets alone. A run then reads only the delays and
-power gains of its path list, the two columns its ``PathList`` sorts on
-construction; the indices, directions and carrier phases are put in delay
-order only when read, which an ensemble in random-phase mode never does.
+process. Workers mark the blocks they complete in a shared byte mapping,
+and the main process simulates the rest, with the same bits. A block's runs
+are enumerated and gated in one pass, which shares the per-call cost of
+numpy that dominates runs with few paths; every run's values are the ones
+it gets alone. A run then reads only the delays and power gains of its
+path list, the two columns its ``PathList`` sorts on construction; the
+indices, directions and carrier phases are put in delay order only when
+read, which an ensemble in random-phase mode never does.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import mmap
 import multiprocessing
@@ -323,7 +324,7 @@ def _run_rows(runs: int, points: int):
     delay and rms spread, the moments NaN for a run without energy. Each
     array views its own anonymous shared mapping, which starts on a page
     boundary, so processes forked after this call write the rows their
-    caller reads.
+    caller reads, and the caller writes those of blocks they left undone.
     """
     layout = (((runs, points), np.int32), ((runs, points), float), ((runs, 4, 3), float), ((runs, 4), float))
     return tuple(
@@ -367,15 +368,14 @@ def _simulate_runs(cfg: McConfig, tables, first: int, counts, power, terminals, 
     summary[:, 1:] = np.transpose(_moments(abs2[:, :cut], synthesis.step, times[:cut]))
 
 
-def _simulate_blocks(cfg: McConfig, tables, rows, claim) -> None:
-    """Simulates block ``claim()`` into its rows of ``rows`` until ``claim`` gives one past the last.
+def _simulate_block(cfg: McConfig, tables, rows, block: int) -> None:
+    """Simulates block ``block``, runs ``block * R`` on (R from :func:`_block_runs`), into ``rows``.
 
-    Block ``b`` holds runs ``b * R`` to ``b * R + R - 1`` (R from
-    :func:`_block_runs`), the last block those that remain.
+    Its rows depend only on the seed and its runs, so a redone block writes the same bits.
     """
     size = tables[4]
-    while (first := claim() * size) < cfg.runs:
-        _simulate_runs(cfg, tables, first, *(array[first:first + size] for array in rows))
+    first = block * size
+    _simulate_runs(cfg, tables, first, *(array[first:first + size] for array in rows))
 
 
 def _claim(counter) -> int:
@@ -386,65 +386,41 @@ def _claim(counter) -> int:
     return index
 
 
-def _worker(cfg: McConfig, tables, rows, counter, report) -> None:
-    """Body of a forked worker: claims blocks of runs in order until none is left.
+def _worker(cfg: McConfig, tables, rows, counter, done) -> None:
+    """Body of a forked worker: claims blocks in order and marks each it completes in ``done``.
 
-    It sends None over ``report`` when done. On an exception it moves the
-    counter past the last block, so that the other workers stop claiming,
-    and sends the exception instead.
+    On an exception it moves the counter past the last block, so that the
+    other workers stop claiming, and returns; the block stays unmarked.
     """
     try:
-        _simulate_blocks(cfg, tables, rows, functools.partial(_claim, counter))
-    except Exception as exc:
+        while (block := _claim(counter)) < len(done):
+            _simulate_block(cfg, tables, rows, block)
+            done[block] = 1
+    except Exception:
         with counter.get_lock():
-            counter.value = cfg.runs
-        report.send(exc)
-    else:
-        report.send(None)
+            counter.value = len(done)
 
 
-def _run_workers(cfg: McConfig, tables, rows, workers: int) -> None:
-    """Runs the blocks on ``workers`` forked processes, each writing its runs into ``rows``.
+def _run_workers(cfg: McConfig, tables, rows, done, workers: int) -> None:
+    """Runs :func:`_worker` on ``workers`` forked processes until each has exited.
 
-    Raises the first exception a worker reports, and RuntimeError for a
-    worker that exits without reporting. Every worker has been terminated
-    and joined when this returns or raises.
+    A block whose worker failed or died stays unmarked in ``done``. Every
+    worker has been terminated and joined when this returns or raises.
     """
-    # Imported on first use: importing the package and one-worker ensembles
-    # do without it.
-    from multiprocessing.connection import wait
-
     ctx = multiprocessing.get_context("fork")
     counter = ctx.Value("q", 0)
     started = []
     try:
         for _ in range(workers):
-            reader, writer = ctx.Pipe(duplex=False)
-            process = ctx.Process(target=_worker, args=(cfg, tables, rows, counter, writer))
+            process = ctx.Process(target=_worker, args=(cfg, tables, rows, counter, done))
             process.start()
-            started.append((reader, process))
-            # Closed before the next fork, so that the worker holds the only
-            # send end and its exit ends the reader's file.
-            writer.close()
-        waiting = dict(started)
-        while waiting:
-            for reader in wait(list(waiting)):
-                process = waiting.pop(reader)
-                try:
-                    error = reader.recv()
-                except EOFError:
-                    process.join()
-                    raise RuntimeError(
-                        f"ensemble worker {process.pid} exited with code {process.exitcode} "
-                        "before it reported"
-                    ) from None
-                if error is not None:
-                    raise error
+            started.append(process)
+        for process in started:
+            process.join()
     finally:
-        for reader, process in started:
+        for process in started:
             process.terminate()
             process.join()
-            reader.close()
 
 
 def _records(cfg: McConfig, terminals: np.ndarray, summary: np.ndarray) -> list[RunRecord]:
@@ -513,22 +489,26 @@ def run_ensemble(cfg: McConfig, workers: int = 1) -> McResult:
     The result is identical for any worker count. ``workers > 1`` starts
     processes with the ``fork`` start method, at most one per CPU and one
     per block of R runs (see :func:`_block_runs`); they inherit ``cfg`` and
-    the shared rows and write each run's rows in place. With one worker, the
-    caller's process runs the blocks itself and starts none. An exception in a worker is raised here
-    with its type and message, a worker that exits without reporting raises
-    RuntimeError, and no worker outlives the call. Runs whose beams pick up
-    no energy are counted in ``missing_moments`` and excluded from the
-    moment distributions.
+    the shared rows, write each run's rows in place and mark each block they
+    complete. The caller then simulates every unmarked block in order, at
+    one worker all of them. So an error is raised here from the first
+    failing block, as at one worker, and the block of a worker that died is
+    redone with the same bits. No worker outlives the call. Runs whose
+    beams pick up no energy are counted in ``missing_moments`` and excluded
+    from the moment distributions.
     """
     tables = _run_tables(cfg)
     grid = tables[0]
     rows = _run_rows(cfg.runs, grid.shape[0])
 
-    workers = max(1, min(workers, os.cpu_count() or 1, -(-cfg.runs // tables[4])))
-    if workers == 1:
-        _simulate_blocks(cfg, tables, rows, itertools.count().__next__)
-    else:
-        _run_workers(cfg, tables, rows, workers)
+    blocks = -(-cfg.runs // tables[4])
+    done = mmap.mmap(-1, blocks)
+    workers = min(workers, os.cpu_count() or 1, blocks)
+    if workers > 1:
+        _run_workers(cfg, tables, rows, done, workers)
+    for block in range(blocks):
+        if not done[block]:
+            _simulate_block(cfg, tables, rows, block)
 
     counts_raw, power_raw, terminals, summary = rows
     delays, spreads = summary[:, 2], summary[:, 3]

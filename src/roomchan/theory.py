@@ -60,17 +60,6 @@ class SceneSummary:
         for name in ("volume", "surface", "diagonal", "speed_of_light", "wavelength", "bandwidth"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ConfigError(f"{name} must be positive and finite")
-        # The scales every closed form multiplies by, in the order that
-        # _arrivals and pds evaluate them.
-        c = np.float64(self.speed_of_light)
-        with np.errstate(over="ignore"):
-            scales = {
-                "4*pi*c**3/(3*V)": 4.0 * np.pi * c**3 / (3.0 * self.volume),
-                "wavelength**2*c/(4*pi*V)": np.float64(self.wavelength) ** 2 * c / (4.0 * np.pi * self.volume),
-            }
-        for name, scale in scales.items():
-            if not scale < np.inf:
-                raise ConfigError(f"{name} must be finite")
         if self.reflectance is not None and not 0.0 <= self.reflectance <= 1.0:
             raise ConfigError("reflectance must lie in [0, 1]")
         for name in ("tx_fraction", "rx_fraction"):
@@ -78,6 +67,22 @@ class SceneSummary:
                 raise ConfigError(f"{name} must lie in (0, 1]")
         if self.direct_delay is not None and self.direct_delay <= 0.0:
             raise ConfigError("direct_delay must be positive when given")
+        # The scales every closed form multiplies by, in the order that
+        # _arrivals and pds evaluate them, and the direct path's free-space
+        # factor, pds' spike weight; a result out of range fails below.
+        c, wavelength = np.float64(self.speed_of_light), np.float64(self.wavelength)
+        with np.errstate(all="ignore"):
+            scales = {
+                "4*pi*c**3/(3*V)": 4.0 * np.pi * c**3 / (3.0 * self.volume),
+                "wavelength**2*c/(4*pi*V)": wavelength**2 * c / (4.0 * np.pi * self.volume),
+            }
+            if self.direct_delay is not None:
+                scales["(wavelength/(4*pi*c*tau0))**2"] = (wavelength / (4.0 * np.pi * c * self.direct_delay)) ** 2
+        for name, scale in scales.items():
+            if not scale < np.inf:
+                raise ConfigError(f"{name} must be finite")
+            if not scale > 0.0:
+                raise ConfigError(f"{name} underflows to zero")
 
     @classmethod
     def from_components(

@@ -133,13 +133,22 @@ class TestConfigValidation:
 
     # Inputs of extreme magnitude: a boresight whose norm overflows, a line
     # of sight whose norm underflows or overflows, an index cube past int64
-    # or float64, and closed-form scales that overflow. Each is refused with
-    # one stderr line, no numpy warning and no output.
+    # or float64, closed-form scales that overflow or underflow, and
+    # terminals so close that the direct path's free-space factor
+    # overflows. Each is refused with one stderr line, no numpy warning and
+    # no output.
     CAP = {"pattern": "cap", "beam_fraction": 0.5}
     THIN = {"room": {"lengths_m": [1e-100, 5, 3]}, "positions": {"tx_m": [0, 1, 1], "rx_m": [5e-101, 3, 2]}}
     TINY = {"room": {"lengths_m": [1e-100, 1e-100, 1e-100]}}
     FAST = {"radio": {"speed_of_light_m_per_s": 1e120}}
     SCALE = "config error: 4*pi*c**3/(3*V) must be finite"
+    NEAR = {"positions": {"tx_m": [0, 0, 0], "rx_m": [0, 0, 1e-160]}}
+    DIRECT = "config error: (wavelength/(4*pi*c*tau0))**2 must be finite"
+    HIGH = {"radio": {"center_frequency_hz": 1e300}, "positions": FIG_POSITIONS}
+    SHORT = {"radio": {"wavelength_m": 1e-300}, "positions": FIG_POSITIONS}
+    LONG = {"radio": {"wavelength_m": 1e300}, "positions": FIG_POSITIONS}
+    UNDERFLOW = "config error: wavelength**2*c/(4*pi*V) underflows to zero"
+    OVERFLOW = "config error: wavelength**2*c/(4*pi*V) must be finite"
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("doc,argv,err", [
@@ -161,12 +170,28 @@ class TestConfigValidation:
         ({"positions": FIG_POSITIONS}, ["paths", "--tau-max", "1e12"], "resource limit: index cube holds 2.88e+60 cells"),
         (FAST, ["theory"], SCALE),
         (FAST, ["mc"], SCALE),
+        (NEAR, ["theory", "--pds-mode", "deterministic"], DIRECT),
+        (NEAR, ["paths"], DIRECT),
+        (NEAR, ["signal"], DIRECT),
+        (HIGH, ["paths"], UNDERFLOW),
+        (HIGH, ["signal"], UNDERFLOW),
+        (HIGH, ["mc"], UNDERFLOW),
+        (HIGH, ["theory"], UNDERFLOW),
+        (SHORT, ["paths"], UNDERFLOW),
+        (SHORT, ["signal"], UNDERFLOW),
+        (SHORT, ["mc"], UNDERFLOW),
+        (SHORT, ["theory"], UNDERFLOW),
+        (LONG, ["paths"], OVERFLOW),
+        (LONG, ["signal"], OVERFLOW),
     ], ids=["orientation", "fixed-rx-orientation", "los-underflow", "los-overflow", "thin-paths", "thin-mc", "tiny-mc", "tiny-theory",
-            "tau-max", "speed-theory", "speed-mc"])
+            "tau-max", "speed-theory", "speed-mc", "near-theory", "near-paths", "near-signal",
+            "frequency-1e300-paths", "frequency-1e300-signal", "frequency-1e300-mc", "frequency-1e300-theory",
+            "wavelength-1e-300-paths", "wavelength-1e-300-signal", "wavelength-1e-300-mc",
+            "wavelength-1e-300-theory", "wavelength-1e300-paths", "wavelength-1e300-signal"])
     def test_extreme_magnitude_is_exit_two(self, tmp_path, capsys, doc, argv, err):
         cfg = write_config(tmp_path, dict({"mc": small_mc_section()}, **doc))
         out = tmp_path / "out"
-        flag = "--out" if argv[0] == "paths" else "--out-dir"
+        flag = "--out" if argv[0] in ("paths", "signal") else "--out-dir"
         assert main(["--config", cfg, *argv, flag, str(out)]) == 2
         stderr = capsys.readouterr().err
         assert stderr.startswith(err) and stderr.count("\n") == 1

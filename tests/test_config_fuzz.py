@@ -8,8 +8,9 @@ carry one fault: a bad number, a number of extreme magnitude (a room side
 of 1e-100 m, a speed of light of 1e120 m/s), a zero vector or one whose norm
 overflows, a position outside the room, coincident terminals, a seed outside
 the 64-bit key word, or a cutoff at or before zero. A second test gives
-every document one of the extreme magnitudes and also turns numpy's
-overflow and cast warnings into errors. The ensembles stay tiny: at most
+every document one of the extreme magnitudes, which also take in a carrier
+wavelength or frequency of 1e300 or 1e-300 and terminals 1e-160 m apart at
+a room corner, and turns numpy's overflow and cast warnings into errors. The ensembles stay tiny: at most
 two runs on a 30 ns horizon and grid.
 """
 
@@ -47,6 +48,8 @@ EXTREME = {
     "length": st.just(1e-100),
     "speed": st.just(1e120),
     "orientation": st.just([1e200, 0.0, 0.0]),
+    "carrier": st.sampled_from([1e300, 1e-300]),
+    "near": st.none(),
 }
 
 vec3 = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
@@ -93,7 +96,9 @@ def documents(draw, faults=FAULTS, clean=len(FAULTS)):
         doc["radio"]["center_frequency_hz"] = value("carrier", st.floats(1e9, 1e11))
     tx = point(lengths)
     rx = tx if fault == "coincident" else point(lengths)
-    if fault == "coincident" or draw(st.booleans()):
+    if fault == "near":
+        tx, rx = [0.0, 0.0, 0.0], [0.0, 0.0, 1e-160]
+    if fault in ("coincident", "near") or draw(st.booleans()):
         doc["positions"] = {"tx_m": tx, "rx_m": rx}
     fixed = {"rx_position_m": rx, "distance_m": value("distance", st.floats(0.1, 2.0))}
     for key in ("rx_orientation", "tx_orientation"):

@@ -234,10 +234,12 @@ class TestDeterminism:
 
 
 class TestForkedWorkers:
-    """Workers claim each block once; a failing or dying worker ends the ensemble with an error.
+    """Workers claim each block once and mark the blocks they complete; the caller finishes the rest.
 
-    No worker outlives the ensemble either way. quick_config's blocks hold
-    R = 10 runs, and each ensemble here gives every worker at least two.
+    So a block that fails raises the one-worker error in the caller, and a
+    dying worker's block is redone there. No worker outlives the ensemble
+    either way. quick_config's blocks hold R = 10 runs, and each ensemble
+    here gives every worker at least two.
     """
 
     @pytest.fixture(autouse=True)
@@ -317,32 +319,91 @@ class TestForkedWorkers:
             run_ensemble(quick_config(runs=40, max_cells=100), workers=2)
         assert allocated == [] and context.methods == [] and context.started == []
 
+    def test_first_failing_block_raises_as_at_one_worker(self, deadline, monkeypatch, capfd):
+        # Block 1 fails late, block 3 at once: at two workers block 3's
+        # error comes first, but block 1 comes first in run order.
+        simulate = montecarlo._simulate_runs
+
+        def fails(cfg, tables, first, *rows):
+            block = first // tables[4]
+            if block == 1:
+                time.sleep(0.2)
+            if block in (1, 3):
+                raise ValueError(f"block {block}")
+            simulate(cfg, tables, first, *rows)
+
+        monkeypatch.setattr(montecarlo, "_simulate_runs", fails)
+        cfg = quick_config(runs=40)
+        with pytest.raises(ValueError, match="^block 1$"):
+            run_ensemble(cfg, workers=1)
+        context = CountingContext(monkeypatch)
+        with pytest.raises(ValueError, match="^block 1$"):
+            run_ensemble(cfg, workers=2)
+        assert len(context.started) == 2
+        assert multiprocessing.active_children() == []
+        # A failing worker returns quietly: no traceback of its own.
+        assert capfd.readouterr().err == ""
+
+    def test_block_failing_only_in_a_worker_is_redone_by_the_caller(self, deadline, monkeypatch):
+        cfg = quick_config(runs=40)
+        serial = run_ensemble(cfg, workers=1)
+        simulate = montecarlo._simulate_runs
+        runner = os.getpid()
+
+        def fails(cfg, tables, first, *rows):
+            if first == 2 * tables[4] and os.getpid() != runner:
+                raise MemoryError("only in a worker")
+            simulate(cfg, tables, first, *rows)
+
+        monkeypatch.setattr(montecarlo, "_simulate_runs", fails)
+        context = CountingContext(monkeypatch)
+        parallel = run_ensemble(cfg, workers=2)
+        assert len(context.started) == 2
+        assert multiprocessing.active_children() == []
+        assert_same_runs(parallel, serial)
+
     # Whichever worker takes run 3 dies, or the last worker started dies at
-    # its first block: no later fork or rebinding closes the main process's
-    # copy of that worker's pipe, only the explicit close does. Only a
-    # forked process may exit, never the test runner itself.
+    # its first block. Only a forked process may exit, never the test
+    # runner itself, which then simulates the dead worker's block.
     @pytest.mark.parametrize("victim", ["run-three", "last-started"])
-    def test_dying_worker_raises_instead_of_hanging(self, deadline, monkeypatch, victim):
+    def test_dying_worker_s_block_is_finished_by_the_caller(self, deadline, monkeypatch, victim):
+        cfg = quick_config(runs=40)
+        serial = run_ensemble(cfg, workers=1)
         context = CountingContext(monkeypatch)
         simulate = montecarlo._simulate_runs
         runner = os.getpid()
+        doomed_first = multiprocessing.get_context("fork").Value("q", -1)
+        redone = []
 
         def dies(cfg, tables, first, *rows):
             if victim == "run-three":
                 doomed = first <= 3 < first + rows[0].shape[0]
             else:
                 doomed = len(context.started) == 2  # as seen at this worker's fork
-            if doomed and os.getpid() != runner:
+            if os.getpid() == runner:
+                redone.append(first)
+            elif doomed:
+                doomed_first.value = first
                 os._exit(3)
             simulate(cfg, tables, first, *rows)
 
         monkeypatch.setattr(montecarlo, "_simulate_runs", dies)
         started = time.monotonic()
-        with pytest.raises(RuntimeError, match="exited with code 3 before it reported"):
-            run_ensemble(quick_config(runs=40), workers=2)
+        parallel = run_ensemble(cfg, workers=2)
         assert time.monotonic() - started < 10.0
         assert len(context.started) == 2
         assert multiprocessing.active_children() == []
+        assert doomed_first.value >= 0 and redone == [doomed_first.value]
+        if victim == "run-three":
+            assert redone == [0]
+        assert_same_runs(parallel, serial)
+
+
+def assert_same_runs(a, b):
+    """The two results hold bitwise equal raw curves and run records."""
+    assert a.counts_raw.tobytes() == b.counts_raw.tobytes()
+    assert a.power_raw.tobytes() == b.power_raw.tobytes()
+    assert [record_key(r) for r in a.records] == [record_key(r) for r in b.records]
 
 
 def record_key(record):

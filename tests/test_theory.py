@@ -64,6 +64,19 @@ class TestSceneSummary:
         with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be finite$"):
             dataclasses.replace(SCENE, **changes)
 
+    # Scales that underflow to zero, and the direct path's free-space
+    # factor, pds' spike weight, for terminals very close or very far.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("changes,message", [
+        (dict(speed_of_light=1e-110), "4*pi*c**3/(3*V) underflows to zero"),
+        (dict(wavelength=1e-300), "wavelength**2*c/(4*pi*V) underflows to zero"),
+        (dict(direct_delay=1e-169), "(wavelength/(4*pi*c*tau0))**2 must be finite"),
+        (dict(direct_delay=1e200), "(wavelength/(4*pi*c*tau0))**2 underflows to zero"),
+    ])
+    def test_vanishing_scales_and_direct_factor_rejected(self, changes, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(SCENE, **changes)
+
     def test_distinct_wall_gains_rejected(self):
         # Only the tail quantities need a single reflectance; the counts do not.
         room = Room((5, 5, 3), (0.5, 0.9, 0.6, 0.6, 0.6, 0.6))

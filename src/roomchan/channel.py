@@ -19,7 +19,7 @@ import numpy as np
 from . import geometry
 from ._csv import write_csv
 from .antenna import AntennaPattern
-from .errors import DegenerateGeometryError, OutOfHorizonError, ResourceLimitError, ZeroEnergyError
+from .errors import ConfigError, DegenerateGeometryError, OutOfHorizonError, ResourceLimitError, ZeroEnergyError
 from .geometry import Room
 
 # Direct synthesis kernel: paths per block. Blocks accumulate in a fixed
@@ -61,7 +61,7 @@ _LATTICE_PER_FFT_OP = 4.7
 
 @dataclass(frozen=True)
 class RadioConfig:
-    """Carrier wavelength, bandwidth, and propagation speed (SI units)."""
+    """Carrier wavelength, bandwidth, and propagation speed (SI units), each in ``geometry.MAGNITUDES``."""
 
     wavelength: float
     bandwidth: float
@@ -69,12 +69,8 @@ class RadioConfig:
 
     def __post_init__(self) -> None:
         # Speed first: from_center_frequency derives the wavelength from it.
-        if self.speed_of_light <= 0.0:
-            raise ValueError("speed of light must be positive")
-        if self.wavelength <= 0.0:
-            raise ValueError("wavelength must be positive")
-        if self.bandwidth <= 0.0:
-            raise ValueError("bandwidth must be positive")
+        for name in ("speed_of_light", "wavelength", "bandwidth"):
+            geometry.check_magnitude(name.replace("_", " "), getattr(self, name))
 
     @classmethod
     def from_center_frequency(
@@ -323,8 +319,11 @@ def synthesis_grid(radio: RadioConfig, tau_max: float) -> SampleGrid:
     """Grid for synthesizing delays up to ``tau_max``.
 
     Steps are ``1/(4B)`` and the grid extends 20 pulse widths ``1/B``
-    before zero and past ``tau_max``.
+    before zero and past ``tau_max``, which must span a pulse or more (else
+    :class:`ConfigError`): a shorter horizon holds no delay spread.
     """
+    if not radio.bandwidth * tau_max >= 1.0:
+        raise ConfigError(f"horizon of {tau_max:.3g} s is shorter than one pulse, {1 / radio.bandwidth:.3g} s")
     pad = _PAD_PULSES / radio.bandwidth
     step = 1.0 / (_OVERSAMPLE * radio.bandwidth)
     return SampleGrid.spanning(-pad, tau_max + pad, step)

@@ -78,12 +78,10 @@ def _integer(low: int, high: float = math.inf):
 def _scene_paths(args):
     """Path list of the fixed scene of ``paths`` and ``signal``, its radio and horizon."""
     doc = cfgmod.load_document(args.config)
-    room = cfgmod.build_room(doc)
-    radio = cfgmod.build_radio(doc)
+    _build_scene(doc)  # refuses a scene outside the model's domain before any beam is aimed
+    room, radio = cfgmod.build_room(doc), cfgmod.build_radio(doc)
     tx_pos, rx_pos = cfgmod.positions_from(doc)
     tx_pattern, rx_pattern = cfgmod.aimed_patterns(doc, tx_pos, rx_pos)
-    # Refuses the scene scales that theory and mc refuse.
-    SceneSummary.from_components(room, radio, tx_pattern, rx_pattern, tx_pos, rx_pos)
     tau_max = args.tau_max if args.tau_max is not None else doc["mc"]["tau_max_s"]
     if tau_max < 0.0:
         raise ConfigError("mc/tau_max_s: must be non-negative")

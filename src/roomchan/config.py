@@ -16,7 +16,7 @@ import numpy as np
 
 from .antenna import AntennaPattern, Isotropic, SphericalCap
 from .channel import PHASE_MODES, RadioConfig
-from .errors import ConfigError, DegenerateGeometryError
+from .errors import ConfigError
 from .geometry import Room
 from .montecarlo import MODES, McConfig
 
@@ -236,7 +236,7 @@ def aimed_patterns(doc: dict, tx_position, rx_position) -> tuple[AntennaPattern,
 
     A directive antenna must carry either an explicit orientation or
     ``aim: los``; pointing it implicitly would make fixed-scene outputs
-    depend on hidden defaults.
+    depend on hidden defaults. ``SceneSummary.from_components`` must accept the positions.
     """
     tx_position = np.asarray(tx_position, dtype=float)
     rx_position = np.asarray(rx_position, dtype=float)
@@ -247,12 +247,7 @@ def aimed_patterns(doc: dict, tx_position, rx_position) -> tuple[AntennaPattern,
         pattern = build_pattern(doc, side)
         if pattern.cone is not None:
             if section.get("aim") == "los":
-                if not np.any(boresight):
-                    raise DegenerateGeometryError("transmitter and receiver coincide")
-                try:
-                    pattern = pattern.aimed(boresight)
-                except ValueError as exc:
-                    raise ConfigError(f"antennas/{side}: aim 'los': {exc}") from None
+                pattern = pattern.aimed(boresight)
             elif "orientation" not in section:
                 raise ConfigError(
                     f"antennas/{side}: directive pattern needs 'orientation' or 'aim': 'los'"

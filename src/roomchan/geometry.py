@@ -16,7 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ConfigError, ResourceLimitError
+
+#: The model's domain: every SI input lies in this range. There every closed-form
+#: scale lies within about 1e+-180, so no formula guards its own result.
+MAGNITUDES = (1e-30, 1e30)
 
 #: Default cap on candidate index cells scanned by :func:`enumerate_indices`.
 DEFAULT_MAX_CELLS = 20_000_000
@@ -26,6 +30,12 @@ DEFAULT_MAX_CELLS = 20_000_000
 _CONE_SLACK = 1e-9
 
 
+def check_magnitude(name: str, value, bounds=MAGNITUDES) -> None:
+    """Raise :class:`ConfigError` unless ``bounds[0] <= value <= bounds[1]``."""
+    if not bounds[0] <= value <= bounds[1]:
+        raise ConfigError(f"{name} must lie in [{bounds[0]:.3g}, {bounds[1]:.3g}], got {value:.3g}")
+
+
 @dataclass(frozen=True)
 class Room:
     """Rectangular room with per-wall power reflectances.
@@ -33,7 +43,7 @@ class Room:
     Parameters
     ----------
     lengths : array_like
-        Side lengths ``(Lx, Ly, Lz)`` in meters, all positive.
+        Side lengths ``(Lx, Ly, Lz)`` in meters, each in :data:`MAGNITUDES`.
     wall_gains : float or array_like
         Power reflectance of the six walls, each in ``[0, 1]``, ordered
         ``(x=0, x=Lx, y=0, y=Ly, z=0, z=Lz)``. A scalar applies to all walls.
@@ -46,8 +56,8 @@ class Room:
         lengths = np.asarray(self.lengths, dtype=float)
         if lengths.shape != (3,):
             raise ValueError("room lengths must be three values")
-        if not np.all(lengths > 0.0):
-            raise ValueError("room lengths must be positive")
+        for length in lengths:
+            check_magnitude("room lengths", length)
         gains = np.asarray(self.wall_gains, dtype=float)
         if gains.ndim == 0:
             gains = np.full(6, float(gains))

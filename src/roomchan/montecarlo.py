@@ -158,8 +158,8 @@ class McConfig:
             raise ConfigError("mode 'fixed-orientation-tx' needs tx_orientation")
         self.fixed_boresights  # normalized, and refused unless their norms are positive and finite
         if self.mode == "fixed-distance":
-            if self.distance is None or self.distance <= 0.0:
-                raise ConfigError("mode 'fixed-distance' needs a positive distance")
+            if self.distance is None or not self.distance >= self.radio.wavelength:
+                raise ConfigError("mode 'fixed-distance' needs a distance of a wavelength or more")
             if self.distance >= self.room.diagonal:
                 raise ConfigError("distance does not fit inside the room")
 

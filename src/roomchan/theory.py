@@ -30,7 +30,7 @@ from ._csv import write_csv
 from .antenna import AntennaPattern
 from .channel import RadioConfig, sinc_pulse
 from .errors import ConfigError, DegenerateGeometryError
-from .geometry import Room
+from .geometry import MAGNITUDES, Room, check_magnitude
 
 #: Default variance-to-mean ratio of the wall-interaction count (Kuttruff's
 #: constant); 0.3 to 0.4 covers common room aspect ratios.
@@ -40,10 +40,17 @@ DEFAULT_GAMMA_SQ = 0.35
 # a block's pulse matrix holds _PULSE_ROWS x grid values.
 _PULSE_ROWS = 64
 
+# Cubes of the domain's extreme sides: every room of sides in MAGNITUDES has its scalars between theirs.
+_CUBES = [Room((side,) * 3, 0.0) for side in MAGNITUDES]
+
 
 @dataclass(frozen=True)
 class SceneSummary:
-    """Scalars that the closed-form results depend on (SI units)."""
+    """Scalars that the closed-form results depend on (SI units).
+
+    Outside the model's domain, ``geometry.MAGNITUDES``, construction raises
+    :class:`ConfigError`; the room's scalars span those of every room of sides in it.
+    """
 
     volume: float
     surface: float
@@ -57,32 +64,17 @@ class SceneSummary:
     direct_delay: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("volume", "surface", "diagonal", "speed_of_light", "wavelength", "bandwidth"):
-            if not 0.0 < getattr(self, name) < np.inf:
-                raise ConfigError(f"{name} must be positive and finite")
+        for name, attribute in (("volume", "volume"), ("surface", "surface_area"), ("diagonal", "diagonal")):
+            check_magnitude(name, getattr(self, name), [getattr(cube, attribute) for cube in _CUBES])
+        for name in ("speed_of_light", "wavelength", "bandwidth"):
+            check_magnitude(name, getattr(self, name))
         if self.reflectance is not None and not 0.0 <= self.reflectance <= 1.0:
             raise ConfigError("reflectance must lie in [0, 1]")
         for name in ("tx_fraction", "rx_fraction"):
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must lie in (0, 1]")
-        if self.direct_delay is not None and self.direct_delay <= 0.0:
-            raise ConfigError("direct_delay must be positive when given")
-        # The scales every closed form multiplies by, in the order that
-        # _arrivals and pds evaluate them, and the direct path's free-space
-        # factor, pds' spike weight; a result out of range fails below.
-        c, wavelength = np.float64(self.speed_of_light), np.float64(self.wavelength)
-        with np.errstate(all="ignore"):
-            scales = {
-                "4*pi*c**3/(3*V)": 4.0 * np.pi * c**3 / (3.0 * self.volume),
-                "wavelength**2*c/(4*pi*V)": wavelength**2 * c / (4.0 * np.pi * self.volume),
-            }
-            if self.direct_delay is not None:
-                scales["(wavelength/(4*pi*c*tau0))**2"] = (wavelength / (4.0 * np.pi * c * self.direct_delay)) ** 2
-        for name, scale in scales.items():
-            if not scale < np.inf:
-                raise ConfigError(f"{name} must be finite")
-            if not scale > 0.0:
-                raise ConfigError(f"{name} underflows to zero")
+        if self.direct_delay is not None:
+            check_magnitude("direct_delay", self.direct_delay)
 
     @classmethod
     def from_components(
@@ -94,20 +86,21 @@ class SceneSummary:
         tx_position=None,
         rx_position=None,
     ) -> "SceneSummary":
-        """Summarize a concrete scene; positions (if given) set the direct delay."""
+        """Summarize a concrete scene; positions (if given), a wavelength or more apart, set the direct delay."""
         gains = room.wall_gains
         direct_delay = None
         if tx_position is not None and rx_position is not None:
             diff = np.asarray(tx_position, float) - np.asarray(rx_position, float)
-            direct_delay = float(np.sqrt(np.sum(diff * diff)) / radio.speed_of_light)
-            if direct_delay == 0.0:
+            if not np.any(diff):
                 raise DegenerateGeometryError("transmitter and receiver coincide")
-        with np.errstate(over="ignore"):  # an overflow fails the check in __post_init__
-            volume, surface, diagonal = room.volume, room.surface_area, room.diagonal
+            separation = np.sqrt(np.sum(diff * diff))
+            if not separation >= radio.wavelength:  # the far-field path gain needs it
+                raise ConfigError(f"terminals must lie a wavelength, {radio.wavelength:.3g} m, or more apart")
+            direct_delay = float(separation / radio.speed_of_light)
         return cls(
-            volume=volume,
-            surface=surface,
-            diagonal=diagonal,
+            volume=room.volume,
+            surface=room.surface_area,
+            diagonal=room.diagonal,
             reflectance=float(gains[0]) if np.all(gains == gains[0]) else None,
             speed_of_light=radio.speed_of_light,
             wavelength=radio.wavelength,

@@ -120,35 +120,42 @@ class TestConfigValidation:
     def test_negative_speed_of_light_names_speed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"radio": {"speed_of_light_m_per_s": -3e8}})
         assert main(["--config", cfg, "theory", "--out-dir", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == "config error: radio: speed of light must be positive\n"
+        assert capsys.readouterr().err == "config error: radio: speed of light must lie in [1e-30, 1e+30], got -3e+08\n"
 
-    # Volume, surface area and diagonal all overflow, or the diagonal alone.
-    @pytest.mark.parametrize("lengths,name", [([1e300, 1e300, 1e300], "volume"), ([1e200, 5, 3], "diagonal")])
+    # Sides past the domain, where volume, surface area and diagonal all
+    # overflow, or the diagonal alone.
+    @pytest.mark.parametrize("lengths,side", [([1e300, 1e300, 1e300], "1e+300"), ([1e200, 5, 3], "1e+200")])
     @pytest.mark.parametrize("command", [["theory"], ["mc", "--runs", "2"]])
-    def test_overflowing_room_is_config_error(self, tmp_path, capsys, lengths, name, command):
+    def test_overflowing_room_is_config_error(self, tmp_path, capsys, lengths, side, command):
         cfg = write_config(tmp_path, {"room": {"lengths_m": lengths}, "mc": small_mc_section()})
         assert main(["--config", cfg, *command, "--out-dir", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == f"config error: {name} must be positive and finite\n"
+        assert capsys.readouterr().err == f"config error: room: room lengths must lie in [1e-30, 1e+30], got {side}\n"
         assert not (tmp_path / "out").exists()
 
     # Inputs of extreme magnitude: a boresight whose norm overflows, a line
     # of sight whose norm underflows or overflows, an index cube past int64
-    # or float64, closed-form scales that overflow or underflow, and
-    # terminals so close that the direct path's free-space factor
-    # overflows. Each is refused with one stderr line, no numpy warning and
-    # no output.
+    # or float64, values outside the model's domain where closed-form scales
+    # would overflow or underflow, terminals nearer than a wavelength, and a
+    # horizon shorter than one pulse. Each is refused with one stderr line,
+    # no numpy warning and no output.
     CAP = {"pattern": "cap", "beam_fraction": 0.5}
-    THIN = {"room": {"lengths_m": [1e-100, 5, 3]}, "positions": {"tx_m": [0, 1, 1], "rx_m": [5e-101, 3, 2]}}
+    THIN = {"room": {"lengths_m": [1e-20, 5, 3]}, "positions": {"tx_m": [0, 1, 1], "rx_m": [5e-21, 3, 2]}}
+    THINNER = {"room": {"lengths_m": [1e-100, 5, 3]}, "positions": {"tx_m": [0, 1, 1], "rx_m": [5e-101, 3, 2]}}
     TINY = {"room": {"lengths_m": [1e-100, 1e-100, 1e-100]}}
+    SIDE = "config error: room: room lengths must lie in [1e-30, 1e+30], got 1e-100"
     FAST = {"radio": {"speed_of_light_m_per_s": 1e120}}
-    SCALE = "config error: 4*pi*c**3/(3*V) must be finite"
+    SPEED = "config error: radio: speed of light must lie in [1e-30, 1e+30], got 1e+120"
     NEAR = {"positions": {"tx_m": [0, 0, 0], "rx_m": [0, 0, 1e-160]}}
-    DIRECT = "config error: (wavelength/(4*pi*c*tau0))**2 must be finite"
+    APART = "config error: terminals must lie a wavelength, 0.005 m, or more apart"
+    MM = {"positions": {"tx_m": [1, 1, 1], "rx_m": [1, 1, 1.001]}}
+    NEAR_157 = {"positions": {"tx_m": [0, 0, 0], "rx_m": [0, 0, 1e-157]}}
     HIGH = {"radio": {"center_frequency_hz": 1e300}, "positions": FIG_POSITIONS}
     SHORT = {"radio": {"wavelength_m": 1e-300}, "positions": FIG_POSITIONS}
     LONG = {"radio": {"wavelength_m": 1e300}, "positions": FIG_POSITIONS}
-    UNDERFLOW = "config error: wavelength**2*c/(4*pi*V) underflows to zero"
-    OVERFLOW = "config error: wavelength**2*c/(4*pi*V) must be finite"
+    WAVELENGTH = "config error: radio: wavelength must lie in [1e-30, 1e+30], got "
+    NARROW = {"radio": {"bandwidth_hz": 1e6}, "positions": FIG_POSITIONS}
+    PULSE = "config error: horizon of 3e-08 s is shorter than one pulse, 1e-06 s"
+    SLOW = {"radio": {"bandwidth_hz": 1e-300}}
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("doc,argv,err", [
@@ -159,32 +166,48 @@ class TestConfigValidation:
                      fixed={"rx_position_m": [1, 1, 1], "rx_orientation": [1e200, 0, 0]})}, ["mc"],
          "config error: rx_orientation: boresight must have a positive, finite norm"),
         ({"antennas": {"tx": dict(CAP, aim="los")}, "positions": {"tx_m": [0, 0, 0], "rx_m": [1e-170, 0, 0]}},
-         ["paths"], "config error: antennas/tx: aim 'los': boresight must have a positive, finite norm"),
+         ["paths"], APART),
         ({"room": {"lengths_m": [1e200, 5, 3]}, "antennas": {"rx": dict(CAP, aim="los")},
           "positions": {"tx_m": [0, 1, 1], "rx_m": [9e199, 1, 1]}},
-         ["paths"], "config error: antennas/rx: aim 'los': boresight must have a positive, finite norm"),
-        (THIN, ["paths"], "resource limit: index cube holds 1.782e+103 cells"),
-        (THIN, ["mc", "--runs", "2"], "resource limit: index cube holds 1.782e+103 cells"),
-        (TINY, ["mc"], SCALE),
-        (TINY, ["theory"], SCALE),
+         ["paths"], "config error: room: room lengths must lie in [1e-30, 1e+30], got 1e+200"),
+        (THIN, ["paths"], "resource limit: index cube holds 1.782e+23 cells"),
+        (THIN, ["mc", "--runs", "2"], "resource limit: index cube holds 1.782e+23 cells"),
+        (THINNER, ["paths"], SIDE),
+        (THINNER, ["mc", "--runs", "2"], SIDE),
+        (TINY, ["mc"], SIDE),
+        (TINY, ["theory"], SIDE),
         ({"positions": FIG_POSITIONS}, ["paths", "--tau-max", "1e12"], "resource limit: index cube holds 2.88e+60 cells"),
-        (FAST, ["theory"], SCALE),
-        (FAST, ["mc"], SCALE),
-        (NEAR, ["theory", "--pds-mode", "deterministic"], DIRECT),
-        (NEAR, ["paths"], DIRECT),
-        (NEAR, ["signal"], DIRECT),
-        (HIGH, ["paths"], UNDERFLOW),
-        (HIGH, ["signal"], UNDERFLOW),
-        (HIGH, ["mc"], UNDERFLOW),
-        (HIGH, ["theory"], UNDERFLOW),
-        (SHORT, ["paths"], UNDERFLOW),
-        (SHORT, ["signal"], UNDERFLOW),
-        (SHORT, ["mc"], UNDERFLOW),
-        (SHORT, ["theory"], UNDERFLOW),
-        (LONG, ["paths"], OVERFLOW),
-        (LONG, ["signal"], OVERFLOW),
-    ], ids=["orientation", "fixed-rx-orientation", "los-underflow", "los-overflow", "thin-paths", "thin-mc", "tiny-mc", "tiny-theory",
+        (FAST, ["theory"], SPEED),
+        (FAST, ["mc"], SPEED),
+        (NEAR, ["theory", "--pds-mode", "deterministic"], APART),
+        (NEAR, ["paths"], APART),
+        (NEAR, ["signal"], APART),
+        (MM, ["theory", "--pds-mode", "deterministic"], APART),
+        (MM, ["paths"], APART),
+        (MM, ["signal"], APART),
+        (NEAR_157, ["paths"], APART),
+        ({"mc": dict(small_mc_section(), mode="fixed-distance", fixed={"distance_m": 0.001})}, ["mc"],
+         "config error: mode 'fixed-distance' needs a distance of a wavelength or more"),
+        (NARROW, ["mc"], PULSE),
+        (NARROW, ["signal"], PULSE),
+        ({"positions": FIG_POSITIONS}, ["signal", "--tau-max", "1e-10"],
+         "config error: horizon of 1e-10 s is shorter than one pulse, 5e-10 s"),
+        (SLOW, ["mc"], "config error: radio: bandwidth must lie in [1e-30, 1e+30], got 1e-300"),
+        (HIGH, ["paths"], WAVELENGTH + "3e-292"),
+        (HIGH, ["signal"], WAVELENGTH + "3e-292"),
+        (HIGH, ["mc"], WAVELENGTH + "3e-292"),
+        (HIGH, ["theory"], WAVELENGTH + "3e-292"),
+        (SHORT, ["paths"], WAVELENGTH + "1e-300"),
+        (SHORT, ["signal"], WAVELENGTH + "1e-300"),
+        (SHORT, ["mc"], WAVELENGTH + "1e-300"),
+        (SHORT, ["theory"], WAVELENGTH + "1e-300"),
+        (LONG, ["paths"], WAVELENGTH + "1e+300"),
+        (LONG, ["signal"], WAVELENGTH + "1e+300"),
+    ], ids=["orientation", "fixed-rx-orientation", "los-underflow", "los-overflow", "thin-paths", "thin-mc",
+            "thin-1e-100-paths", "thin-1e-100-mc", "tiny-mc", "tiny-theory",
             "tau-max", "speed-theory", "speed-mc", "near-theory", "near-paths", "near-signal",
+            "mm-theory", "mm-paths", "mm-signal", "near-1e-157-paths", "fixed-distance-mm",
+            "pulse-mc", "pulse-signal", "pulse-tau-max", "bandwidth-1e-300-mc",
             "frequency-1e300-paths", "frequency-1e300-signal", "frequency-1e300-mc", "frequency-1e300-theory",
             "wavelength-1e-300-paths", "wavelength-1e-300-signal", "wavelength-1e-300-mc",
             "wavelength-1e-300-theory", "wavelength-1e300-paths", "wavelength-1e300-signal"])

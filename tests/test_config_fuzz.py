@@ -9,8 +9,9 @@ of 1e-100 m, a speed of light of 1e120 m/s), a zero vector or one whose norm
 overflows, a position outside the room, coincident terminals, a seed outside
 the 64-bit key word, or a cutoff at or before zero. A second test gives
 every document one of the extreme magnitudes, which also take in a carrier
-wavelength or frequency of 1e300 or 1e-300 and terminals 1e-160 m apart at
-a room corner, and turns numpy's overflow and cast warnings into errors. The ensembles stay tiny: at most
+wavelength or frequency of 1e300 or 1e-300, a bandwidth of 1e-300 Hz and
+terminals 1e-160 m or 1 mm apart at a room corner, and turns numpy's
+overflow and cast warnings into errors. The ensembles stay tiny: at most
 two runs on a 30 ns horizon and grid.
 """
 
@@ -49,7 +50,8 @@ EXTREME = {
     "speed": st.just(1e120),
     "orientation": st.just([1e200, 0.0, 0.0]),
     "carrier": st.sampled_from([1e300, 1e-300]),
-    "near": st.none(),
+    "bandwidth": st.just(1e-300),
+    "near": st.sampled_from([1e-160, 1e-3]),
 }
 
 vec3 = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
@@ -97,7 +99,7 @@ def documents(draw, faults=FAULTS, clean=len(FAULTS)):
     tx = point(lengths)
     rx = tx if fault == "coincident" else point(lengths)
     if fault == "near":
-        tx, rx = [0.0, 0.0, 0.0], [0.0, 0.0, 1e-160]
+        tx, rx = [0.0, 0.0, 0.0], [0.0, 0.0, draw(faults["near"])]
     if fault in ("coincident", "near") or draw(st.booleans()):
         doc["positions"] = {"tx_m": tx, "rx_m": rx}
     fixed = {"rx_position_m": rx, "distance_m": value("distance", st.floats(0.1, 2.0))}

@@ -51,27 +51,43 @@ class TestSceneSummary:
         with pytest.raises(DegenerateGeometryError, match="transmitter and receiver coincide"):
             SceneSummary.from_components(ROOM, RADIO, Isotropic(), Isotropic(), TX, TX)
 
-    # The closed forms' scales overflow: a huge speed of light, or a tiny
-    # room; raised as ConfigError, without a numpy warning.
+    # The far-field path gain needs the terminals a wavelength (5 mm) apart
+    # or more: 1 mm is refused, and so is 1e-200 m, whose squared separation
+    # underflows to 0, without being taken for coincident terminals.
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("changes,name", [
-        (dict(speed_of_light=1e120), "4*pi*c**3/(3*V)"),
-        (dict(speed_of_light=2.5e102, volume=1e10), "4*pi*c**3/(3*V)"),
-        (dict(volume=1e-300), "4*pi*c**3/(3*V)"),
-        (dict(wavelength=1e160), "wavelength**2*c/(4*pi*V)"),
-    ])
-    def test_overflowing_scales_rejected(self, changes, name):
-        with pytest.raises(ConfigError, match=f"^{re.escape(name)} must be finite$"):
-            dataclasses.replace(SCENE, **changes)
+    @pytest.mark.parametrize("separation", [1e-3, 1e-200, np.nextafter(RADIO.wavelength, 0.0)])
+    def test_terminals_nearer_than_a_wavelength_rejected(self, separation):
+        with pytest.raises(ConfigError, match=r"^terminals must lie a wavelength, 0\.005 m, or more apart$") as info:
+            SceneSummary.from_components(ROOM, RADIO, Isotropic(), Isotropic(), [0, 0, 0], [0, 0, separation])
+        assert not isinstance(info.value, DegenerateGeometryError)
 
-    # Scales that underflow to zero, and the direct path's free-space
-    # factor, pds' spike weight, for terminals very close or very far.
+    def test_terminals_a_wavelength_apart_accepted(self):
+        scene = SceneSummary.from_components(ROOM, RADIO, Isotropic(), Isotropic(), [0, 0, 0], [0, 0, RADIO.wavelength])
+        assert scene.direct_delay == RADIO.wavelength / C
+
+    # Scalars outside the model's domain, where the closed forms' scales
+    # would overflow: a huge speed of light, or a tiny room; raised as
+    # ConfigError, without a numpy warning.
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("changes,message", [
-        (dict(speed_of_light=1e-110), "4*pi*c**3/(3*V) underflows to zero"),
-        (dict(wavelength=1e-300), "wavelength**2*c/(4*pi*V) underflows to zero"),
-        (dict(direct_delay=1e-169), "(wavelength/(4*pi*c*tau0))**2 must be finite"),
-        (dict(direct_delay=1e200), "(wavelength/(4*pi*c*tau0))**2 underflows to zero"),
+        (dict(speed_of_light=1e120), "speed_of_light must lie in [1e-30, 1e+30], got 1e+120"),
+        (dict(speed_of_light=2.5e102, volume=1e10), "speed_of_light must lie in [1e-30, 1e+30], got 2.5e+102"),
+        (dict(volume=1e-300), "volume must lie in [1e-90, 1e+90], got 1e-300"),
+        (dict(wavelength=1e160), "wavelength must lie in [1e-30, 1e+30], got 1e+160"),
+    ])
+    def test_overflowing_scales_rejected(self, changes, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(SCENE, **changes)
+
+    # Scalars outside the domain where the scales would underflow to zero,
+    # and direct delays outside it, where the direct path's free-space
+    # factor, pds' spike weight, would overflow or underflow.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("changes,message", [
+        (dict(speed_of_light=1e-110), "speed_of_light must lie in [1e-30, 1e+30], got 1e-110"),
+        (dict(wavelength=1e-300), "wavelength must lie in [1e-30, 1e+30], got 1e-300"),
+        (dict(direct_delay=1e-169), "direct_delay must lie in [1e-30, 1e+30], got 1e-169"),
+        (dict(direct_delay=1e200), "direct_delay must lie in [1e-30, 1e+30], got 1e+200"),
     ])
     def test_vanishing_scales_and_direct_factor_rejected(self, changes, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):

@@ -33,11 +33,6 @@ _SYNTH_CHUNK = 128
 #: is a mistyped step or bandwidth.
 MAX_GRID_POINTS = 1_000_000
 
-#: Cap on runs x count-grid points of one ensemble. Its raw curves take 12
-#: bytes a point (int32 counts, float64 power), so this is 600 MB; an
-#: 80,000-run ensemble on the 481-point 120 ns grid holds 38.5M points.
-MAX_ENSEMBLE_POINTS = 50_000_000
-
 #: Phase models of :func:`synthesize_signal`: the phases stored with the
 #: paths, or i.i.d. uniform phases.
 PHASE_MODES = ("carrier", "random")

@@ -10,12 +10,12 @@ keyed by ``(master seed, run index)``, and aggregation reduces in run-index
 order, so results are a pure function of the configuration regardless of how
 many workers execute the runs.
 
-Memory: the ensemble's raw curves, terminals and summaries are allocated
-once, before any run, each in its own anonymous shared mapping, and every
-run writes its rows there in place; no block buffer or copy stands between.
-The means are numpy's buffered reductions of those curves and the squared
+Memory: a run's outputs are one row (see _row_layout), and every run writes
+its row in place into one anonymous shared mapping, allocated before any run.
+Statistics and records are computed from the rows on first read: the means
+are numpy's buffered reductions of the curve fields and the squared
 deviations are summed in fixed row blocks, so the process holds one copy of
-the curves plus one block's temporaries.
+the rows plus one block's temporaries.
 
 Speed: the runs form contiguous blocks of R runs (see _block_runs), which
 forked workers claim in order from a shared counter, so a worker's next
@@ -45,7 +45,6 @@ from . import theory
 from ._csv import write_csv
 from .antenna import AntennaPattern, sample_orientation, sample_position, unit_boresight
 from .channel import (
-    MAX_ENSEMBLE_POINTS,
     PHASE_MODES,
     RadioConfig,
     SampleGrid,
@@ -94,6 +93,30 @@ _BLOCK_PATHS = 1024
 # (_STAT_ROWS + 1) x grid floats, row 0 being the sums carried over.
 _STAT_ROWS = 128
 
+# Longest wait, in seconds, for the lock of the workers' block counter. A live
+# holder keeps it for a few instructions; if one died holding it, the others
+# stop claiming and leave their blocks to the caller.
+_LOCK_WAIT = 2.0
+
+#: Cap on the bytes of an ensemble's rows (see _row_layout). 80,000 runs on
+#: the 481-point 120 ns grid take 472 MB.
+MAX_ENSEMBLE_BYTES = 600_000_000
+
+
+def _row_layout(points: int) -> np.dtype:
+    """One run's outputs on a ``points``-point count grid, as one aligned row.
+
+    Boresights are NaN where a fixed mode leaves one unset, and the moments,
+    of the samples up to the cutoff, NaN for a run without energy.
+    """
+    return np.dtype([
+        ("power", float, (points,)),
+        ("tx_position", float, (3,)), ("rx_position", float, (3,)),
+        ("tx_boresight", float, (3,)), ("rx_boresight", float, (3,)),
+        ("n_paths", float), ("energy", float), ("mean_delay", float), ("rms_spread", float),
+        ("counts", np.int32, (points,)),
+    ], align=True)
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -135,13 +158,14 @@ class McConfig:
             raise ConfigError("grid must lie within [0, tau_max]")
         if self.grid_step <= 0.0:
             raise ConfigError("grid step must be positive")
-        # Pre-flight: both grids and the raw curves are sized before any run
+        # Pre-flight: both grids and the rows are sized before any run
         # allocates them.
         points = self._grid_points()
-        if self.runs * points > MAX_ENSEMBLE_POINTS:
+        size = self.runs * _row_layout(points).itemsize
+        if size > MAX_ENSEMBLE_BYTES:
             raise ResourceLimitError(
-                f"{self.runs} runs x {points} grid points hold {self.runs * points:.3g} curve "
-                f"points, above the cap of {MAX_ENSEMBLE_POINTS}"
+                f"{self.runs} runs x {points} grid points take {size:.3g} bytes of rows, "
+                f"above the cap of {MAX_ENSEMBLE_BYTES}"
             )
         self.synthesis_grid()
         if self.mode in ("fixed-rx", "fixed-orientation-tx"):
@@ -242,17 +266,56 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class McResult:
-    """Aggregated ensemble output plus raw per-run curves."""
+    """An ensemble's rows (see :func:`_row_layout`), in run order; the rest is computed on first read.
+
+    A run has no moments exactly when its mean delay is NaN: its record has
+    None for them, and ``missing_moments`` counts it.
+    """
 
     config: McConfig
-    count: McEstimate
-    power: McEstimate
-    mean_delay: Ecdf | None
-    rms_spread: Ecdf | None
-    records: list[RunRecord]
-    missing_moments: int
-    counts_raw: np.ndarray
-    power_raw: np.ndarray
+    rows: np.ndarray
+
+    @property
+    def counts_raw(self) -> np.ndarray:
+        return self.rows["counts"]
+
+    @property
+    def power_raw(self) -> np.ndarray:
+        return self.rows["power"]
+
+    @functools.cached_property
+    def count(self) -> McEstimate:
+        return _estimate(self.config.grid(), self.counts_raw)
+
+    @functools.cached_property
+    def power(self) -> McEstimate:
+        return _estimate(self.config.grid(), self.power_raw)
+
+    @functools.cached_property
+    def missing_moments(self) -> int:
+        return int(np.isnan(self.rows["mean_delay"]).sum())
+
+    @functools.cached_property
+    def mean_delay(self) -> Ecdf | None:
+        return ecdf(self.rows["mean_delay"]) if self.missing_moments < len(self.rows) else None
+
+    @functools.cached_property
+    def rms_spread(self) -> Ecdf | None:
+        return ecdf(self.rows["rms_spread"]) if self.missing_moments < len(self.rows) else None
+
+    @functools.cached_property
+    def records(self) -> list[RunRecord]:
+        """One record per run; boresights only for directive patterns."""
+        rows, unaimed = self.rows, [None] * len(self.rows)
+        aims = (rows[f"{side}_boresight"] if pattern.cone is not None else unaimed
+                for side, pattern in (("tx", self.config.tx_pattern), ("rx", self.config.rx_pattern)))
+        summaries = (rows[name].tolist() for name in ("n_paths", "energy", "mean_delay", "rms_spread"))
+        return [
+            RunRecord(index, tx_pos, rx_pos, tx_ori, rx_ori, int(paths), energy,
+                      *((None, None) if np.isnan(mean) else (mean, spread)))
+            for index, (tx_pos, rx_pos, tx_ori, rx_ori, paths, energy, mean, spread)
+            in enumerate(zip(rows["tx_position"], rows["rx_position"], *aims, *summaries))
+        ]
 
 
 def run_rng(seed: int, index: int) -> np.random.Generator:
@@ -316,73 +379,65 @@ def _run_tables(cfg: McConfig) -> tuple[np.ndarray, SampleGrid, np.ndarray, int,
     return grid, synthesis, times[:read], cut, _block_runs(cfg)
 
 
-def _run_rows(runs: int, points: int):
-    """Per-run outputs of ``runs`` runs: count rows, power rows, terminals, summaries.
+def _run_rows(runs: int, points: int) -> np.ndarray:
+    """Rows of ``runs`` runs (see :func:`_row_layout`) in one anonymous shared mapping.
 
-    Row ``i`` of ``terminals`` holds the tx and rx positions and boresights
-    of run ``i``; row ``i`` of ``summary`` its path count, energy, mean
-    delay and rms spread, the moments NaN for a run without energy. Each
-    array views its own anonymous shared mapping, which starts on a page
-    boundary, so processes forked after this call write the rows their
-    caller reads, and the caller writes those of blocks they left undone.
+    Processes forked after this call write the rows their caller reads, and
+    the caller writes those of blocks they left undone.
     """
-    layout = (((runs, points), np.int32), ((runs, points), float), ((runs, 4, 3), float), ((runs, 4), float))
-    return tuple(
-        np.frombuffer(mmap.mmap(-1, int(np.prod(shape)) * np.dtype(dtype).itemsize), dtype).reshape(shape)
-        for shape, dtype in layout
-    )
+    layout = _row_layout(points)
+    return np.frombuffer(mmap.mmap(-1, runs * layout.itemsize), layout)
 
 
-def _simulate_runs(cfg: McConfig, tables, first: int, counts, power, terminals, summary) -> None:
-    """Runs ``first`` on, one per row of the outputs (see :func:`_run_rows`), which they fill.
+def _simulate_block(cfg: McConfig, tables, rows: np.ndarray, block: int) -> None:
+    """Simulates block ``block``, runs ``block * R`` on (R from :func:`_block_runs`), into its rows.
 
     The runs draw their terminals and are enumerated and gated as one
     block, into the path lists :func:`enumerate_paths` gives them. They are
     counted, draw their phases and are synthesized one at a time, through
     the module names ``arrival_count_curve`` and ``synthesize_signal``, and
-    their energies and moments are taken as rows. Counting and synthesis
-    read a path list's delays and power gains, and its carrier phases in
-    carrier mode; its other columns are never sorted.
+    their energies and moments are taken as rows. Every field of the block's
+    rows is written, from the seed and its runs alone, so a redone block
+    writes the same bits.
     """
-    grid, synthesis, times, cut, _ = tables
-    size = counts.shape[0]
-    rngs = [run_rng(cfg.seed, index) for index in range(first, first + size)]
+    grid, synthesis, times, cut, size = tables
+    first = block * size
+    rows = rows[first:first + size]
+    rngs = [run_rng(cfg.seed, index) for index in range(first, first + len(rows))]
     tx_pos, tx_ori, rx_pos, rx_ori = zip(*(_draw_terminals(cfg, rng) for rng in rngs))
-    terminals[:, 0], terminals[:, 1] = tx_pos, rx_pos
+    rows["tx_position"], rows["rx_position"] = tx_pos, rx_pos
     # Boresights that fixed modes leave unset aim nothing.
-    for column, boresights in ((2, tx_ori), (3, rx_ori)):
-        terminals[:, column] = np.nan if boresights[0] is None else boresights
+    for name, boresights in (("tx_boresight", tx_ori), ("rx_boresight", rx_ori)):
+        rows[name] = np.nan if boresights[0] is None else boresights
     paths = _block_paths(
-        cfg.room, terminals[:, 0], [cfg.tx_pattern.aimed(b) for b in tx_ori],
-        terminals[:, 1], [cfg.rx_pattern.aimed(b) for b in rx_ori],
+        cfg.room, rows["tx_position"], [cfg.tx_pattern.aimed(b) for b in tx_ori],
+        rows["rx_position"], [cfg.rx_pattern.aimed(b) for b in rx_ori],
         cfg.radio, cfg.tau_max, cfg.max_cells,
     )
-    abs2 = np.empty((size, synthesis.count))
+    counts, power = rows["counts"], rows["power"]
+    abs2 = np.empty((len(rows), synthesis.count))
     for row, (run_paths, rng) in enumerate(zip(paths, rngs)):
         counts[row] = arrival_count_curve(run_paths, grid)
         abs2[row] = synthesize_signal(run_paths, cfg.radio, synthesis, cfg.phase_mode, rng).abs2
         power[row] = np.interp(grid, times, abs2[row])
 
     # Energy and moments of the samples up to the cutoff.
-    summary[:, 0] = [len(run_paths) for run_paths in paths]
-    summary[:, 1:] = np.transpose(_moments(abs2[:, :cut], synthesis.step, times[:cut]))
+    rows["n_paths"] = [len(run_paths) for run_paths in paths]
+    rows["energy"], rows["mean_delay"], rows["rms_spread"] = _moments(abs2[:, :cut], synthesis.step, times[:cut])
 
 
-def _simulate_block(cfg: McConfig, tables, rows, block: int) -> None:
-    """Simulates block ``block``, runs ``block * R`` on (R from :func:`_block_runs`), into ``rows``.
+def _claim(counter, blocks: int, stop: bool = False) -> int:
+    """The shared counter's block index, which it then advances, or with ``stop`` moves to ``blocks``.
 
-    Its rows depend only on the seed and its runs, so a redone block writes the same bits.
+    A wait of more than _LOCK_WAIT seconds for the counter's lock gives
+    ``blocks``, as when none remain.
     """
-    size = tables[4]
-    first = block * size
-    _simulate_runs(cfg, tables, first, *(array[first:first + size] for array in rows))
-
-
-def _claim(counter) -> int:
-    """The shared counter's block index, which it then advances."""
-    with counter.get_lock():
-        index = counter.value
-        counter.value = index + 1
+    lock = counter.get_lock()
+    if not lock.acquire(timeout=_LOCK_WAIT):
+        return blocks
+    index = counter.value
+    counter.value = blocks if stop else index + 1
+    lock.release()
     return index
 
 
@@ -392,13 +447,13 @@ def _worker(cfg: McConfig, tables, rows, counter, done) -> None:
     On an exception it moves the counter past the last block, so that the
     other workers stop claiming, and returns; the block stays unmarked.
     """
+    blocks = len(done)
     try:
-        while (block := _claim(counter)) < len(done):
+        while (block := _claim(counter, blocks)) < blocks:
             _simulate_block(cfg, tables, rows, block)
             done[block] = 1
     except Exception:
-        with counter.get_lock():
-            counter.value = len(done)
+        _claim(counter, blocks, stop=True)
 
 
 def _run_workers(cfg: McConfig, tables, rows, done, workers: int) -> None:
@@ -421,28 +476,6 @@ def _run_workers(cfg: McConfig, tables, rows, done, workers: int) -> None:
         for process in started:
             process.terminate()
             process.join()
-
-
-def _records(cfg: McConfig, terminals: np.ndarray, summary: np.ndarray) -> list[RunRecord]:
-    """Run records from the per-run outputs; boresights only for directive patterns."""
-    aims = (cfg.tx_pattern.cone is not None, cfg.rx_pattern.cone is not None)
-    records = []
-    for index, ((tx_pos, rx_pos, tx_ori, rx_ori), (paths, energy, mean, spread)) in enumerate(
-        zip(terminals, summary)
-    ):
-        moments = energy > 0.0
-        records.append(RunRecord(
-            index=index,
-            tx_position=tx_pos,
-            rx_position=rx_pos,
-            tx_boresight=tx_ori if aims[0] else None,
-            rx_boresight=rx_ori if aims[1] else None,
-            n_paths=int(paths),
-            energy=float(energy),
-            mean_delay=float(mean) if moments else None,
-            rms_spread=float(spread) if moments else None,
-        ))
-    return records
 
 
 def _estimate(grid: np.ndarray, raw: np.ndarray) -> McEstimate:
@@ -484,22 +517,20 @@ def ecdf(samples) -> Ecdf:
 
 
 def run_ensemble(cfg: McConfig, workers: int = 1) -> McResult:
-    """Execute the ensemble and aggregate in run-index order.
+    """Execute the ensemble into its rows, which the result holds read-only.
 
     The result is identical for any worker count. ``workers > 1`` starts
     processes with the ``fork`` start method, at most one per CPU and one
     per block of R runs (see :func:`_block_runs`); they inherit ``cfg`` and
-    the shared rows, write each run's rows in place and mark each block they
+    the shared rows, write each run's row in place and mark each block they
     complete. The caller then simulates every unmarked block in order, at
     one worker all of them. So an error is raised here from the first
-    failing block, as at one worker, and the block of a worker that died is
-    redone with the same bits. No worker outlives the call. Runs whose
-    beams pick up no energy are counted in ``missing_moments`` and excluded
-    from the moment distributions.
+    failing block, as at one worker, and the blocks of a worker that died,
+    or that gave up waiting for the counter's lock, are redone with the same
+    bits. No worker outlives the call.
     """
     tables = _run_tables(cfg)
-    grid = tables[0]
-    rows = _run_rows(cfg.runs, grid.shape[0])
+    rows = _run_rows(cfg.runs, tables[0].shape[0])
 
     blocks = -(-cfg.runs // tables[4])
     done = mmap.mmap(-1, blocks)
@@ -509,24 +540,8 @@ def run_ensemble(cfg: McConfig, workers: int = 1) -> McResult:
     for block in range(blocks):
         if not done[block]:
             _simulate_block(cfg, tables, rows, block)
-
-    counts_raw, power_raw, terminals, summary = rows
-    delays, spreads = summary[:, 2], summary[:, 3]
-    missing = int(np.sum(~np.isfinite(delays)))
-    delay_ecdf = ecdf(delays) if missing < cfg.runs else None
-    spread_ecdf = ecdf(spreads) if missing < cfg.runs else None
-
-    return McResult(
-        config=cfg,
-        count=_estimate(grid, counts_raw),
-        power=_estimate(grid, power_raw),
-        mean_delay=delay_ecdf,
-        rms_spread=spread_ecdf,
-        records=_records(cfg, terminals, summary),
-        missing_moments=missing,
-        counts_raw=counts_raw,
-        power_raw=power_raw,
-    )
+    rows.flags.writeable = False
+    return McResult(cfg, rows)
 
 
 def fit_decay_time(taus, power, window: tuple[float, float]) -> float:

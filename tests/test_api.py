@@ -21,9 +21,12 @@ REMOVED = {
         "mirror_receiver_index", "mirror_receiver_position", "mirror_source_position",
         "path_delay", "reflection_gain", "wall_interaction_counts",
     ],
-    channel: ["PathComponent", "arrival_count"],
+    channel: ["PathComponent", "arrival_count", "MAX_ENSEMBLE_POINTS"],
     channel.SignalTrace: ["window"],
-    montecarlo: ["_WORKER_STATE", "_init_worker", "_worker_block", "_row_sums", "_oriented"],
+    montecarlo: [
+        "_WORKER_STATE", "_init_worker", "_worker_block", "_row_sums", "_oriented", "_records",
+        "_simulate_runs",
+    ],
     theory: ["_cubic_count", "_rate_density"],
 }
 

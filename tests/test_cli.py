@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from roomchan import montecarlo
 from roomchan.cli import main
 
 FIG_POSITIONS = {"tx_m": [2.5, 2.5, 1.5], "rx_m": [3.8, 4.0, 0.6]}
@@ -254,6 +255,23 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("resource limit:") and "cap" in err and err.count("\n") == 1
         assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_ensemble_cap_counts_whole_rows(self, tmp_path, capsys, monkeypatch, threads):
+        # 25M runs of a 2-point grid hold 50M curve points, within a cap on
+        # curve points alone, but their rows take 3.8 GB.
+        allocated = []
+        monkeypatch.setattr(montecarlo, "_run_rows", lambda *args: allocated.append(args))
+        cfg = write_config(tmp_path, {"mc": {"grid": {"start_s": 0.0, "stop_s": 0.25e-9, "step_s": 0.25e-9}}})
+        started = time.monotonic()
+        code = main(["--config", cfg, "mc", "--runs", "25000000", "--threads", threads,
+                     "--out-dir", str(tmp_path / "b")])
+        assert time.monotonic() - started < 5.0
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("resource limit: 25000000 runs x 2 grid points take 3.8e+09 bytes of rows")
+        assert err.count("\n") == 1
+        assert allocated == [] and not (tmp_path / "b").exists()
 
 
 class TestPathsCommand:
@@ -593,6 +611,15 @@ class TestMcCommand:
         assert manifest["config"]["mc"]["runs"] == 2
         assert manifest["config"]["mc"]["seed"] == 9
         assert manifest["seed"] == 9
+
+    def test_mc_builds_no_run_records(self, tmp_path, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("roomchan mc built a RunRecord")
+
+        monkeypatch.setattr(montecarlo, "RunRecord", refused)
+        cfg = write_config(tmp_path, {"mc": small_mc_section(runs=3)})
+        assert main(["--config", cfg, "mc", "--out-dir", str(tmp_path / "b"), "--check"]) in (0, 1)
+        assert (tmp_path / "b" / "report.json").exists()
 
     def test_zero_runs_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, {"mc": small_mc_section()})

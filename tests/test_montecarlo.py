@@ -10,7 +10,6 @@ import pytest
 from roomchan import channel, geometry, montecarlo, theory
 from roomchan.antenna import AntennaPattern, Isotropic, SphericalCap, sample_orientation
 from roomchan.channel import (
-    MAX_ENSEMBLE_POINTS,
     RadioConfig,
     SignalTrace,
     arrival_count_curve,
@@ -119,9 +118,17 @@ class TestMcConfigValidation:
     def test_raw_curve_cap(self):
         grid_120ns = dict(tau_max=120e-9, moment_cutoff=120e-9, grid_stop=120e-9, grid_step=0.25e-9)
         assert quick_config(runs=80_000, **grid_120ns).runs == 80_000
-        points = len(quick_config(**grid_120ns).grid())
+        row = montecarlo._row_layout(len(quick_config(**grid_120ns).grid())).itemsize
+        runs = montecarlo.MAX_ENSEMBLE_BYTES // row
+        assert quick_config(runs=runs, **grid_120ns).runs == runs
         with pytest.raises(ResourceLimitError, match="cap"):
-            quick_config(runs=MAX_ENSEMBLE_POINTS // points + 1, **grid_120ns)
+            quick_config(runs=runs + 1, **grid_120ns)
+
+    def test_row_cap_counts_every_field(self):
+        # 25M runs on a 2-point grid hold 50M curve points, but their rows
+        # take 152 bytes each, 3.8 GB in all.
+        with pytest.raises(ResourceLimitError, match="3.8e[+]09 bytes of rows, above the cap of 600000000$"):
+            quick_config(runs=25_000_000, grid_stop=0.25e-9, grid_step=0.25e-9)
 
 
 class TestEcdf:
@@ -249,9 +256,13 @@ class TestForkedWorkers:
 
     @pytest.fixture
     def deadline(self):
-        """Interrupts the test after 30 s, so that a hanging ensemble fails it."""
+        """Interrupts the test after 30 s, so that a hanging ensemble fails it.
+
+        Its exception is no ``OSError``, which ``Popen.poll`` would swallow
+        in a ``join``.
+        """
         def expire(signum, frame):
-            raise TimeoutError("run_ensemble did not return within 30 s")
+            raise DeadlineExpired("run_ensemble did not return within 30 s")
 
         previous = signal.signal(signal.SIGALRM, expire)
         signal.alarm(30)
@@ -267,16 +278,18 @@ class TestForkedWorkers:
         assert size == 10
         shared = multiprocessing.get_context("fork")
         owners, calls = shared.Array("q", cfg.runs), shared.Array("q", cfg.runs)
-        simulate = montecarlo._simulate_runs
+        simulate = montecarlo._simulate_block
 
-        def recording(cfg, tables, first, *rows):
+        def recording(cfg, tables, rows, block):
+            first = block * tables[4]
+            runs = len(rows[first:first + tables[4]])
             with owners.get_lock():
-                calls[first] = rows[0].shape[0] if calls[first] == 0 else -1
-                for index in range(first, first + rows[0].shape[0]):
+                calls[first] = runs if calls[first] == 0 else -1
+                for index in range(first, first + runs):
                     owners[index] = os.getpid() if owners[index] == 0 else -1
-            simulate(cfg, tables, first, *rows)
+            simulate(cfg, tables, rows, block)
 
-        monkeypatch.setattr(montecarlo, "_simulate_runs", recording)
+        monkeypatch.setattr(montecarlo, "_simulate_block", recording)
         result = run_ensemble(cfg, workers=3)
         assert multiprocessing.active_children() == []
         assert min(owners) > 0 and os.getpid() not in set(owners)
@@ -285,20 +298,20 @@ class TestForkedWorkers:
         assert {first: runs for first, runs in enumerate(calls) if runs} == {
             first: min(size, cfg.runs - first) for first in range(0, cfg.runs, size)
         }
-        monkeypatch.setattr(montecarlo, "_simulate_runs", simulate)
+        monkeypatch.setattr(montecarlo, "_simulate_block", simulate)
         assert result.power_raw.tobytes() == run_ensemble(cfg).power_raw.tobytes()
 
     def test_worker_error_reaches_the_caller(self, deadline, monkeypatch):
         # Every block from the second on raises. Four blocks of 10 runs, so
         # two workers really start.
-        simulate = montecarlo._simulate_runs
+        simulate = montecarlo._simulate_block
 
-        def fails(cfg, tables, first, *rows):
-            if first >= tables[4]:
+        def fails(cfg, tables, rows, block):
+            if block >= 1:
                 raise ResourceLimitError("block of runs above the cap")
-            simulate(cfg, tables, first, *rows)
+            simulate(cfg, tables, rows, block)
 
-        monkeypatch.setattr(montecarlo, "_simulate_runs", fails)
+        monkeypatch.setattr(montecarlo, "_simulate_block", fails)
         cfg = quick_config(runs=40)
         with pytest.raises(ResourceLimitError) as alone:
             run_ensemble(cfg, workers=1)
@@ -322,17 +335,16 @@ class TestForkedWorkers:
     def test_first_failing_block_raises_as_at_one_worker(self, deadline, monkeypatch, capfd):
         # Block 1 fails late, block 3 at once: at two workers block 3's
         # error comes first, but block 1 comes first in run order.
-        simulate = montecarlo._simulate_runs
+        simulate = montecarlo._simulate_block
 
-        def fails(cfg, tables, first, *rows):
-            block = first // tables[4]
+        def fails(cfg, tables, rows, block):
             if block == 1:
                 time.sleep(0.2)
             if block in (1, 3):
                 raise ValueError(f"block {block}")
-            simulate(cfg, tables, first, *rows)
+            simulate(cfg, tables, rows, block)
 
-        monkeypatch.setattr(montecarlo, "_simulate_runs", fails)
+        monkeypatch.setattr(montecarlo, "_simulate_block", fails)
         cfg = quick_config(runs=40)
         with pytest.raises(ValueError, match="^block 1$"):
             run_ensemble(cfg, workers=1)
@@ -347,15 +359,15 @@ class TestForkedWorkers:
     def test_block_failing_only_in_a_worker_is_redone_by_the_caller(self, deadline, monkeypatch):
         cfg = quick_config(runs=40)
         serial = run_ensemble(cfg, workers=1)
-        simulate = montecarlo._simulate_runs
+        simulate = montecarlo._simulate_block
         runner = os.getpid()
 
-        def fails(cfg, tables, first, *rows):
-            if first == 2 * tables[4] and os.getpid() != runner:
+        def fails(cfg, tables, rows, block):
+            if block == 2 and os.getpid() != runner:
                 raise MemoryError("only in a worker")
-            simulate(cfg, tables, first, *rows)
+            simulate(cfg, tables, rows, block)
 
-        monkeypatch.setattr(montecarlo, "_simulate_runs", fails)
+        monkeypatch.setattr(montecarlo, "_simulate_block", fails)
         context = CountingContext(monkeypatch)
         parallel = run_ensemble(cfg, workers=2)
         assert len(context.started) == 2
@@ -370,14 +382,15 @@ class TestForkedWorkers:
         cfg = quick_config(runs=40)
         serial = run_ensemble(cfg, workers=1)
         context = CountingContext(monkeypatch)
-        simulate = montecarlo._simulate_runs
+        simulate = montecarlo._simulate_block
         runner = os.getpid()
         doomed_first = multiprocessing.get_context("fork").Value("q", -1)
         redone = []
 
-        def dies(cfg, tables, first, *rows):
+        def dies(cfg, tables, rows, block):
+            first = block * tables[4]
             if victim == "run-three":
-                doomed = first <= 3 < first + rows[0].shape[0]
+                doomed = first <= 3 < first + tables[4]
             else:
                 doomed = len(context.started) == 2  # as seen at this worker's fork
             if os.getpid() == runner:
@@ -385,9 +398,9 @@ class TestForkedWorkers:
             elif doomed:
                 doomed_first.value = first
                 os._exit(3)
-            simulate(cfg, tables, first, *rows)
+            simulate(cfg, tables, rows, block)
 
-        monkeypatch.setattr(montecarlo, "_simulate_runs", dies)
+        monkeypatch.setattr(montecarlo, "_simulate_block", dies)
         started = time.monotonic()
         parallel = run_ensemble(cfg, workers=2)
         assert time.monotonic() - started < 10.0
@@ -397,6 +410,36 @@ class TestForkedWorkers:
         if victim == "run-three":
             assert redone == [0]
         assert_same_runs(parallel, serial)
+
+    def test_worker_dying_with_the_counter_locked_leaves_its_blocks_to_the_caller(
+        self, deadline, monkeypatch
+    ):
+        # The first worker to claim takes the counter's lock and exits
+        # holding it. The other gives up waiting for it, and the caller
+        # simulates every block.
+        cfg = quick_config(runs=40)
+        serial = run_ensemble(cfg, workers=1)
+        context = CountingContext(monkeypatch)
+        claim = montecarlo._claim
+        runner = os.getpid()
+
+        def dies_locked(counter, *args, **kwargs):
+            if os.getpid() != runner and counter.get_lock().acquire(block=False):
+                os._exit(3)
+            return claim(counter, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "_claim", dies_locked)
+        started = time.monotonic()
+        parallel = run_ensemble(cfg, workers=2)
+        assert time.monotonic() - started < 10.0
+        assert len(context.started) == 2
+        assert sorted(process.exitcode for process in context.started) == [0, 3]
+        assert multiprocessing.active_children() == []
+        assert_same_runs(parallel, serial)
+
+
+class DeadlineExpired(Exception):
+    """A test's deadline passed; not an ``OSError``, so no ``join`` swallows it."""
 
 
 def assert_same_runs(a, b):
@@ -797,16 +840,18 @@ class TestEstimates:
 
 
 def synthetic_result(cfg, count_mean, power_mean):
+    """A result of ``cfg.runs`` rows, each holding the given curves.
+
+    At two runs the mean of the power rows is ``power_mean`` bit for bit.
+    int32 count rows cannot hold a fractional mean, so the count estimate
+    is put in place of the one the rows give.
+    """
     grid = cfg.grid()
-    zeros = np.zeros_like(grid)
-    est_count = McEstimate(grid, count_mean, zeros, cfg.runs)
-    est_power = McEstimate(grid, power_mean, zeros, cfg.runs)
-    raw = np.tile(count_mean, (cfg.runs, 1))
-    return McResult(
-        config=cfg, count=est_count, power=est_power,
-        mean_delay=None, rms_spread=None, records=[], missing_moments=0,
-        counts_raw=raw, power_raw=np.tile(power_mean, (cfg.runs, 1)),
-    )
+    rows = np.zeros(cfg.runs, montecarlo._row_layout(len(grid)))
+    rows["power"], rows["counts"] = power_mean, np.round(count_mean)
+    result = McResult(cfg, rows)
+    vars(result)["count"] = McEstimate(grid, count_mean, np.zeros_like(grid), cfg.runs)
+    return result
 
 
 class TestCompareWithTheory:
@@ -873,6 +918,68 @@ class TestFitDecayTime:
         taus = np.linspace(0, 100e-9, 401)
         with pytest.raises(ConfigError):
             fit_decay_time(taus, np.exp(taus / 20e-9), (10e-9, 90e-9))
+
+
+class TestRowsAreWritten:
+    """Every field of every row is written, so a redone block leaves nothing of an earlier attempt.
+
+    The rows' mapping is filled with 0xA5 bytes before the ensemble runs, and
+    no element of any field may still hold that pattern.
+    """
+
+    CASES = {
+        "both-random-caps": (dict(tx_pattern=SphericalCap(0.5), rx_pattern=SphericalCap(0.5), runs=100), None),
+        # The unset receiver boresight is NaN.
+        "fixed-orientation-tx": (dict(mode="fixed-orientation-tx", tx_pattern=SphericalCap(0.5),
+                                      rx_position=(1.0, 2.0, 1.2), tx_orientation=(0.0, 1.0, 0.2),
+                                      runs=50), None),
+        # Most runs pick up no energy, and their moments are NaN; blocks of
+        # 16 runs in place of one of 1024.
+        "runs-without-energy": (dict(tx_pattern=SphericalCap(0.25), rx_pattern=SphericalCap(0.25),
+                                     runs=40, tau_max=8e-9, moment_cutoff=8e-9, grid_stop=8e-9,
+                                     grid_step=0.5e-9), 16),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_no_field_keeps_the_fill_pattern(self, case, workers, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        kwargs, block = self.CASES[case]
+        if block is not None:
+            monkeypatch.setattr(montecarlo, "_block_runs", lambda cfg: block)
+        run_rows = montecarlo._run_rows
+
+        def filled(runs, points):
+            rows = run_rows(runs, points)
+            rows.view(np.uint8)[:] = 0xA5
+            return rows
+
+        monkeypatch.setattr(montecarlo, "_run_rows", filled)
+        context = CountingContext(monkeypatch)
+        result = run_ensemble(quick_config(**kwargs), workers=workers)
+        assert len(context.started) == (0 if workers == 1 else 2)
+        rows = result.rows
+        if case == "fixed-orientation-tx":
+            assert np.isnan(rows["rx_boresight"]).all() and not np.isnan(rows["tx_boresight"]).any()
+        if case == "runs-without-energy":
+            assert 0 < result.missing_moments < len(rows)
+        for name in rows.dtype.names:
+            field = np.ascontiguousarray(rows[name])
+            elements = field.view(np.uint8).reshape(-1, field.dtype.itemsize)
+            assert not np.all(elements == 0xA5, axis=1).any(), name
+
+
+class TestLazyResult:
+    def test_mc_steps_build_no_records_and_leave_the_rows_read_only(self, tmp_path):
+        cfg = quick_config(runs=4)
+        result = run_ensemble(cfg)
+        write_bundle(result, tmp_path, {"seed": cfg.seed}, compare_with_theory(result))
+        assert "records" not in vars(result)
+        assert not result.rows.flags.writeable
+        for view in (result.counts_raw, result.power_raw, result.rows["mean_delay"]):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 0
+        assert len(result.records) == cfg.runs and "records" in vars(result)
 
 
 class TestWriteBundle:

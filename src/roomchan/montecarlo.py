@@ -19,24 +19,26 @@ the rows plus one block's temporaries.
 
 Speed: the runs form contiguous blocks of R runs (see _block_runs), which
 forked workers claim in order from a shared counter, so a worker's next
-block costs it one locked counter step, not a round trip through the main
-process. Workers mark the blocks they complete in a shared byte mapping,
-and the main process simulates the rest, with the same bits. A block's runs
-are enumerated and gated in one pass, which shares the per-call cost of
-numpy that dominates runs with few paths; every run's values are the ones
-it gets alone. A run then reads only the delays and power gains of its
-path list, the two columns its ``PathList`` sorts on construction; the
-indices, directions and carrier phases are put in delay order only when
-read, which an ensemble in random-phase mode never does.
+block costs it one counter step under a record lock, not a round trip
+through the main process. Workers mark the blocks they complete in a shared
+byte mapping, and the main process simulates the rest, with the same bits.
+A block's runs are enumerated and gated in one pass, which shares the
+per-call cost of numpy that dominates runs with few paths; every run's
+values are the ones it gets alone. A run then reads only the delays and
+power gains of its path list, the two columns its ``PathList`` sorts on
+construction; the indices, directions and carrier phases are put in delay
+order only when read, which an ensemble in random-phase mode never does.
 """
 
 from __future__ import annotations
 
+import fcntl
 import functools
 import json
 import mmap
-import multiprocessing
 import os
+import signal
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,11 +94,6 @@ _BLOCK_PATHS = 1024
 # Rows per block of the squared deviations: a block buffer holds
 # (_STAT_ROWS + 1) x grid floats, row 0 being the sums carried over.
 _STAT_ROWS = 128
-
-# Longest wait, in seconds, for the lock of the workers' block counter. A live
-# holder keeps it for a few instructions; if one died holding it, the others
-# stop claiming and leave their blocks to the caller.
-_LOCK_WAIT = 2.0
 
 #: Cap on the bytes of an ensemble's rows (see _row_layout). 80,000 runs on
 #: the 481-point 120 ns grid take 472 MB.
@@ -426,56 +423,58 @@ def _simulate_block(cfg: McConfig, tables, rows: np.ndarray, block: int) -> None
     rows["energy"], rows["mean_delay"], rows["rms_spread"] = _moments(abs2[:, :cut], synthesis.step, times[:cut])
 
 
-def _claim(counter, blocks: int, stop: bool = False) -> int:
+def _claim(counter, lock, blocks: int, stop: bool = False) -> int:
     """The shared counter's block index, which it then advances, or with ``stop`` moves to ``blocks``.
 
-    A wait of more than _LOCK_WAIT seconds for the counter's lock gives
-    ``blocks``, as when none remain.
+    Under the record lock on ``lock``, which the kernel drops if its holder exits.
     """
-    lock = counter.get_lock()
-    if not lock.acquire(timeout=_LOCK_WAIT):
-        return blocks
-    index = counter.value
-    counter.value = blocks if stop else index + 1
-    lock.release()
+    fcntl.lockf(lock, fcntl.LOCK_EX)
+    index = counter[0]
+    counter[0] = blocks if stop else index + 1
+    fcntl.lockf(lock, fcntl.LOCK_UN)
     return index
 
 
-def _worker(cfg: McConfig, tables, rows, counter, done) -> None:
+def _worker(cfg: McConfig, tables, rows, counter, lock, done, parent: int) -> None:
     """Body of a forked worker: claims blocks in order and marks each it completes in ``done``.
 
-    On an exception it moves the counter past the last block, so that the
-    other workers stop claiming, and returns; the block stays unmarked.
+    It stops claiming once its parent is no longer ``parent``. On an
+    exception it moves the counter past the last block, so that the other
+    workers stop claiming, and returns; the block stays unmarked.
     """
     blocks = len(done)
     try:
-        while (block := _claim(counter, blocks)) < blocks:
+        while os.getppid() == parent and (block := _claim(counter, lock, blocks)) < blocks:
             _simulate_block(cfg, tables, rows, block)
             done[block] = 1
     except Exception:
-        _claim(counter, blocks, stop=True)
+        _claim(counter, lock, blocks, stop=True)
 
 
 def _run_workers(cfg: McConfig, tables, rows, done, workers: int) -> None:
-    """Runs :func:`_worker` on ``workers`` forked processes until each has exited.
+    """Runs :func:`_worker` in ``workers`` forked processes and reaps each.
 
-    A block whose worker failed or died stays unmarked in ``done``. Every
-    worker has been terminated and joined when this returns or raises.
+    A block whose worker failed or died stays unmarked in ``done``. A worker
+    ends in ``os._exit`` whatever it raises, so it never returns into the
+    caller's stack. If this raises, the live workers get ``SIGTERM`` first.
     """
-    ctx = multiprocessing.get_context("fork")
-    counter = ctx.Value("q", 0)
-    started = []
-    try:
-        for _ in range(workers):
-            process = ctx.Process(target=_worker, args=(cfg, tables, rows, counter, done))
-            process.start()
-            started.append(process)
-        for process in started:
-            process.join()
-    finally:
-        for process in started:
-            process.terminate()
-            process.join()
+    counter = memoryview(mmap.mmap(-1, 8)).cast("q")
+    parent, pids = os.getpid(), []
+    with tempfile.TemporaryFile() as lock:
+        try:
+            for _ in range(workers):
+                if (pid := os.fork()) == 0:
+                    try:
+                        _worker(cfg, tables, rows, counter, lock, done, parent)
+                    finally:
+                        os._exit(0)
+                pids.append(pid)
+            while pids:
+                pids.remove(os.waitpid(pids[0], 0)[0])
+        finally:
+            for pid in pids:
+                os.kill(pid, signal.SIGTERM)
+                os.waitpid(pid, 0)
 
 
 def _estimate(grid: np.ndarray, raw: np.ndarray) -> McEstimate:
@@ -519,15 +518,15 @@ def ecdf(samples) -> Ecdf:
 def run_ensemble(cfg: McConfig, workers: int = 1) -> McResult:
     """Execute the ensemble into its rows, which the result holds read-only.
 
-    The result is identical for any worker count. ``workers > 1`` starts
-    processes with the ``fork`` start method, at most one per CPU and one
-    per block of R runs (see :func:`_block_runs`); they inherit ``cfg`` and
-    the shared rows, write each run's row in place and mark each block they
-    complete. The caller then simulates every unmarked block in order, at
-    one worker all of them. So an error is raised here from the first
-    failing block, as at one worker, and the blocks of a worker that died,
-    or that gave up waiting for the counter's lock, are redone with the same
-    bits. No worker outlives the call.
+    The result is identical for any worker count. ``workers > 1`` forks
+    processes, at most one per CPU and one per block of R runs (see
+    :func:`_block_runs`); they inherit ``cfg`` and the shared rows, write
+    each run's row in place and mark each block they complete. The caller
+    then simulates every unmarked block in order, at one worker all of them.
+    So an error is raised here from the first failing block, as at one
+    worker, and the blocks of a worker that died, even holding the counter's
+    lock, are redone with the same bits. Every worker is reaped before the
+    call returns or raises; one whose parent dies stops after its block.
     """
     tables = _run_tables(cfg)
     rows = _run_rows(cfg.runs, tables[0].shape[0])

@@ -1,4 +1,7 @@
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -25,7 +28,7 @@ REMOVED = {
     channel.SignalTrace: ["window"],
     montecarlo: [
         "_WORKER_STATE", "_init_worker", "_worker_block", "_row_sums", "_oriented", "_records",
-        "_simulate_runs",
+        "_simulate_runs", "_LOCK_WAIT",
     ],
     theory: ["_cubic_count", "_rate_density"],
 }
@@ -64,3 +67,13 @@ def test_write_bundle_needs_a_report():
     params = inspect.signature(montecarlo.write_bundle).parameters.values()
     assert [p.name for p in params] == ["result", "out_dir", "manifest", "report"]
     assert all(p.default is inspect.Parameter.empty for p in params)
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # Ensemble workers come from os.fork, so the entry point never pays for importing multiprocessing.
+    code = "import sys, roomchan.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    src = os.path.dirname(os.path.dirname(roomchan.__file__))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

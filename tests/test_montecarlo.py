@@ -1,8 +1,12 @@
 import dataclasses
-import multiprocessing
+import fcntl
+import mmap
 import os
 import signal
+import subprocess
+import sys
 import time
+import types
 
 import numpy as np
 import pytest
@@ -160,30 +164,60 @@ class TestEcdf:
         assert dist.median == 3.0
 
 
-class CountingContext:
-    """Stands in for ``multiprocessing.get_context``: the real context, recording its use.
+@pytest.fixture
+def forks(monkeypatch):
+    """Wraps ``os.fork`` and ``os.waitpid``, which the ensemble calls through ``montecarlo.os``.
 
-    ``methods`` holds each start method asked for and ``started`` each
-    process made, in order.
+    ``started`` holds each child pid that a fork gave the test process, in
+    order, and ``exitcodes`` the exit code of each child reaped.
     """
+    fork, waitpid = os.fork, os.waitpid
+    record = types.SimpleNamespace(started=[], exitcodes={})
 
-    def __init__(self, monkeypatch):
-        self.methods, self.started, self.context = [], [], None
-        get_context = multiprocessing.get_context
+    def forking():
+        pid = fork()
+        if pid:
+            record.started.append(pid)
+        return pid
 
-        def counting(method):
-            self.methods.append(method)
-            self.context = get_context(method)
-            return self
+    def waiting(pid, options):
+        reaped, status = waitpid(pid, options)
+        if reaped:
+            record.exitcodes[reaped] = os.waitstatus_to_exitcode(status)
+        return reaped, status
 
-        monkeypatch.setattr(montecarlo.multiprocessing, "get_context", counting)
+    monkeypatch.setattr(montecarlo.os, "fork", forking)
+    monkeypatch.setattr(montecarlo.os, "waitpid", waiting)
+    return record
 
-    def __getattr__(self, name):
-        return getattr(self.context, name)
 
-    def Process(self, *args, **kwargs):
-        self.started.append(self.context.Process(*args, **kwargs))
-        return self.started[-1]
+def assert_no_child_left():
+    """The test process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def shared_ints(size, fill=0):
+    """``size`` int64s in an anonymous shared mapping, which forked processes write for the test."""
+    values = np.frombuffer(mmap.mmap(-1, 8 * size), np.int64)
+    values[:] = fill
+    return values
+
+
+class CallLog:
+    """Lines of integers appended from any process, one ``os.write`` of an ``O_APPEND`` file each."""
+
+    def __init__(self, path):
+        self.path = path
+        path.touch()
+
+    def add(self, *values):
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        os.write(fd, (" ".join(map(str, values)) + "\n").encode())
+        os.close(fd)
+
+    def entries(self):
+        return [tuple(map(int, line.split())) for line in self.path.read_text().splitlines()]
 
 
 class TestDeterminism:
@@ -194,14 +228,13 @@ class TestDeterminism:
         assert np.array_equal(a.counts_raw, b.counts_raw)
         assert np.array_equal(a.power_raw, b.power_raw)
 
-    def test_worker_count_does_not_change_results(self, monkeypatch):
+    def test_worker_count_does_not_change_results(self, monkeypatch, forks):
         # Four blocks of R = 10 runs, so two workers really start.
         cfg = quick_config(runs=40)
         serial = run_ensemble(cfg, workers=1)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
-        context = CountingContext(monkeypatch)
         parallel = run_ensemble(cfg, workers=2)
-        assert len(context.started) == 2
+        assert len(forks.started) == 2
         assert np.array_equal(serial.counts_raw, parallel.counts_raw)
         assert np.array_equal(serial.power_raw, parallel.power_raw)
         for a, b in zip(serial.records, parallel.records):
@@ -216,15 +249,14 @@ class TestDeterminism:
         (None, 4, 60, 0), # unknown CPU count: one worker, in process
         (2, 2, 40, 2),
     ])
-    def test_pool_size_is_clamped(self, monkeypatch, cpus, workers, runs, processes):
-        context = CountingContext(monkeypatch)
+    def test_pool_size_is_clamped(self, monkeypatch, forks, cpus, workers, runs, processes):
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         cfg = quick_config(runs=runs)
         assert montecarlo._block_runs(cfg) == 10
         result = run_ensemble(cfg, workers=workers)
-        assert context.methods == (["fork"] if processes else [])
-        assert len(context.started) == processes
-        assert multiprocessing.active_children() == []
+        assert len(forks.started) == processes
+        assert forks.exitcodes == dict.fromkeys(forks.started, 0)
+        assert_no_child_left()
         assert np.array_equal(result.counts_raw, run_ensemble(cfg).counts_raw)
 
     def test_seed_changes_results(self):
@@ -238,6 +270,42 @@ class TestDeterminism:
         short = run_ensemble(quick_config(runs=3))
         longer = run_ensemble(quick_config(runs=6))
         assert np.array_equal(short.counts_raw, longer.counts_raw[:3])
+
+
+# Run by a fresh interpreter, with the pid file as its argument: every block
+# records its process and sleeps 50 ms, for 400 blocks of 10 runs at two
+# workers, about 10 s.
+SLOW_ENSEMBLE = """
+import os, sys, time
+from roomchan import montecarlo
+from roomchan.antenna import Isotropic
+from roomchan.channel import RadioConfig
+from roomchan.geometry import Room
+
+def recording(cfg, tables, rows, block):
+    with open(sys.argv[1], "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    time.sleep(0.05)
+
+montecarlo._simulate_block = recording
+montecarlo.os.cpu_count = lambda: 2
+cfg = montecarlo.McConfig(
+    Room((5.0, 5.0, 3.0), 0.6), RadioConfig.from_center_frequency(60e9, 2e9, 3e8),
+    Isotropic(), Isotropic(), runs=4000, tau_max=40e-9, moment_cutoff=40e-9,
+    grid_stop=40e-9, grid_step=1e-9,
+)
+montecarlo.run_ensemble(cfg, workers=2)
+"""
+
+
+def process_running(pid):
+    """Whether ``pid`` names a process that is neither gone nor a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            stat = fh.read()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
 
 
 class TestForkedWorkers:
@@ -256,11 +324,7 @@ class TestForkedWorkers:
 
     @pytest.fixture
     def deadline(self):
-        """Interrupts the test after 30 s, so that a hanging ensemble fails it.
-
-        Its exception is no ``OSError``, which ``Popen.poll`` would swallow
-        in a ``join``.
-        """
+        """Interrupts the test after 30 s, so that a hanging ensemble fails it."""
         def expire(signum, frame):
             raise DeadlineExpired("run_ensemble did not return within 30 s")
 
@@ -270,38 +334,56 @@ class TestForkedWorkers:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
 
-    def test_every_run_is_simulated_once_by_a_worker(self, deadline, monkeypatch):
+    def test_every_run_is_simulated_once_by_a_worker(self, deadline, monkeypatch, forks, tmp_path):
         # 64 runs on three workers: six blocks of 10 runs and one of 4,
         # claimed concurrently.
         cfg = quick_config(runs=64)
         size = montecarlo._block_runs(cfg)
         assert size == 10
-        shared = multiprocessing.get_context("fork")
-        owners, calls = shared.Array("q", cfg.runs), shared.Array("q", cfg.runs)
+        calls = CallLog(tmp_path / "calls")
         simulate = montecarlo._simulate_block
 
         def recording(cfg, tables, rows, block):
             first = block * tables[4]
-            runs = len(rows[first:first + tables[4]])
-            with owners.get_lock():
-                calls[first] = runs if calls[first] == 0 else -1
-                for index in range(first, first + runs):
-                    owners[index] = os.getpid() if owners[index] == 0 else -1
+            calls.add(os.getpid(), first, len(rows[first:first + tables[4]]))
             simulate(cfg, tables, rows, block)
 
         monkeypatch.setattr(montecarlo, "_simulate_block", recording)
         result = run_ensemble(cfg, workers=3)
-        assert multiprocessing.active_children() == []
-        assert min(owners) > 0 and os.getpid() not in set(owners)
+        assert len(forks.started) == 3
+        assert_no_child_left()
+        owners = {pid for pid, _, _ in calls.entries()}
+        assert owners <= set(forks.started)
         # One call a block, each starting at a multiple of R and holding R
         # runs, the last the 4 that remain.
-        assert {first: runs for first, runs in enumerate(calls) if runs} == {
-            first: min(size, cfg.runs - first) for first in range(0, cfg.runs, size)
-        }
+        firsts = sorted((first, runs) for _, first, runs in calls.entries())
+        assert firsts == [(first, min(size, cfg.runs - first)) for first in range(0, cfg.runs, size)]
         monkeypatch.setattr(montecarlo, "_simulate_block", simulate)
         assert result.power_raw.tobytes() == run_ensemble(cfg).power_raw.tobytes()
 
-    def test_worker_error_reaches_the_caller(self, deadline, monkeypatch):
+    def test_one_run_blocks_are_claimed_once_under_contention(self, deadline, monkeypatch, forks, tmp_path):
+        # 240 one-run blocks on three workers, each claim a step of the counter.
+        monkeypatch.setattr(montecarlo, "_block_runs", lambda cfg: 1)
+        cfg = quick_config(runs=240)
+        serial = run_ensemble(cfg, workers=1)
+        calls = CallLog(tmp_path / "calls")
+        simulate = montecarlo._simulate_block
+
+        def recording(cfg, tables, rows, block):
+            calls.add(os.getpid(), block)
+            simulate(cfg, tables, rows, block)
+
+        monkeypatch.setattr(montecarlo, "_simulate_block", recording)
+        parallel = run_ensemble(cfg, workers=3)
+        assert len(forks.started) == 3
+        assert_no_child_left()
+        entries = calls.entries()
+        assert sorted(block for _, block in entries) == list(range(cfg.runs))
+        owners = {pid for pid, _ in entries}
+        assert owners <= set(forks.started) and len(owners) >= 2
+        assert parallel.rows.tobytes() == serial.rows.tobytes()
+
+    def test_worker_error_reaches_the_caller(self, deadline, monkeypatch, forks):
         # Every block from the second on raises. Four blocks of 10 runs, so
         # two workers really start.
         simulate = montecarlo._simulate_block
@@ -315,24 +397,22 @@ class TestForkedWorkers:
         cfg = quick_config(runs=40)
         with pytest.raises(ResourceLimitError) as alone:
             run_ensemble(cfg, workers=1)
-        context = CountingContext(monkeypatch)
         with pytest.raises(ResourceLimitError) as forked:
             run_ensemble(cfg, workers=2)
-        assert len(context.started) == 2
+        assert len(forks.started) == 2
         assert type(forked.value) is ResourceLimitError
         assert str(forked.value) == str(alone.value)
         assert "above the cap" in str(forked.value)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
-    def test_cube_over_the_cap_is_refused_before_rows_or_workers(self, monkeypatch):
-        context = CountingContext(monkeypatch)
+    def test_cube_over_the_cap_is_refused_before_rows_or_workers(self, monkeypatch, forks):
         allocated = []
         monkeypatch.setattr(montecarlo, "_run_rows", lambda *args: allocated.append(args))
         with pytest.raises(ResourceLimitError, match="above the cap of 100$"):
             run_ensemble(quick_config(runs=40, max_cells=100), workers=2)
-        assert allocated == [] and context.methods == [] and context.started == []
+        assert allocated == [] and forks.started == []
 
-    def test_first_failing_block_raises_as_at_one_worker(self, deadline, monkeypatch, capfd):
+    def test_first_failing_block_raises_as_at_one_worker(self, deadline, monkeypatch, forks, capfd):
         # Block 1 fails late, block 3 at once: at two workers block 3's
         # error comes first, but block 1 comes first in run order.
         simulate = montecarlo._simulate_block
@@ -348,15 +428,14 @@ class TestForkedWorkers:
         cfg = quick_config(runs=40)
         with pytest.raises(ValueError, match="^block 1$"):
             run_ensemble(cfg, workers=1)
-        context = CountingContext(monkeypatch)
         with pytest.raises(ValueError, match="^block 1$"):
             run_ensemble(cfg, workers=2)
-        assert len(context.started) == 2
-        assert multiprocessing.active_children() == []
+        assert len(forks.started) == 2
+        assert_no_child_left()
         # A failing worker returns quietly: no traceback of its own.
         assert capfd.readouterr().err == ""
 
-    def test_block_failing_only_in_a_worker_is_redone_by_the_caller(self, deadline, monkeypatch):
+    def test_block_failing_only_in_a_worker_is_redone_by_the_caller(self, deadline, monkeypatch, forks):
         cfg = quick_config(runs=40)
         serial = run_ensemble(cfg, workers=1)
         simulate = montecarlo._simulate_block
@@ -368,23 +447,49 @@ class TestForkedWorkers:
             simulate(cfg, tables, rows, block)
 
         monkeypatch.setattr(montecarlo, "_simulate_block", fails)
-        context = CountingContext(monkeypatch)
         parallel = run_ensemble(cfg, workers=2)
-        assert len(context.started) == 2
-        assert multiprocessing.active_children() == []
+        assert len(forks.started) == 2
+        assert_no_child_left()
+        assert_same_runs(parallel, serial)
+
+    # A worker whose block raises SystemExit or KeyboardInterrupt still ends
+    # in os._exit: every process that leaves run_ensemble counts itself, and
+    # a forked one then exits, so that it cannot run the rest of the session.
+    @pytest.mark.parametrize("exception", [SystemExit, KeyboardInterrupt])
+    def test_worker_never_returns_into_the_caller(self, deadline, monkeypatch, forks, exception):
+        cfg = quick_config(runs=40)
+        serial = run_ensemble(cfg, workers=1)
+        simulate = montecarlo._simulate_block
+        runner = os.getpid()
+        left = shared_ints(1)
+
+        def raises(cfg, tables, rows, block):
+            if block == 1 and os.getpid() != runner:
+                raise exception()
+            simulate(cfg, tables, rows, block)
+
+        monkeypatch.setattr(montecarlo, "_simulate_block", raises)
+        try:
+            parallel = run_ensemble(cfg, workers=2)
+        finally:
+            left[0] += 1
+            if os.getpid() != runner:
+                os._exit(0)
+        assert left[0] == 1
+        assert len(forks.started) == 2
+        assert_no_child_left()
         assert_same_runs(parallel, serial)
 
     # Whichever worker takes run 3 dies, or the last worker started dies at
     # its first block. Only a forked process may exit, never the test
     # runner itself, which then simulates the dead worker's block.
     @pytest.mark.parametrize("victim", ["run-three", "last-started"])
-    def test_dying_worker_s_block_is_finished_by_the_caller(self, deadline, monkeypatch, victim):
+    def test_dying_worker_s_block_is_finished_by_the_caller(self, deadline, monkeypatch, forks, victim):
         cfg = quick_config(runs=40)
         serial = run_ensemble(cfg, workers=1)
-        context = CountingContext(monkeypatch)
         simulate = montecarlo._simulate_block
         runner = os.getpid()
-        doomed_first = multiprocessing.get_context("fork").Value("q", -1)
+        doomed_first = shared_ints(1, fill=-1)
         redone = []
 
         def dies(cfg, tables, rows, block):
@@ -392,11 +497,11 @@ class TestForkedWorkers:
             if victim == "run-three":
                 doomed = first <= 3 < first + tables[4]
             else:
-                doomed = len(context.started) == 2  # as seen at this worker's fork
+                doomed = len(forks.started) == 1  # as seen at this worker's fork
             if os.getpid() == runner:
                 redone.append(first)
             elif doomed:
-                doomed_first.value = first
+                doomed_first[0] = first
                 os._exit(3)
             simulate(cfg, tables, rows, block)
 
@@ -404,42 +509,72 @@ class TestForkedWorkers:
         started = time.monotonic()
         parallel = run_ensemble(cfg, workers=2)
         assert time.monotonic() - started < 10.0
-        assert len(context.started) == 2
-        assert multiprocessing.active_children() == []
-        assert doomed_first.value >= 0 and redone == [doomed_first.value]
+        assert len(forks.started) == 2
+        assert sorted(forks.exitcodes.values()) == [0, 3]
+        assert_no_child_left()
+        assert doomed_first[0] >= 0 and redone == [doomed_first[0]]
         if victim == "run-three":
             assert redone == [0]
         assert_same_runs(parallel, serial)
 
     def test_worker_dying_with_the_counter_locked_leaves_its_blocks_to_the_caller(
-        self, deadline, monkeypatch
+        self, deadline, monkeypatch, forks
     ):
-        # The first worker to claim takes the counter's lock and exits
-        # holding it. The other gives up waiting for it, and the caller
-        # simulates every block.
+        # The first worker to claim takes the counter's record lock and
+        # exits holding it. The kernel drops the lock, and the other worker
+        # claims every block.
         cfg = quick_config(runs=40)
         serial = run_ensemble(cfg, workers=1)
-        context = CountingContext(monkeypatch)
         claim = montecarlo._claim
         runner = os.getpid()
+        victims = shared_ints(1)
 
-        def dies_locked(counter, *args, **kwargs):
-            if os.getpid() != runner and counter.get_lock().acquire(block=False):
-                os._exit(3)
-            return claim(counter, *args, **kwargs)
+        def dies_locked(counter, lock, *args, **kwargs):
+            if os.getpid() != runner:
+                fcntl.lockf(lock, fcntl.LOCK_EX)
+                if victims[0] == 0:
+                    victims[0] = 1
+                    os._exit(3)
+                fcntl.lockf(lock, fcntl.LOCK_UN)
+            return claim(counter, lock, *args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "_claim", dies_locked)
         started = time.monotonic()
         parallel = run_ensemble(cfg, workers=2)
         assert time.monotonic() - started < 10.0
-        assert len(context.started) == 2
-        assert sorted(process.exitcode for process in context.started) == [0, 3]
-        assert multiprocessing.active_children() == []
+        assert victims[0] == 1 and len(forks.started) == 2
+        assert sorted(forks.exitcodes.values()) == [0, 3]
+        assert_no_child_left()
         assert_same_runs(parallel, serial)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states under /proc")
+    def test_workers_stop_when_the_ensemble_process_is_killed(self, tmp_path):
+        log = tmp_path / "pids"
+        log.touch()
+        src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+        process = subprocess.Popen(
+            [sys.executable, "-c", SLOW_ENSEMBLE, str(log)], env={**os.environ, "PYTHONPATH": src}
+        )
+        try:
+            waiting = time.monotonic() + 30.0
+            while len(workers := set(map(int, log.read_text().split())) - {process.pid}) < 2:
+                assert process.poll() is None and time.monotonic() < waiting
+                time.sleep(0.01)
+        finally:
+            process.kill()
+            process.wait()
+        # Pid 1 of a container may never reap an orphan, so a zombie counts
+        # as stopped.
+        stopping = time.monotonic() + 5.0
+        while (running := [pid for pid in workers if process_running(pid)]) and time.monotonic() < stopping:
+            time.sleep(0.05)
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+        assert running == []
 
 
 class DeadlineExpired(Exception):
-    """A test's deadline passed; not an ``OSError``, so no ``join`` swallows it."""
+    """A test's deadline passed."""
 
 
 def assert_same_runs(a, b):
@@ -697,7 +832,7 @@ class TestBlockIndependence:
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_first_runs_match_a_short_ensemble(self, case, monkeypatch):
+    def test_first_runs_match_a_short_ensemble(self, case, monkeypatch, forks):
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         if case == "cap01-mixed-kernels":
             # A path-count rule in place of the fitted cost model, so that
@@ -714,9 +849,8 @@ class TestBlockIndependence:
         with monkeypatch.context() as alone:
             alone.setattr(montecarlo, "_block_runs", lambda cfg: 1)
             reference = run_ensemble(short, workers=1)
-            context = CountingContext(alone)
             forked = run_ensemble(short, workers=2)
-            assert len(context.started) == 2
+            assert len(forks.started) == 2
         assert forked.power_raw.tobytes() == reference.power_raw.tobytes()
         if case == "cap01-mixed-kernels":
             assert set(kernels) == {"_direct_sum", "_lattice_sum"}
@@ -725,13 +859,13 @@ class TestBlockIndependence:
         keys = [record_key(r) for r in reference.records]
         # Two workers start only where the 300 runs span more than one block
         # (not for cap01-zero-paths, whose R is 588).
-        context = CountingContext(monkeypatch)
+        forks.started.clear()
         for workers in (1, 2) if size < cfg.runs else (1,):
             result = run_ensemble(cfg, workers=workers)
             assert result.counts_raw[: self.SHORT].tobytes() == reference.counts_raw.tobytes()
             assert result.power_raw[: self.SHORT].tobytes() == reference.power_raw.tobytes()
             assert [record_key(r) for r in result.records[: self.SHORT]] == keys
-        assert len(context.started) == (2 if size < cfg.runs else 0)
+        assert len(forks.started) == (2 if size < cfg.runs else 0)
 
 
 class TestStageCalls:
@@ -942,7 +1076,7 @@ class TestRowsAreWritten:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_no_field_keeps_the_fill_pattern(self, case, workers, monkeypatch):
+    def test_no_field_keeps_the_fill_pattern(self, case, workers, monkeypatch, forks):
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         kwargs, block = self.CASES[case]
         if block is not None:
@@ -955,9 +1089,8 @@ class TestRowsAreWritten:
             return rows
 
         monkeypatch.setattr(montecarlo, "_run_rows", filled)
-        context = CountingContext(monkeypatch)
         result = run_ensemble(quick_config(**kwargs), workers=workers)
-        assert len(context.started) == (0 if workers == 1 else 2)
+        assert len(forks.started) == (0 if workers == 1 else 2)
         rows = result.rows
         if case == "fixed-orientation-tx":
             assert np.isnan(rows["rx_boresight"]).all() and not np.isnan(rows["tx_boresight"]).any()

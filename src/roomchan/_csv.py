@@ -11,13 +11,12 @@ def write_csv(path, header: str, *columns, comment=()) -> None:
 
     Numbers are written with 17 significant digits and strings as they are.
     ``comment`` holds ``(key, number)`` pairs for a leading ``# key=value``
-    line, which is left out when there are none. Lines end in ``\\n``.
+    line, which is left out when there are none. Lines end in ``\\n`` and are
+    written one at a time, so the file's text is never held whole.
     """
-    lines = []
-    if comment:
-        lines.append("# " + ",".join(f"{key}={_FMT(value)}" for key, value in comment))
-    lines.append(header)
-    for row in zip(*columns):
-        lines.append(",".join(v if isinstance(v, str) else _FMT(v) for v in row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        if comment:
+            fh.write("# " + ",".join(f"{key}={_FMT(value)}" for key, value in comment) + "\n")
+        fh.write(header + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(v if isinstance(v, str) else _FMT(v) for v in row) + "\n")

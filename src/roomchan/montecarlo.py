@@ -10,10 +10,11 @@ keyed by ``(master seed, run index)``, and aggregation reduces in run-index
 order, so results are a pure function of the configuration regardless of how
 many workers execute the runs.
 
-Memory: a run's outputs are one row (see _row_layout), and every run writes
-its row in place into one anonymous shared mapping, allocated before any run.
+Memory: a run's outputs are one row (see _row_layout), its counts in the
+smallest unsigned type that holds the index cube, and every run writes its
+row in place into one anonymous shared mapping, allocated before any run.
 Statistics and records are computed from the rows on first read: the means
-are numpy's buffered reductions of the curve fields and the squared
+are numpy's buffered float64 reductions of the curve fields and the squared
 deviations are summed in fixed row blocks, so the process holds one copy of
 the rows plus one block's temporaries.
 
@@ -96,22 +97,23 @@ _BLOCK_PATHS = 1024
 _STAT_ROWS = 128
 
 #: Cap on the bytes of an ensemble's rows (see _row_layout). 80,000 runs on
-#: the 481-point 120 ns grid take 472 MB.
+#: the 481-point 120 ns grid take 396 MB.
 MAX_ENSEMBLE_BYTES = 600_000_000
 
 
-def _row_layout(points: int) -> np.dtype:
+def _row_layout(points: int, cells: int) -> np.dtype:
     """One run's outputs on a ``points``-point count grid, as one aligned row.
 
     Boresights are NaN where a fixed mode leaves one unset, and the moments,
-    of the samples up to the cutoff, NaN for a run without energy.
+    of the samples up to the cutoff, NaN for a run without energy. Counts take
+    the smallest unsigned type that holds ``cells``, which no count exceeds.
     """
     return np.dtype([
         ("power", float, (points,)),
         ("tx_position", float, (3,)), ("rx_position", float, (3,)),
         ("tx_boresight", float, (3,)), ("rx_boresight", float, (3,)),
         ("n_paths", float), ("energy", float), ("mean_delay", float), ("rms_spread", float),
-        ("counts", np.int32, (points,)),
+        ("counts", np.min_scalar_type(cells), (points,)),
     ], align=True)
 
 
@@ -155,10 +157,10 @@ class McConfig:
             raise ConfigError("grid must lie within [0, tau_max]")
         if self.grid_step <= 0.0:
             raise ConfigError("grid step must be positive")
-        # Pre-flight: both grids and the rows are sized before any run
-        # allocates them.
+        # Pre-flight: both grids, the index cube and the rows are sized
+        # before any run allocates them.
         points = self._grid_points()
-        size = self.runs * _row_layout(points).itemsize
+        size = self.runs * self.row_layout().itemsize
         if size > MAX_ENSEMBLE_BYTES:
             raise ResourceLimitError(
                 f"{self.runs} runs x {points} grid points take {size:.3g} bytes of rows, "
@@ -210,6 +212,11 @@ class McConfig:
         if not SampleGrid.whole_steps(self.grid_start, self.grid_stop, self.grid_step):
             raise ConfigError("mc/grid: stop_s - start_s must be a whole number of step_s")
         return points
+
+    def row_layout(self) -> np.dtype:
+        """:func:`_row_layout` of the count grid and of the index cube, refused above ``max_cells``."""
+        cells = index_bounds(self.room, self.tau_max, self.radio.speed_of_light, self.max_cells)[1]
+        return _row_layout(self._grid_points(), cells)
 
     def grid(self) -> np.ndarray:
         # linspace keeps the endpoint exactly at grid_stop <= tau_max
@@ -376,13 +383,12 @@ def _run_tables(cfg: McConfig) -> tuple[np.ndarray, SampleGrid, np.ndarray, int,
     return grid, synthesis, times[:read], cut, _block_runs(cfg)
 
 
-def _run_rows(runs: int, points: int) -> np.ndarray:
-    """Rows of ``runs`` runs (see :func:`_row_layout`) in one anonymous shared mapping.
+def _run_rows(runs: int, layout: np.dtype) -> np.ndarray:
+    """Rows of ``runs`` runs of ``layout`` (see :func:`_row_layout`) in one anonymous shared mapping.
 
     Processes forked after this call write the rows their caller reads, and
     the caller writes those of blocks they left undone.
     """
-    layout = _row_layout(points)
     return np.frombuffer(mmap.mmap(-1, runs * layout.itemsize), layout)
 
 
@@ -483,9 +489,9 @@ def _estimate(grid: np.ndarray, raw: np.ndarray) -> McEstimate:
     Bitwise equal to ``raw.astype(float).mean(axis=0)`` and
     ``raw.astype(float).std(axis=0, ddof=1) / sqrt(runs)`` (zero for one run).
     numpy's axis-0 reductions of such an array add row after row, and its
-    mean casts int32 rows in small buffers. The squared deviations are added
-    in the same order a block of rows at a time, row 0 of each block holding
-    the sums so far, so neither statistic needs a full-size temporary.
+    mean casts integer rows, of any width, in small float64 buffers. The
+    squared deviations are added in the same order a block of rows at a time,
+    row 0 of each block holding the sums so far, so neither needs a full-size temporary.
     """
     runs, points = raw.shape
     mean = raw.mean(axis=0)
@@ -529,7 +535,7 @@ def run_ensemble(cfg: McConfig, workers: int = 1) -> McResult:
     call returns or raises; one whose parent dies stops after its block.
     """
     tables = _run_tables(cfg)
-    rows = _run_rows(cfg.runs, tables[0].shape[0])
+    rows = _run_rows(cfg.runs, cfg.row_layout())
 
     blocks = -(-cfg.runs // tables[4])
     done = mmap.mmap(-1, blocks)
@@ -616,7 +622,7 @@ def compare_with_theory(result: McResult) -> dict:
             errors = []
             for corrected in (True, False):
                 spectrum = theory.pds(scene, grid, mode="randomized", corrected=corrected)
-                expected = theory.expected_received_power(spectrum, cfg.radio, grid)[in_window]
+                expected = theory.expected_received_power(spectrum, cfg.radio, grid[in_window])
                 errors.append(float(np.mean(np.abs(measured - expected) / expected)))
             checks["power_curve"] = {
                 "tolerance": _POWER_TOLERANCE,

@@ -36,9 +36,9 @@ from .geometry import MAGNITUDES, Room, check_magnitude
 #: constant); 0.3 to 0.4 covers common room aspect ratios.
 DEFAULT_GAMMA_SQ = 0.35
 
-# Output rows per block of the pulse convolution in expected_received_power:
-# a block's pulse matrix holds _PULSE_ROWS x grid values.
-_PULSE_ROWS = 64
+# Values of a block's pulse matrix in expected_received_power: a block holds
+# as many output delays as fit, and at least one, against the curve's grid.
+_PULSE_VALUES = 1 << 14
 
 # Cubes of the domain's extreme sides: every room of sides in MAGNITUDES has its scalars between theirs.
 _CUBES = [Room((side,) * 3, 0.0) for side in MAGNITUDES]
@@ -322,8 +322,8 @@ def expected_received_power(curve: TheoryCurve, radio: RadioConfig, tau) -> np.n
 
     ``E|y(tau)|^2 = integral P(tau - t) |s(t)|^2 dt`` with the spike handled
     analytically as a pulse-energy replica and the tail integrated by the
-    trapezoidal rule on the curve's own grid. The tail is summed over fixed
-    blocks of output delays; each delay's sum does not depend on the block.
+    trapezoidal rule on the curve's own grid. The tail is summed over blocks
+    of output delays; each delay's sum is the same in any block or subset.
     """
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     out = np.zeros(tau.shape)
@@ -337,8 +337,9 @@ def expected_received_power(curve: TheoryCurve, radio: RadioConfig, tau) -> np.n
         weights[0] = (grid[1] - grid[0]) / 2.0
         weights[-1] = (grid[-1] - grid[-2]) / 2.0
         weights *= curve.values
-        for start in range(0, tau.size, _PULSE_ROWS):
-            rows = slice(start, start + _PULSE_ROWS)
+        size = max(1, _PULSE_VALUES // grid.size)
+        for start in range(0, tau.size, size):
+            rows = slice(start, start + size)
             pulse_sq = sinc_pulse(radio, tau[rows, None] - grid[None, :]) ** 2
             out[rows] += (pulse_sq * weights).sum(axis=1)
     return out

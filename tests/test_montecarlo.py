@@ -122,7 +122,10 @@ class TestMcConfigValidation:
     def test_raw_curve_cap(self):
         grid_120ns = dict(tau_max=120e-9, moment_cutoff=120e-9, grid_stop=120e-9, grid_step=0.25e-9)
         assert quick_config(runs=80_000, **grid_120ns).runs == 80_000
-        row = montecarlo._row_layout(len(quick_config(**grid_120ns).grid())).itemsize
+        layout = quick_config(**grid_120ns).row_layout()
+        # uint16 counts on the 481-point grid of the 12,789-cell cube.
+        assert layout["counts"].base == np.uint16 and layout.itemsize == 4944
+        row = layout.itemsize
         runs = montecarlo.MAX_ENSEMBLE_BYTES // row
         assert quick_config(runs=runs, **grid_120ns).runs == runs
         with pytest.raises(ResourceLimitError, match="cap"):
@@ -637,8 +640,9 @@ class TestStreamedAggregation:
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
         result = run_ensemble(cfg, workers=workers)
         counts, power, records = reference
-        assert result.counts_raw.dtype == np.int32
-        assert result.counts_raw.tobytes() == counts.astype(np.int32).tobytes()
+        # The 40 ns cube holds 1,573 cells.
+        assert result.counts_raw.dtype == cfg.row_layout()["counts"].base == np.uint16
+        assert result.counts_raw.tobytes() == counts.astype(np.uint16).tobytes()
         assert result.power_raw.tobytes() == power.tobytes()
         assert [record_key(r) for r in result.records] == records
 
@@ -650,9 +654,11 @@ class TestStreamedAggregation:
     @pytest.mark.parametrize("shape", [(1, 5), (2, 5), (300, 7), (300, 2), (1, 1)])
     def test_estimate_is_bitwise_dense(self, shape):
         rng = np.random.default_rng(shape[0] * 10 + shape[1])
-        counts = rng.integers(0, 5000, shape).astype(np.int32)
+        counts = [rng.integers(0, 5000, shape).astype(np.int32)]
+        counts += [rng.integers(0, np.iinfo(t).max, shape, endpoint=True).astype(t)
+                   for t in (np.uint8, np.uint16, np.uint32)]
         power = rng.exponential(1e-9, shape) * rng.random((shape[0], 1))
-        for raw in (counts, power):
+        for raw in (*counts, power):
             estimate = montecarlo._estimate(np.zeros(shape[1]), raw)
             dense = raw.astype(float)
             assert estimate.mean.tobytes() == dense.mean(axis=0).tobytes()
@@ -661,6 +667,45 @@ class TestStreamedAggregation:
             else:
                 stderr = np.zeros(shape[1])
             assert estimate.stderr.tobytes() == stderr.tobytes()
+
+
+class TestCountType:
+    """Counts take the smallest unsigned type that holds the index cube, with the statistics of int32 counts."""
+
+    # The 5 x 5 x 3 m room's cubes: 12,789 cells at 120 ns, 109,265 at 300 ns.
+    SCENES = {
+        "120ns": (dict(tau_max=120e-9, moment_cutoff=120e-9, grid_stop=120e-9, runs=50), 12_789, np.uint16),
+        "300ns": (dict(tau_max=300e-9, moment_cutoff=300e-9, grid_stop=300e-9, runs=10), 109_265, np.uint32),
+    }
+
+    @pytest.mark.parametrize("cells,dtype", [
+        (1, np.uint8), (255, np.uint8), (256, np.uint16), (12_789, np.uint16), (65_535, np.uint16),
+        (65_536, np.uint32), (109_265, np.uint32), (geometry.DEFAULT_MAX_CELLS, np.uint32),
+    ])
+    def test_layout_holds_the_cube(self, cells, dtype):
+        layout = montecarlo._row_layout(481, cells)
+        assert layout["counts"].base == dtype and layout["counts"].shape == (481,)
+        assert layout.names[-1] == "counts" and layout["power"].base == np.float64
+
+    def test_smallest_cube_needs_uint16(self):
+        # Every axis bound is at least 3, so no cube of an ensemble has 255
+        # cells or fewer: uint8 counts appear only in the layout above.
+        layout = quick_config(tau_max=1e-9, moment_cutoff=1e-9, grid_stop=1e-9, grid_step=0.5e-9).row_layout()
+        assert layout["counts"].base == np.uint16
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("scene", sorted(SCENES))
+    def test_statistics_match_int32_counts(self, scene, workers, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        kwargs, cells, dtype = self.SCENES[scene]
+        cfg = quick_config(tx_pattern=SphericalCap(0.1), rx_pattern=SphericalCap(0.1), **kwargs)
+        bounds = geometry.index_bounds(cfg.room, cfg.tau_max, cfg.radio.speed_of_light, cfg.max_cells)
+        assert bounds[1] == cells and -(-cfg.runs // montecarlo._block_runs(cfg)) >= 2
+        result = run_ensemble(cfg, workers=workers)
+        assert result.counts_raw.dtype == dtype and result.counts_raw[:, -1].any()
+        wide = montecarlo._estimate(cfg.grid(), result.counts_raw.astype(np.int32))
+        assert result.count.mean.tobytes() == wide.mean.tobytes()
+        assert result.count.stderr.tobytes() == wide.stderr.tobytes()
 
 
 def padded_tables(cfg, _run_tables=montecarlo._run_tables):
@@ -977,11 +1022,11 @@ def synthetic_result(cfg, count_mean, power_mean):
     """A result of ``cfg.runs`` rows, each holding the given curves.
 
     At two runs the mean of the power rows is ``power_mean`` bit for bit.
-    int32 count rows cannot hold a fractional mean, so the count estimate
+    Integer count rows cannot hold a fractional mean, so the count estimate
     is put in place of the one the rows give.
     """
     grid = cfg.grid()
-    rows = np.zeros(cfg.runs, montecarlo._row_layout(len(grid)))
+    rows = np.zeros(cfg.runs, cfg.row_layout())
     rows["power"], rows["counts"] = power_mean, np.round(count_mean)
     result = McResult(cfg, rows)
     vars(result)["count"] = McEstimate(grid, count_mean, np.zeros_like(grid), cfg.runs)
@@ -1083,8 +1128,8 @@ class TestRowsAreWritten:
             monkeypatch.setattr(montecarlo, "_block_runs", lambda cfg: block)
         run_rows = montecarlo._run_rows
 
-        def filled(runs, points):
-            rows = run_rows(runs, points)
+        def filled(runs, layout):
+            rows = run_rows(runs, layout)
             rows.view(np.uint8)[:] = 0xA5
             return rows
 

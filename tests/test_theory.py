@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,13 +330,10 @@ class TestExpectedReceivedPower:
         mid = theory.expected_received_power(curve, RADIO, np.array([200e-9]))
         assert mid[0] == pytest.approx(3.0 / RADIO.bandwidth, rel=1e-3)
 
-    @pytest.mark.parametrize("mode", ["randomized", "deterministic"])
-    def test_blocked_sum_is_bitwise_dense(self, mode):
-        # 1201 delays: the output rows end in a partial block.
-        grid = np.linspace(0.0, 300e-9, 1201)
-        curve = theory.pds(SCENE_T0, grid, mode=mode, corrected=True)
-        assert (curve.dirac is not None) == (mode == "deterministic")
-
+    @staticmethod
+    def dense_power(curve):
+        """The convolution at every delay of the curve's grid, as one pulse matrix."""
+        grid = curve.tau
         dense = np.zeros(grid.shape)
         if curve.dirac is not None:
             location, weight = curve.dirac
@@ -346,9 +344,46 @@ class TestExpectedReceivedPower:
         weights[-1] = (grid[-1] - grid[-2]) / 2.0
         pulse_sq = sinc_pulse(RADIO, grid[:, None] - grid[None, :]) ** 2
         dense += (pulse_sq * (weights * curve.values)[None, :]).sum(axis=1)
+        return dense
 
+    @pytest.mark.parametrize("mode", ["randomized", "deterministic"])
+    def test_blocked_sum_is_bitwise_dense(self, mode):
+        # 1201 delays: the output rows end in a partial block.
+        grid = np.linspace(0.0, 300e-9, 1201)
+        curve = theory.pds(SCENE_T0, grid, mode=mode, corrected=True)
+        assert (curve.dirac is not None) == (mode == "deterministic")
         out = theory.expected_received_power(curve, RADIO, grid)
-        assert out.tobytes() == dense.tobytes()
+        assert out.tobytes() == self.dense_power(curve).tobytes()
+
+    SUBSETS = {
+        "fit-window": lambda grid: np.flatnonzero((grid >= 40e-9) & (grid <= 110e-9)),
+        "one-delay": lambda grid: np.array([577]),
+        "out-of-order": lambda grid: np.random.default_rng(5).permutation(grid.size)[:700],
+        "spike-and-ends": lambda grid: np.array([grid.size - 1, int(np.argmin(np.abs(grid - TAU0))), 0, 1]),
+    }
+
+    @pytest.mark.parametrize("mode", ["randomized", "deterministic"])
+    @pytest.mark.parametrize("subset", sorted(SUBSETS))
+    def test_subset_of_delays_is_bitwise_dense(self, mode, subset):
+        grid = np.linspace(0.0, 300e-9, 1201)
+        curve = theory.pds(SCENE_T0, grid, mode=mode, corrected=True)
+        rows = self.SUBSETS[subset](grid)
+        out = theory.expected_received_power(curve, RADIO, grid[rows])
+        assert out.tobytes() == self.dense_power(curve)[rows].tobytes()
+
+    def test_peak_memory_is_a_few_blocks(self):
+        # 1201 delays on a 1201-point curve: 64-row blocks of the pulse
+        # matrix peaked at 3.7 MB. A block holds about _PULSE_VALUES values,
+        # 128 kB, and the pulse's temporaries take 0.9 MB in all.
+        grid = np.linspace(0.0, 300e-9, 1201)
+        curve = theory.pds(SCENE_T0, grid, mode="deterministic", corrected=True)
+        tracemalloc.start()
+        try:
+            theory.expected_received_power(curve, RADIO, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 8 * theory._PULSE_VALUES
 
 
 class TestCountSecondMoment:

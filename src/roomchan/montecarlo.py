@@ -1,7 +1,7 @@
 """Seeded ensemble simulation over random antenna placement and orientation.
 
-Each run draws terminal positions/orientations according to the configured
-randomization mode, enumerates the paths, evaluates the arrival count on the
+Each run draws the terminals' positions and boresights that its mode leaves
+random (see _FIXED), enumerates the paths, evaluates the arrival count on the
 configured delay grid, synthesizes the received power, and records the
 instantaneous mean delay and rms delay spread up to the moment cutoff.
 
@@ -63,8 +63,17 @@ from .channel import enumerate_paths, signal_moments  # noqa: F401
 from .errors import ConfigError, EmptySampleError, ResourceLimitError
 from .geometry import DEFAULT_MAX_CELLS, Room, index_bounds
 
-MODES = ("both-random", "fixed-rx", "fixed-orientation-tx", "fixed-distance")
+# The McConfig fields each mode fixes; see _draw_terminals and compare_with_theory.
+_FIXED = {
+    "both-random": (),
+    "fixed-rx": ("rx_position", "rx_orientation"),
+    "fixed-orientation-tx": ("tx_orientation", "rx_position", "rx_orientation"),
+    "fixed-distance": ("distance",),
+}
+MODES = tuple(_FIXED)
 
+# A fixed distance is refused where a run expects to need more draws than
+# this to place its terminals (see _placement_probability).
 _PLACEMENT_ATTEMPTS = 10_000
 
 # Tolerances of compare_with_theory: relative error of the mean count where
@@ -101,10 +110,25 @@ _STAT_ROWS = 128
 MAX_ENSEMBLE_BYTES = 600_000_000
 
 
+def _placement_probability(room: Room, distance: float) -> float:
+    """Chance that a uniform point and a uniform direction place a second point ``distance`` away in ``room``.
+
+    ``E_u prod_i max(0, 1 - distance |u_i| / L_i)``, by a 128 x 128
+    Gauss-Legendre rule over one octant in cos(theta) and phi. In the
+    5 x 5 x 3 m room it is within 0.4% of a 512 x 512 rule up to 7 m.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(128)
+    cos_theta, phi = (nodes + 1.0) / 2.0, (nodes + 1.0) * np.pi / 4.0
+    sin_theta = np.sqrt(1.0 - cos_theta**2)
+    axes = (np.outer(sin_theta, np.cos(phi)), np.outer(sin_theta, np.sin(phi)), cos_theta[:, None])
+    inside = (np.maximum(0.0, 1.0 - distance * u / length) for u, length in zip(axes, room.lengths))
+    return float(weights @ functools.reduce(np.multiply, inside) @ weights) / 4.0
+
+
 def _row_layout(points: int, cells: int) -> np.dtype:
     """One run's outputs on a ``points``-point count grid, as one aligned row.
 
-    Boresights are NaN where a fixed mode leaves one unset, and the moments,
+    Boresights are NaN where the mode fixes one but none is given, and the moments,
     of the samples up to the cutoff, NaN for a run without energy. Counts take
     the smallest unsigned type that holds ``cells``, which no count exceeds.
     """
@@ -167,7 +191,8 @@ class McConfig:
                 f"above the cap of {MAX_ENSEMBLE_BYTES}"
             )
         self.synthesis_grid()
-        if self.mode in ("fixed-rx", "fixed-orientation-tx"):
+        fixed = _FIXED[self.mode]
+        if "rx_position" in fixed:
             if self.rx_position is None:
                 raise ConfigError(f"mode {self.mode!r} needs rx_position")
             object.__setattr__(
@@ -175,29 +200,33 @@ class McConfig:
             )
             if not self.room.contains(self.rx_position):
                 raise ConfigError("rx_position must lie inside the room")
-            if self.rx_orientation is None and self.rx_pattern.cone is not None:
-                raise ConfigError(f"mode {self.mode!r} needs rx_orientation for a directive receiver")
-        if self.mode == "fixed-orientation-tx" and self.tx_orientation is None:
-            raise ConfigError("mode 'fixed-orientation-tx' needs tx_orientation")
-        self.fixed_boresights  # normalized, and refused unless their norms are positive and finite
-        if self.mode == "fixed-distance":
+        self.fixed_boresights  # given for directive patterns, normalized, and of positive, finite norms
+        if "distance" in fixed:
             if self.distance is None or not self.distance >= self.radio.wavelength:
-                raise ConfigError("mode 'fixed-distance' needs a distance of a wavelength or more")
+                raise ConfigError(f"mode {self.mode!r} needs a distance of a wavelength or more")
             if self.distance >= self.room.diagonal:
                 raise ConfigError("distance does not fit inside the room")
+            placed = _placement_probability(self.room, self.distance)
+            if placed * _PLACEMENT_ATTEMPTS < 1.0:
+                raise ConfigError(
+                    f"a distance of {self.distance:g} m places the terminals with probability "
+                    f"{placed:.3g} a draw, less than 1/{_PLACEMENT_ATTEMPTS}"
+                )
 
     @functools.cached_property
     def fixed_boresights(self) -> tuple[np.ndarray | None, np.ndarray | None]:
         """Unit tx and rx boresights that the mode fixes; None where it draws them or none is set.
 
-        The orientation fields keep the vectors as given, so
-        ``dataclasses.replace`` keeps them bitwise; each config normalizes
-        them once, here, through :func:`~roomchan.antenna.unit_boresight`.
+        A directive pattern's fixed boresight must be set. The orientation fields keep
+        the vectors as given, so ``dataclasses.replace`` keeps them bitwise; each config
+        normalizes them once, here, through :func:`~roomchan.antenna.unit_boresight`.
         """
-        tx = self.tx_orientation if self.mode == "fixed-orientation-tx" else None
-        rx = self.rx_orientation if self.mode in ("fixed-rx", "fixed-orientation-tx") else None
+        fixed = _FIXED[self.mode]
         boresights = []
-        for name, vector in (("tx_orientation", tx), ("rx_orientation", rx)):
+        for name, pattern in (("tx_orientation", self.tx_pattern), ("rx_orientation", self.rx_pattern)):
+            vector = getattr(self, name) if name in fixed else None
+            if vector is None and name in fixed and pattern.cone is not None:
+                raise ConfigError(f"mode {self.mode!r} needs {name} for a directive pattern")
             try:
                 boresights.append(None if vector is None else unit_boresight(vector))
             except ValueError as exc:
@@ -328,32 +357,22 @@ def run_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _draw_terminals(cfg: McConfig, rng: np.random.Generator):
-    """Positions and boresights for one run; draw order is fixed per mode."""
-    if cfg.mode == "both-random":
-        tx_pos = sample_position(rng, cfg.room)
-        tx_ori = sample_orientation(rng)
-        rx_pos = sample_position(rng, cfg.room)
-        rx_ori = sample_orientation(rng)
-    elif cfg.mode == "fixed-rx":
-        tx_pos = sample_position(rng, cfg.room)
-        tx_ori = sample_orientation(rng)
-        rx_pos = cfg.rx_position
-        rx_ori = cfg.fixed_boresights[1]
-    elif cfg.mode == "fixed-orientation-tx":
-        tx_pos = sample_position(rng, cfg.room)
-        tx_ori, rx_ori = cfg.fixed_boresights
-        rx_pos = cfg.rx_position
-    else:  # fixed-distance
-        for _ in range(_PLACEMENT_ATTEMPTS):
+    """One run's tx position, tx boresight, rx position and rx boresight, drawn in that order unless fixed.
+
+    A fixed distance draws the rx position and the direction to the
+    transmitter until the transmitter lies in the room, then both boresights.
+    """
+    fixed = _FIXED[cfg.mode]
+    if "distance" in fixed:
+        while True:
             rx_pos = sample_position(rng, cfg.room)
-            direction = sample_orientation(rng)
-            tx_pos = rx_pos + cfg.distance * direction
+            tx_pos = rx_pos + cfg.distance * sample_orientation(rng)
             if cfg.room.contains(tx_pos):
-                break
-        else:
-            raise ConfigError("could not place terminals at the requested distance")
-        tx_ori = sample_orientation(rng)
-        rx_ori = sample_orientation(rng)
+                return tx_pos, sample_orientation(rng), rx_pos, sample_orientation(rng)
+    tx_pos = sample_position(rng, cfg.room)
+    tx_ori = cfg.fixed_boresights[0] if "tx_orientation" in fixed else sample_orientation(rng)
+    rx_pos = cfg.rx_position if "rx_position" in fixed else sample_position(rng, cfg.room)
+    rx_ori = cfg.fixed_boresights[1] if "rx_orientation" in fixed else sample_orientation(rng)
     return tx_pos, tx_ori, rx_pos, rx_ori
 
 
@@ -409,7 +428,7 @@ def _simulate_block(cfg: McConfig, tables, rows: np.ndarray, block: int) -> None
     rngs = [run_rng(cfg.seed, index) for index in range(first, first + len(rows))]
     tx_pos, tx_ori, rx_pos, rx_ori = zip(*(_draw_terminals(cfg, rng) for rng in rngs))
     rows["tx_position"], rows["rx_position"] = tx_pos, rx_pos
-    # Boresights that fixed modes leave unset aim nothing.
+    # A boresight the mode fixes but that is not given aims nothing.
     for name, boresights in (("tx_boresight", tx_ori), ("rx_boresight", rx_ori)):
         rows[name] = np.nan if boresights[0] is None else boresights
     paths = _block_paths(
@@ -573,12 +592,12 @@ def _max_rel_check(measured, expected, mask, tolerance: float) -> dict:
 def compare_with_theory(result: McResult) -> dict:
     """Structured comparison of an ensemble against the closed forms.
 
-    The scene comes from ``result.config``. The checks depend on the
-    randomization mode: random-placement modes are compared against the
-    exact mean count and the corrected exponential tail; fixed-orientation
-    mode against the min-fraction upper bound; fixed distance against the
-    conditional mean count. Returns a JSON-ready report with per-check errors
-    and PASS/FAIL flags.
+    The scene comes from ``result.config``. The checks follow from what its
+    mode fixes (see _FIXED): a fixed distance is compared against the
+    conditional mean count, a fixed tx boresight against the min-fraction
+    upper bound, and any other mode against the exact mean count and the
+    corrected exponential tail. Returns a JSON-ready report with per-check
+    errors and PASS/FAIL flags.
 
     The tail is fitted over [40 ns, 110 ns] clipped to the grid. Tail checks
     are skipped (with a note) when the walls have no single reflectance, are
@@ -592,7 +611,20 @@ def compare_with_theory(result: McResult) -> dict:
     checks: dict[str, dict] = {}
     notes: list[str] = []
 
-    if cfg.mode in ("both-random", "fixed-rx"):
+    fixed = _FIXED[cfg.mode]
+    if "distance" in fixed:
+        tau0 = cfg.distance / cfg.radio.speed_of_light
+        expected = theory.conditional_mean_count(scene, grid, tau0)
+        far = grid >= tau0 + scene.diagonal / scene.speed_of_light
+        checks["conditional_count"] = _max_rel_check(result.count.mean, expected, far, _CONDITIONAL_TOLERANCE)
+    elif "tx_orientation" in fixed:
+        bound = theory.count_upper_bound(scene, grid)
+        slack = bound + 3.0 * result.count.stderr - result.count.mean
+        checks["count_upper_bound"] = {
+            "max_violation": float(np.max(-slack)),
+            "pass": bool(np.all(slack >= 0.0)),
+        }
+    else:
         expected = theory.mean_count(scene, grid)
         mask = expected >= _MIN_EXPECTED_COUNT
         if np.any(mask):
@@ -630,18 +662,6 @@ def compare_with_theory(result: McResult) -> dict:
                 "mean_rel_error_uncorrected": errors[1],
                 "pass": bool(errors[0] <= _POWER_TOLERANCE),
             }
-    elif cfg.mode == "fixed-orientation-tx":
-        bound = theory.count_upper_bound(scene, grid)
-        slack = bound + 3.0 * result.count.stderr - result.count.mean
-        checks["count_upper_bound"] = {
-            "max_violation": float(np.max(-slack)),
-            "pass": bool(np.all(slack >= 0.0)),
-        }
-    elif cfg.mode == "fixed-distance":
-        tau0 = cfg.distance / cfg.radio.speed_of_light
-        expected = theory.conditional_mean_count(scene, grid, tau0)
-        far = grid >= tau0 + scene.diagonal / scene.speed_of_light
-        checks["conditional_count"] = _max_rel_check(result.count.mean, expected, far, _CONDITIONAL_TOLERANCE)
 
     report = {
         "mode": cfg.mode,

@@ -230,6 +230,20 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("resource limit:") and err.count("\n") == 1
 
+    def test_unplaceable_distance_is_refused_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # 7 m in the 5 x 5 x 3 m room places the terminals once in 94,000 draws.
+        monkeypatch.setattr(montecarlo, "run_ensemble", lambda *a, **k: pytest.fail("ensemble started"))
+        mc = dict(small_mc_section(), mode="fixed-distance", fixed={"distance_m": 7.0})
+        cfg = write_config(tmp_path, {"mc": mc})
+        code = main(["--config", cfg, "mc", "--runs", "60", "--seed", "7", "--threads", "2",
+                     "--out-dir", str(tmp_path / "b")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: a distance of 7 m places the terminals with probability 1.06e-05 a draw, "
+            "less than 1/10000\n"
+        )
+        assert not (tmp_path / "b").exists()
+
     @pytest.mark.parametrize("doc", [
         {"mc": {"grid": {"step_s": 1e-30}}},
         {"radio": {"bandwidth_hz": 1e20}},

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 from roomchan import channel, geometry, montecarlo, theory
-from roomchan.antenna import AntennaPattern, Isotropic, SphericalCap, sample_orientation
+from roomchan.antenna import (
+    AntennaPattern,
+    Isotropic,
+    SphericalCap,
+    sample_orientation,
+    sample_position,
+    unit_boresight,
+)
 from roomchan.channel import (
     RadioConfig,
     SignalTrace,
@@ -99,6 +106,31 @@ class TestMcConfigValidation:
             quick_config(mode="fixed-distance")
         with pytest.raises(ConfigError):
             quick_config(mode="fixed-distance", distance=100.0)
+
+    def test_fixed_tx_boresight_needed_only_for_a_directive_transmitter(self):
+        with pytest.raises(ConfigError, match="^mode 'fixed-orientation-tx' needs tx_orientation for a directive"):
+            quick_config(mode="fixed-orientation-tx", tx_pattern=SphericalCap(0.5), rx_position=(1, 1, 1))
+        assert quick_config(mode="fixed-orientation-tx", rx_position=(1, 1, 1)).fixed_boresights == (None, None)
+
+    def test_fixed_distance_refused_where_placing_takes_too_many_draws(self):
+        # p(7 m) = 1.06e-5 in the 5 x 5 x 3 m room: 94,000 draws a run.
+        refusal = r"^a distance of 7 m places the terminals with probability 1\.06e-05 a draw"
+        with pytest.raises(ConfigError, match=refusal):
+            quick_config(mode="fixed-distance", distance=7.0)
+        # p(6.5 m) = 2.5e-4: 4,000 draws a run.
+        assert quick_config(mode="fixed-distance", distance=6.5).distance == 6.5
+
+    @pytest.mark.parametrize("distance", [0.5, 1.5, 3.0, 5.0, 6.0, 6.5, 7.0])
+    def test_placement_probability_matches_a_dense_rule(self, distance):
+        # A 1024 x 1024 midpoint rule over the octant in cos(theta) and phi.
+        cos_theta = (np.arange(1024) + 0.5) / 1024
+        phi = (np.arange(1024) + 0.5) / 1024 * np.pi / 2
+        sin_theta = np.sqrt(1.0 - cos_theta**2)[:, None]
+        u = (sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta[:, None])
+        inside = np.ones((1024, 1024))
+        for u_i, length in zip(u, ROOM.lengths):
+            inside *= np.maximum(0.0, 1.0 - distance * u_i / length)
+        assert montecarlo._placement_probability(ROOM, distance) == pytest.approx(inside.mean(), rel=2e-3)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ConfigError):
@@ -595,6 +627,82 @@ def record_key(record):
     )
 
 
+def drawn_by_hand(cfg, index):
+    """Run ``index``'s terminals, drawn call by call in its mode's order on a fresh stream.
+
+    Returns the tx position, tx boresight, rx position and rx boresight (a
+    fixed boresight that is not given is None), the stream after them, and
+    the draws a fixed distance took to place the terminals (1 otherwise).
+    """
+    rng = montecarlo.run_rng(cfg.seed, index)
+    room, attempts = cfg.room, 1
+    fixed_tx, fixed_rx = (None if vector is None else unit_boresight(vector)
+                          for vector in (cfg.tx_orientation, cfg.rx_orientation))
+    if cfg.mode == "both-random":
+        tx_pos = sample_position(rng, room)
+        tx_ori = sample_orientation(rng)
+        rx_pos = sample_position(rng, room)
+        rx_ori = sample_orientation(rng)
+    elif cfg.mode == "fixed-rx":
+        tx_pos = sample_position(rng, room)
+        tx_ori = sample_orientation(rng)
+        rx_pos, rx_ori = cfg.rx_position, fixed_rx
+    elif cfg.mode == "fixed-orientation-tx":
+        tx_pos = sample_position(rng, room)
+        tx_ori, rx_pos, rx_ori = fixed_tx, cfg.rx_position, fixed_rx
+    else:
+        assert cfg.mode == "fixed-distance"
+        rx_pos = sample_position(rng, room)
+        tx_pos = rx_pos + cfg.distance * sample_orientation(rng)
+        while not room.contains(tx_pos):
+            attempts += 1
+            rx_pos = sample_position(rng, room)
+            tx_pos = rx_pos + cfg.distance * sample_orientation(rng)
+        tx_ori = sample_orientation(rng)
+        rx_ori = sample_orientation(rng)
+    return (tx_pos, tx_ori, rx_pos, rx_ori), rng, attempts
+
+
+class TestDrawOrder:
+    """Each mode's rows and streams follow the draws that ``drawn_by_hand`` writes out."""
+
+    CASES = {
+        "both-random": dict(tx_pattern=SphericalCap(0.5), rx_pattern=SphericalCap(0.5)),
+        "fixed-rx-directive": dict(mode="fixed-rx", tx_pattern=SphericalCap(0.5), rx_pattern=SphericalCap(0.25),
+                                   rx_position=(1.0, 2.0, 1.2), rx_orientation=(0.3, -0.5, 0.2)),
+        "fixed-rx-isotropic": dict(mode="fixed-rx", tx_pattern=SphericalCap(0.5), rx_position=(1.0, 2.0, 1.2)),
+        "fixed-orientation-tx-directive": dict(
+            mode="fixed-orientation-tx", tx_pattern=SphericalCap(0.5), rx_pattern=SphericalCap(0.25),
+            rx_position=(4.0, 1.0, 2.2), rx_orientation=(-0.3, 0.5, 0.1), tx_orientation=(0.0, 1.0, 0.2)),
+        # No boresight is given for either isotropic pattern.
+        "fixed-orientation-tx-isotropic": dict(mode="fixed-orientation-tx", rx_position=(4.0, 1.0, 2.2)),
+        "fixed-distance": dict(mode="fixed-distance", distance=1.5),
+        # p(5 m) = 0.02: a run takes about 50 draws to place its terminals.
+        "fixed-distance-retries": dict(mode="fixed-distance", distance=5.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rows_and_streams_follow_the_hand_drawn_order(self, case):
+        cfg = quick_config(runs=20, **self.CASES[case])
+        rows = run_ensemble(cfg).rows
+        attempts = []
+        for index in range(cfg.runs):
+            expected, after, tries = drawn_by_hand(cfg, index)
+            attempts.append(tries)
+            rng = montecarlo.run_rng(cfg.seed, index)
+            drawn = montecarlo._draw_terminals(cfg, rng)
+            assert rng.random(4).tobytes() == after.random(4).tobytes()
+            names = ("tx_position", "tx_boresight", "rx_position", "rx_boresight")
+            for name, ours, theirs in zip(names, drawn, expected):
+                if theirs is None:
+                    assert ours is None and np.isnan(rows[name][index]).all()
+                else:
+                    assert ours.tobytes() == theirs.tobytes() == rows[name][index].tobytes()
+        # p(1.5 m) = 0.53, so some runs redraw there too.
+        if cfg.mode == "fixed-distance":
+            assert sum(attempts) > (10 if case == "fixed-distance-retries" else 1) * cfg.runs
+
+
 class TestStreamedAggregation:
     # 203 runs: blocks of R = 42 runs at any worker count and statistics
     # blocks of _STAT_ROWS rows both end in a partial block.
@@ -614,8 +722,7 @@ class TestStreamedAggregation:
         inside = int(np.searchsorted(times, cfg.moment_cutoff, side="right"))
         counts, power, records = [], [], []
         for index in range(cfg.runs):
-            rng = montecarlo.run_rng(cfg.seed, index)
-            tx_pos, tx_ori, rx_pos, rx_ori = montecarlo._draw_terminals(cfg, rng)
+            (tx_pos, tx_ori, rx_pos, rx_ori), rng, _ = drawn_by_hand(cfg, index)
             paths = enumerate_paths(
                 cfg.room, tx_pos, cfg.tx_pattern.aimed(tx_ori), rx_pos, cfg.rx_pattern.aimed(rx_ori),
                 cfg.radio, cfg.tau_max,
@@ -766,9 +873,8 @@ class TestMomentWindow:
         inside = int(np.sum(times <= cfg.moment_cutoff))
         assert 0 < inside < times.size
         for record in result.records:
-            rng = montecarlo.run_rng(cfg.seed, record.index)
             # Isotropic antennas: the drawn boresights aim nothing.
-            tx_pos, _, rx_pos, _ = montecarlo._draw_terminals(cfg, rng)
+            (tx_pos, _, rx_pos, _), rng, _ = drawn_by_hand(cfg, record.index)
             paths = enumerate_paths(
                 cfg.room, tx_pos, cfg.tx_pattern, rx_pos, cfg.rx_pattern, cfg.radio, cfg.tau_max,
             )
@@ -985,12 +1091,15 @@ class TestModes:
             for ours, theirs in zip(again.fixed_boresights, cfg.fixed_boresights):
                 assert ours.tobytes() == theirs.tobytes()
 
-    def test_fixed_distance_pins_separation(self):
-        cfg = quick_config(mode="fixed-distance", distance=1.5)
+    # At 6.5 m a run takes about 4,000 draws to place its terminals; 60
+    # runs at seed 7 include runs that take over 10,000.
+    @pytest.mark.parametrize("distance,runs,seed", [(1.5, 6, 99), (6.5, 60, 7)])
+    def test_fixed_distance_pins_separation(self, distance, runs, seed):
+        cfg = quick_config(mode="fixed-distance", distance=distance, runs=runs, seed=seed)
         result = run_ensemble(cfg)
         for record in result.records:
             gap = np.linalg.norm(record.tx_position - record.rx_position)
-            assert gap == pytest.approx(1.5, rel=1e-12)
+            assert gap == pytest.approx(distance, rel=1e-12)
             assert ROOM.contains(record.tx_position)
 
     def test_zero_energy_runs_counted_not_fatal(self):
@@ -1046,6 +1155,24 @@ class TestCompareWithTheory:
         assert report["pass"]
         assert report["checks"]["mean_count"]["max_rel_error"] == 0.0
         assert report["checks"]["tail_decay"]["rel_error_corrected"] < 0.01
+
+    @pytest.mark.parametrize("mode,fixed,checks", [
+        ("both-random", {}, {"mean_count", "tail_decay", "power_curve"}),
+        ("fixed-rx", dict(rx_position=(1.0, 2.0, 1.2)), {"mean_count", "tail_decay", "power_curve"}),
+        ("fixed-orientation-tx", dict(rx_position=(1.0, 2.0, 1.2), tx_orientation=(0.0, 1.0, 0.0)),
+         {"count_upper_bound"}),
+        ("fixed-distance", dict(distance=1.5), {"conditional_count"}),
+    ])
+    def test_checks_follow_the_mode(self, mode, fixed, checks):
+        cfg = quick_config(runs=2, tau_max=120e-9, moment_cutoff=120e-9, grid_stop=120e-9,
+                           grid_step=0.25e-9, mode=mode, **fixed)
+        scene = theory.SceneSummary.from_components(ROOM, RADIO, ISO, ISO)
+        grid = cfg.grid()
+        spectrum = theory.pds(scene, grid, mode="randomized", corrected=True)
+        power = theory.expected_received_power(spectrum, RADIO, grid)
+        report = compare_with_theory(synthetic_result(cfg, theory.mean_count(scene, grid), power))
+        assert set(report["checks"]) == checks
+        assert report["mode"] == mode
 
     @pytest.mark.parametrize("gain", [0.0, 1.0])
     def test_walls_without_tail_skip_only_tail_checks(self, gain):

@@ -1,4 +1,4 @@
-"""Smoke tests of the scripts and the campaign configs: each runs to exit 0 and writes its files.
+"""Smoke tests of the scripts, the campaign configs and the parity scenes: each exits 0 and writes its files.
 
 ``bundle_diff.py`` runs in a throwaway git repository holding ``src/`` and
 ``scripts/``, so that it has a revision to compare against.
@@ -52,6 +52,17 @@ def test_campaign_config_writes_its_bundle(tmp_path, monkeypatch, setting):
     for name in BUNDLE:
         assert (bundle / name).is_file(), name
     assert json.loads((bundle / "manifest.json").read_text())["seed"] == 202
+
+
+@pytest.mark.parametrize("scene", sorted(p.stem for p in (SCRIPTS / "parity").glob("*.json")))
+def test_parity_scene_runs(tmp_path, scene):
+    config = str(SCRIPTS / "parity" / f"{scene}.json")
+    assert cli.main(["--config", config, "mc", "--runs", "2", "--out-dir", str(tmp_path / "mc")]) == 0
+    for name in BUNDLE:
+        assert (tmp_path / "mc" / name).is_file(), name
+    if "positions" in json.loads(Path(config).read_text()):
+        assert cli.main(["--config", config, "paths", "--out", str(tmp_path / "paths.csv")]) == 0
+        assert (tmp_path / "paths.csv").is_file()
 
 
 def test_bundle_diff_names_changed_files(tmp_path):

@@ -21,15 +21,18 @@ from .theory import SceneSummary, TheoryCurve
 _THEORY_CURVES = ("count", "rate", "pds", "mixing")
 
 
-def _build_scene(doc: dict) -> SceneSummary:
-    room = cfgmod.build_room(doc)
-    radio = cfgmod.build_radio(doc)
-    tx = cfgmod.build_pattern(doc, "tx")
-    rx = cfgmod.build_pattern(doc, "rx")
-    tx_pos = rx_pos = None
-    if "positions" in doc:
-        tx_pos, rx_pos = cfgmod.positions_from(doc)
-    return SceneSummary.from_components(room, radio, tx, rx, tx_pos, rx_pos)
+def _build_scene(doc: dict, fixed: bool = False):
+    """Room, radio, tx and rx patterns and positions (None if not given) of ``doc``, and their summary.
+
+    A ``fixed`` scene needs positions, and its beams are aimed only once the summary accepts them.
+    """
+    room, radio = cfgmod.build_room(doc), cfgmod.build_radio(doc)
+    patterns = cfgmod.build_pattern(doc, "tx"), cfgmod.build_pattern(doc, "rx")
+    positions = cfgmod.positions_from(doc, room) if fixed or "positions" in doc else (None, None)
+    scene = SceneSummary.from_components(room, radio, *patterns, *positions)
+    if fixed:
+        patterns = cfgmod.aimed_patterns(doc, patterns, *positions)
+    return (room, radio, *patterns, *positions), scene
 
 
 def _horizon(text: str) -> float:
@@ -78,10 +81,7 @@ def _integer(low: int, high: float = math.inf):
 def _scene_paths(args):
     """Path list of the fixed scene of ``paths`` and ``signal``, its radio and horizon."""
     doc = cfgmod.load_document(args.config)
-    _build_scene(doc)  # refuses a scene outside the model's domain before any beam is aimed
-    room, radio = cfgmod.build_room(doc), cfgmod.build_radio(doc)
-    tx_pos, rx_pos = cfgmod.positions_from(doc)
-    tx_pattern, rx_pattern = cfgmod.aimed_patterns(doc, tx_pos, rx_pos)
+    (room, radio, tx_pattern, rx_pattern, tx_pos, rx_pos), _ = _build_scene(doc, fixed=True)
     tau_max = args.tau_max if args.tau_max is not None else doc["mc"]["tau_max_s"]
     if tau_max < 0.0:
         raise ConfigError("mc/tau_max_s: must be non-negative")
@@ -101,7 +101,7 @@ def _cmd_theory(args) -> int:
     for name in curves:
         if name not in _THEORY_CURVES:
             raise ConfigError(f"unknown curve {name!r}; choose from {_THEORY_CURVES}")
-    scene = _build_scene(doc)
+    _, scene = _build_scene(doc)
 
     taus = SampleGrid.spanning(*args.grid).times()
     if "pds" in curves:

@@ -217,11 +217,10 @@ def build_pattern(doc: dict, side: str) -> AntennaPattern:
         raise ConfigError(f"antennas/{side}: {exc}") from None
 
 
-def positions_from(doc: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-scene terminal positions; each must lie inside the room."""
+def positions_from(doc: dict, room: Room) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-scene terminal positions; each must lie inside ``room``."""
     if "positions" not in doc:
         raise ConfigError("positions: section is required for this command")
-    room = build_room(doc)
     positions = []
     for key in ("tx_m", "rx_m"):
         position = np.asarray(doc["positions"][key], dtype=float)
@@ -231,29 +230,25 @@ def positions_from(doc: dict) -> tuple[np.ndarray, np.ndarray]:
     return positions[0], positions[1]
 
 
-def aimed_patterns(doc: dict, tx_position, rx_position) -> tuple[AntennaPattern, AntennaPattern]:
-    """Patterns for a fixed scene, resolving ``aim: los`` boresights.
+def aimed_patterns(doc: dict, patterns, tx_position, rx_position) -> tuple[AntennaPattern, AntennaPattern]:
+    """The tx and rx ``patterns`` of a fixed scene, with ``aim: los`` boresights resolved.
 
     A directive antenna must carry either an explicit orientation or
     ``aim: los``; pointing it implicitly would make fixed-scene outputs
-    depend on hidden defaults. ``SceneSummary.from_components`` must accept the positions.
+    depend on hidden defaults. ``SceneSummary.from_components`` must accept
+    the positions, arrays from :func:`positions_from`.
     """
-    tx_position = np.asarray(tx_position, dtype=float)
-    rx_position = np.asarray(rx_position, dtype=float)
     los = rx_position - tx_position
-    patterns = []
-    for side, boresight in (("tx", los), ("rx", -los)):
+    aimed = []
+    for side, pattern, boresight in zip(("tx", "rx"), patterns, (los, -los)):
         section = doc["antennas"][side]
-        pattern = build_pattern(doc, side)
         if pattern.cone is not None:
             if section.get("aim") == "los":
                 pattern = pattern.aimed(boresight)
             elif "orientation" not in section:
-                raise ConfigError(
-                    f"antennas/{side}: directive pattern needs 'orientation' or 'aim': 'los'"
-                )
-        patterns.append(pattern)
-    return patterns[0], patterns[1]
+                raise ConfigError(f"antennas/{side}: directive pattern needs 'orientation' or 'aim': 'los'")
+        aimed.append(pattern)
+    return aimed[0], aimed[1]
 
 
 def build_mc_config(
@@ -264,10 +259,9 @@ def build_mc_config(
     """Assemble an :class:`McConfig`; flags override the document; ``2.0`` counts as ``2``."""
     section = doc["mc"]
     fixed = section.get("fixed", {})
-    room = build_room(doc)
     grid = section["grid"]
     return McConfig(
-        room=room,
+        room=build_room(doc),
         radio=build_radio(doc),
         tx_pattern=build_pattern(doc, "tx"),
         rx_pattern=build_pattern(doc, "rx"),

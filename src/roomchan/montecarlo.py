@@ -18,7 +18,7 @@ are numpy's buffered float64 reductions of the curve fields and the squared
 deviations are summed in fixed row blocks, so the process holds one copy of
 the rows plus one block's temporaries.
 
-Speed: the runs form contiguous blocks of R runs (see _block_runs), which
+Speed: the runs form contiguous blocks of R runs (McConfig.block_runs), which
 forked workers claim in order from a shared counter, so a worker's next
 block costs it one counter step under a record lock, not a round trip
 through the main process. Workers mark the blocks they complete in a shared
@@ -41,6 +41,7 @@ import os
 import signal
 import tempfile
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,8 +93,8 @@ _FIT_WINDOW = (40e-9, 110e-9)
 #: seeds map one-to-one onto the words from 2**63 up.
 SEED_RANGE = (-2**63, 2**63)
 
-# Budgets of a block of runs (see _block_runs). A block's scan of the index
-# cubes holds a few arrays of up to R x cells floats, 4 MB each at
+# Budgets of a block of runs (see McConfig.block_runs). A block's scan of the
+# index cubes holds a few arrays of up to R x cells floats, 4 MB each at
 # _BLOCK_CELLS. Runs with many paths gain nothing from blocks, since their
 # synthesis outweighs the per-call costs that blocks share; _BLOCK_PATHS
 # keeps them at one run a block. 0.1-coverage caps at 120 ns (26 paths and
@@ -141,9 +142,13 @@ def _row_layout(points: int, cells: int) -> np.dtype:
     ], align=True)
 
 
+# The synthesis grid a run reads, its times, and the samples the moments read.
+_Window = NamedTuple("_Window", [("grid", SampleGrid), ("times", np.ndarray), ("cut", int)])
+
+
 @dataclass(frozen=True)
 class McConfig:
-    """Full description of one ensemble; output is a pure function of it."""
+    """Full description of one ensemble, whose output is a pure function of it; each value derived from it is cached."""
 
     room: Room
     radio: RadioConfig
@@ -165,39 +170,39 @@ class McConfig:
     max_cells: int = DEFAULT_MAX_CELLS
 
     def __post_init__(self) -> None:
-        if self.runs < 1:
-            raise ConfigError("runs must be at least 1")
+        if isinstance(self.runs, bool) or not isinstance(self.runs, (int, np.integer)) or self.runs < 1:
+            raise ConfigError("runs must be an integer of at least 1")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ConfigError("seed must be an integer")
         if not SEED_RANGE[0] <= self.seed < SEED_RANGE[1]:
             raise ConfigError("seed must lie in [-2**63, 2**63)")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
         if self.phase_mode not in PHASE_MODES:
             raise ConfigError(f"phase_mode must be one of {PHASE_MODES}")
-        if self.moment_cutoff <= 0.0:
+        if not self.moment_cutoff > 0.0:
             raise ConfigError("moment cutoff must be positive")
-        if self.tau_max < self.moment_cutoff:
+        if not self.tau_max >= self.moment_cutoff:
             raise ConfigError("tau_max must be at least the moment cutoff")
         if not 0.0 <= self.grid_start < self.grid_stop <= self.tau_max:
             raise ConfigError("grid must lie within [0, tau_max]")
-        if self.grid_step <= 0.0:
+        if not self.grid_step > 0.0:
             raise ConfigError("grid step must be positive")
-        # Pre-flight: both grids, the index cube and the rows are sized
-        # before any run allocates them.
-        points = self._grid_points()
-        size = self.runs * self.row_layout().itemsize
+        # Pre-flight: the count grid, the index cube, the rows and the
+        # synthesis window are sized before any run allocates them, in Python
+        # ints, which numpy integer runs could overflow.
+        size = int(self.runs) * self.layout.itemsize
         if size > MAX_ENSEMBLE_BYTES:
             raise ResourceLimitError(
-                f"{self.runs} runs x {points} grid points take {size:.3g} bytes of rows, "
+                f"{self.runs} runs x {self.grid.size} grid points take {size:.3g} bytes of rows, "
                 f"above the cap of {MAX_ENSEMBLE_BYTES}"
             )
-        self.synthesis_grid()
+        self.window
         fixed = _FIXED[self.mode]
         if "rx_position" in fixed:
             if self.rx_position is None:
                 raise ConfigError(f"mode {self.mode!r} needs rx_position")
-            object.__setattr__(
-                self, "rx_position", np.asarray(self.rx_position, dtype=float)
-            )
+            object.__setattr__(self, "rx_position", np.asarray(self.rx_position, dtype=float))
             if not self.room.contains(self.rx_position):
                 raise ConfigError("rx_position must lie inside the room")
         self.fixed_boresights  # given for directive patterns, normalized, and of positive, finite norms
@@ -233,23 +238,52 @@ class McConfig:
                 raise ConfigError(f"{name}: {exc}") from None
         return tuple(boresights)
 
-    def _grid_points(self) -> int:
-        """Count-grid size; the span must be a whole number of steps, within 1e-9 steps."""
+    @functools.cached_property
+    def scene(self) -> theory.SceneSummary:
+        """The closed forms' summary of the room, radio and patterns, without positions."""
+        return theory.SceneSummary.from_components(self.room, self.radio, self.tx_pattern, self.rx_pattern)
+
+    @functools.cached_property
+    def cells(self) -> int:
+        """Cells of the index cube up to ``tau_max``, refused above ``max_cells``."""
+        return index_bounds(self.room, self.tau_max, self.radio.speed_of_light, self.max_cells)[1]
+
+    @functools.cached_property
+    def grid(self) -> np.ndarray:
+        """Read-only count grid; its span must be a whole number of steps, within 1e-9 steps."""
         points = SampleGrid.spanning(self.grid_start, self.grid_stop, self.grid_step).count
         if points < 2:
             raise ConfigError("count grid must hold at least two points")
         if not SampleGrid.whole_steps(self.grid_start, self.grid_stop, self.grid_step):
             raise ConfigError("mc/grid: stop_s - start_s must be a whole number of step_s")
-        return points
-
-    def row_layout(self) -> np.dtype:
-        """:func:`_row_layout` of the count grid and of the index cube, refused above ``max_cells``."""
-        cells = index_bounds(self.room, self.tau_max, self.radio.speed_of_light, self.max_cells)[1]
-        return _row_layout(self._grid_points(), cells)
-
-    def grid(self) -> np.ndarray:
         # linspace keeps the endpoint exactly at grid_stop <= tau_max
-        return np.linspace(self.grid_start, self.grid_stop, self._grid_points())
+        grid = np.linspace(self.grid_start, self.grid_stop, points)
+        grid.flags.writeable = False
+        return grid
+
+    @functools.cached_property
+    def layout(self) -> np.dtype:
+        """:func:`_row_layout` of the count grid and the index cube."""
+        return _row_layout(self.grid.size, self.cells)
+
+    @functools.cached_property
+    def block_runs(self) -> int:
+        """Runs per block: the expected path count and the index cube, held against their budgets."""
+        paths = max(float(theory.mean_count(self.scene, self.tau_max)), 1.0)
+        return max(1, int(min(_BLOCK_PATHS / paths, _BLOCK_CELLS / self.cells)))
+
+    @functools.cached_property
+    def window(self) -> _Window:
+        """:meth:`synthesis_grid` cut after the last sample a run reads, its times, and the moment cut.
+
+        The moments read the samples before ``cut``, and ``np.interp`` at the
+        count grid's last point reads up to the first sample at or after it.
+        """
+        padded = self.synthesis_grid()
+        times = padded.times()
+        cut = int(np.searchsorted(times, self.moment_cutoff, side="right"))
+        read = max(cut, int(np.searchsorted(times, self.grid[-1], side="left")) + 1)
+        return _Window(SampleGrid(padded.start, padded.step, read), times[:read], cut)
 
     def synthesis_grid(self) -> SampleGrid:
         return synthesis_grid(self.radio, self.tau_max)
@@ -318,11 +352,11 @@ class McResult:
 
     @functools.cached_property
     def count(self) -> McEstimate:
-        return _estimate(self.config.grid(), self.counts_raw)
+        return _estimate(self.config.grid, self.counts_raw)
 
     @functools.cached_property
     def power(self) -> McEstimate:
-        return _estimate(self.config.grid(), self.power_raw)
+        return _estimate(self.config.grid, self.power_raw)
 
     @functools.cached_property
     def missing_moments(self) -> int:
@@ -376,32 +410,6 @@ def _draw_terminals(cfg: McConfig, rng: np.random.Generator):
     return tx_pos, tx_ori, rx_pos, rx_ori
 
 
-def _block_runs(cfg: McConfig) -> int:
-    """Runs per block: the expected path count and the index cube, held against their budgets."""
-    scene = theory.SceneSummary.from_components(cfg.room, cfg.radio, cfg.tx_pattern, cfg.rx_pattern)
-    paths = max(float(theory.mean_count(scene, cfg.tau_max)), 1.0)
-    _, cells = index_bounds(cfg.room, cfg.tau_max, cfg.radio.speed_of_light, cfg.max_cells)
-    return max(1, int(min(_BLOCK_PATHS / paths, _BLOCK_CELLS / cells)))
-
-
-def _run_tables(cfg: McConfig) -> tuple[np.ndarray, SampleGrid, np.ndarray, int, int]:
-    """Constants every run shares.
-
-    The count grid, the synthesis grid, its times, the samples up to the
-    moment cutoff and the runs per block. The synthesis grid is
-    :meth:`McConfig.synthesis_grid` cut after the last sample a run reads:
-    the moments read the samples before ``cut``, and ``np.interp`` at the
-    count grid's last point reads up to the first sample at or after it.
-    """
-    padded = cfg.synthesis_grid()
-    times = padded.times()
-    grid = cfg.grid()
-    cut = int(np.searchsorted(times, cfg.moment_cutoff, side="right"))
-    read = max(cut, int(np.searchsorted(times, grid[-1], side="left")) + 1)
-    synthesis = SampleGrid(padded.start, padded.step, read)
-    return grid, synthesis, times[:read], cut, _block_runs(cfg)
-
-
 def _run_rows(runs: int, layout: np.dtype) -> np.ndarray:
     """Rows of ``runs`` runs of ``layout`` (see :func:`_row_layout`) in one anonymous shared mapping.
 
@@ -411,8 +419,8 @@ def _run_rows(runs: int, layout: np.dtype) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, runs * layout.itemsize), layout)
 
 
-def _simulate_block(cfg: McConfig, tables, rows: np.ndarray, block: int) -> None:
-    """Simulates block ``block``, runs ``block * R`` on (R from :func:`_block_runs`), into its rows.
+def _simulate_block(cfg: McConfig, rows: np.ndarray, block: int) -> None:
+    """Simulates block ``block``, runs ``block * R`` on (R is ``cfg.block_runs``), into its rows.
 
     The runs draw their terminals and are enumerated and gated as one
     block, into the path lists :func:`enumerate_paths` gives them. They are
@@ -422,9 +430,9 @@ def _simulate_block(cfg: McConfig, tables, rows: np.ndarray, block: int) -> None
     rows is written, from the seed and its runs alone, so a redone block
     writes the same bits.
     """
-    grid, synthesis, times, cut, size = tables
-    first = block * size
-    rows = rows[first:first + size]
+    grid, (synthesis, times, cut) = cfg.grid, cfg.window
+    first = block * cfg.block_runs
+    rows = rows[first:first + cfg.block_runs]
     rngs = [run_rng(cfg.seed, index) for index in range(first, first + len(rows))]
     tx_pos, tx_ori, rx_pos, rx_ori = zip(*(_draw_terminals(cfg, rng) for rng in rngs))
     rows["tx_position"], rows["rx_position"] = tx_pos, rx_pos
@@ -460,7 +468,7 @@ def _claim(counter, lock, blocks: int, stop: bool = False) -> int:
     return index
 
 
-def _worker(cfg: McConfig, tables, rows, counter, lock, done, parent: int) -> None:
+def _worker(cfg: McConfig, rows, counter, lock, done, parent: int) -> None:
     """Body of a forked worker: claims blocks in order and marks each it completes in ``done``.
 
     It stops claiming once its parent is no longer ``parent``. On an
@@ -470,13 +478,13 @@ def _worker(cfg: McConfig, tables, rows, counter, lock, done, parent: int) -> No
     blocks = len(done)
     try:
         while os.getppid() == parent and (block := _claim(counter, lock, blocks)) < blocks:
-            _simulate_block(cfg, tables, rows, block)
+            _simulate_block(cfg, rows, block)
             done[block] = 1
     except Exception:
         _claim(counter, lock, blocks, stop=True)
 
 
-def _run_workers(cfg: McConfig, tables, rows, done, workers: int) -> None:
+def _run_workers(cfg: McConfig, rows, done, workers: int) -> None:
     """Runs :func:`_worker` in ``workers`` forked processes and reaps each.
 
     A block whose worker failed or died stays unmarked in ``done``. A worker
@@ -490,7 +498,7 @@ def _run_workers(cfg: McConfig, tables, rows, done, workers: int) -> None:
             for _ in range(workers):
                 if (pid := os.fork()) == 0:
                     try:
-                        _worker(cfg, tables, rows, counter, lock, done, parent)
+                        _worker(cfg, rows, counter, lock, done, parent)
                     finally:
                         os._exit(0)
                 pids.append(pid)
@@ -544,8 +552,8 @@ def run_ensemble(cfg: McConfig, workers: int = 1) -> McResult:
     """Execute the ensemble into its rows, which the result holds read-only.
 
     The result is identical for any worker count. ``workers > 1`` forks
-    processes, at most one per CPU and one per block of R runs (see
-    :func:`_block_runs`); they inherit ``cfg`` and the shared rows, write
+    processes, at most one per CPU and one per block of
+    ``cfg.block_runs`` runs; they inherit ``cfg`` and the shared rows, write
     each run's row in place and mark each block they complete. The caller
     then simulates every unmarked block in order, at one worker all of them.
     So an error is raised here from the first failing block, as at one
@@ -553,17 +561,15 @@ def run_ensemble(cfg: McConfig, workers: int = 1) -> McResult:
     lock, are redone with the same bits. Every worker is reaped before the
     call returns or raises; one whose parent dies stops after its block.
     """
-    tables = _run_tables(cfg)
-    rows = _run_rows(cfg.runs, cfg.row_layout())
-
-    blocks = -(-cfg.runs // tables[4])
+    rows = _run_rows(cfg.runs, cfg.layout)
+    blocks = -(-cfg.runs // cfg.block_runs)
     done = mmap.mmap(-1, blocks)
     workers = min(workers, os.cpu_count() or 1, blocks)
     if workers > 1:
-        _run_workers(cfg, tables, rows, done, workers)
+        _run_workers(cfg, rows, done, workers)
     for block in range(blocks):
         if not done[block]:
-            _simulate_block(cfg, tables, rows, block)
+            _simulate_block(cfg, rows, block)
     rows.flags.writeable = False
     return McResult(cfg, rows)
 
@@ -605,8 +611,7 @@ def compare_with_theory(result: McResult) -> dict:
     cannot be fitted with a decay over the window.
     """
     cfg = result.config
-    scene = theory.SceneSummary.from_components(cfg.room, cfg.radio, cfg.tx_pattern, cfg.rx_pattern)
-    grid = result.count.grid
+    scene, grid = cfg.scene, cfg.grid
     fit_window = (max(_FIT_WINDOW[0], float(grid[0])), min(_FIT_WINDOW[1], float(grid[-1])))
     checks: dict[str, dict] = {}
     notes: list[str] = []
@@ -675,14 +680,14 @@ def compare_with_theory(result: McResult) -> dict:
     return report
 
 
-def compare_power_curves(
-    a: McResult, b: McResult, window: tuple[float, float]
-) -> dict:
+def compare_power_curves(a: McResult, b: McResult, window: tuple[float, float]) -> dict:
     """Pointwise consistency of two mean-power curves within standard errors."""
     if not np.array_equal(a.power.grid, b.power.grid):
         raise ConfigError("results use different evaluation grids")
     grid = a.power.grid
     mask = (grid >= window[0]) & (grid <= window[1])
+    if not mask.any():
+        raise ConfigError(f"window [{window[0]:g}, {window[1]:g}] s holds no grid point")
     sigma = np.sqrt(a.power.stderr[mask] ** 2 + b.power.stderr[mask] ** 2)
     gap = np.abs(a.power.mean[mask] - b.power.mean[mask])
     ratio = gap / np.where(sigma > 0.0, sigma, np.inf)

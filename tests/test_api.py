@@ -28,8 +28,9 @@ REMOVED = {
     channel.SignalTrace: ["window"],
     montecarlo: [
         "_WORKER_STATE", "_init_worker", "_worker_block", "_row_sums", "_oriented", "_records",
-        "_simulate_runs", "_LOCK_WAIT",
+        "_simulate_runs", "_LOCK_WAIT", "_run_tables", "_block_runs",
     ],
+    montecarlo.McConfig: ["row_layout", "_grid_points"],
     theory: ["_cubic_count", "_rate_density"],
 }
 

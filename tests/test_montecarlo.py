@@ -1,5 +1,6 @@
 import dataclasses
 import fcntl
+import glob
 import mmap
 import os
 import signal
@@ -11,7 +12,7 @@ import types
 import numpy as np
 import pytest
 
-from roomchan import channel, geometry, montecarlo, theory
+from roomchan import channel, cli, config, geometry, montecarlo, theory
 from roomchan.antenna import (
     AntennaPattern,
     Isotropic,
@@ -140,7 +141,7 @@ class TestMcConfigValidation:
     def test_rejects_one_point_grid(self, stop, step):
         with pytest.raises(ConfigError, match="count grid must hold at least two points"):
             quick_config(grid_start=0.0, grid_stop=stop, grid_step=step)
-        assert len(quick_config(grid_start=0.0, grid_stop=stop, grid_step=stop).grid()) == 2
+        assert len(quick_config(grid_start=0.0, grid_stop=stop, grid_step=stop).grid) == 2
 
     @pytest.mark.parametrize("stop,step", [(10e-9, 4e-9), (10e-9, 3e-9), (10e-9, 1e-9 * (1 + 1e-8))])
     def test_rejects_grid_span_off_the_steps(self, stop, step):
@@ -148,13 +149,13 @@ class TestMcConfigValidation:
             quick_config(grid_start=0.0, grid_stop=stop, grid_step=step)
 
     def test_grid_span_within_a_billionth_of_a_step(self):
-        grid = quick_config(grid_start=0.0, grid_stop=10e-9, grid_step=1e-9 * (1 + 1e-11)).grid()
+        grid = quick_config(grid_start=0.0, grid_stop=10e-9, grid_step=1e-9 * (1 + 1e-11)).grid
         assert len(grid) == 11 and grid[-1] == 10e-9
 
     def test_raw_curve_cap(self):
         grid_120ns = dict(tau_max=120e-9, moment_cutoff=120e-9, grid_stop=120e-9, grid_step=0.25e-9)
         assert quick_config(runs=80_000, **grid_120ns).runs == 80_000
-        layout = quick_config(**grid_120ns).row_layout()
+        layout = quick_config(**grid_120ns).layout
         # uint16 counts on the 481-point grid of the 12,789-cell cube.
         assert layout["counts"].base == np.uint16 and layout.itemsize == 4944
         row = layout.itemsize
@@ -162,6 +163,29 @@ class TestMcConfigValidation:
         assert quick_config(runs=runs, **grid_120ns).runs == runs
         with pytest.raises(ResourceLimitError, match="cap"):
             quick_config(runs=runs + 1, **grid_120ns)
+
+    # Values the document loader refuses, given through the API: a NaN
+    # cutoff used to let the moments span the whole padded grid, a NaN step
+    # raised numpy's ValueError, 1.5 and True ran as seed 1, and 2.5 runs
+    # raised a TypeError from mmap.
+    @pytest.mark.parametrize("field,value,message", [
+        ("moment_cutoff", float("nan"), "moment cutoff must be positive"),
+        ("grid_step", float("nan"), "grid step must be positive"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("seed", True, "seed must be an integer"),
+        ("runs", 2.5, "runs must be an integer of at least 1"),
+    ])
+    def test_rejects_what_is_not_a_number_or_not_an_integer(self, field, value, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            quick_config(**{field: value})
+
+    def test_numpy_integers_are_integers(self):
+        cfg = quick_config(runs=np.int32(2), seed=np.int64(-5))
+        assert (cfg.runs, cfg.seed) == (2, -5)
+        # 500,000 rows of 4,944 bytes: an int32 product would wrap to -1.8e9.
+        grid_120ns = dict(tau_max=120e-9, moment_cutoff=120e-9, grid_stop=120e-9, grid_step=0.25e-9)
+        with pytest.raises(ResourceLimitError, match="take 2.47e[+]09 bytes of rows"):
+            quick_config(runs=np.int32(500_000), **grid_120ns)
 
     def test_row_cap_counts_every_field(self):
         # 25M runs on a 2-point grid hold 50M curve points, but their rows
@@ -287,7 +311,7 @@ class TestDeterminism:
     def test_pool_size_is_clamped(self, monkeypatch, forks, cpus, workers, runs, processes):
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         cfg = quick_config(runs=runs)
-        assert montecarlo._block_runs(cfg) == 10
+        assert cfg.block_runs == 10
         result = run_ensemble(cfg, workers=workers)
         assert len(forks.started) == processes
         assert forks.exitcodes == dict.fromkeys(forks.started, 0)
@@ -317,7 +341,7 @@ from roomchan.antenna import Isotropic
 from roomchan.channel import RadioConfig
 from roomchan.geometry import Room
 
-def recording(cfg, tables, rows, block):
+def recording(cfg, rows, block):
     with open(sys.argv[1], "a") as fh:
         fh.write(f"{os.getpid()}\\n")
     time.sleep(0.05)
@@ -373,15 +397,15 @@ class TestForkedWorkers:
         # 64 runs on three workers: six blocks of 10 runs and one of 4,
         # claimed concurrently.
         cfg = quick_config(runs=64)
-        size = montecarlo._block_runs(cfg)
+        size = cfg.block_runs
         assert size == 10
         calls = CallLog(tmp_path / "calls")
         simulate = montecarlo._simulate_block
 
-        def recording(cfg, tables, rows, block):
-            first = block * tables[4]
-            calls.add(os.getpid(), first, len(rows[first:first + tables[4]]))
-            simulate(cfg, tables, rows, block)
+        def recording(cfg, rows, block):
+            first = block * cfg.block_runs
+            calls.add(os.getpid(), first, len(rows[first:first + cfg.block_runs]))
+            simulate(cfg, rows, block)
 
         monkeypatch.setattr(montecarlo, "_simulate_block", recording)
         result = run_ensemble(cfg, workers=3)
@@ -398,15 +422,15 @@ class TestForkedWorkers:
 
     def test_one_run_blocks_are_claimed_once_under_contention(self, deadline, monkeypatch, forks, tmp_path):
         # 240 one-run blocks on three workers, each claim a step of the counter.
-        monkeypatch.setattr(montecarlo, "_block_runs", lambda cfg: 1)
+        monkeypatch.setattr(McConfig, "block_runs", property(lambda cfg: 1))
         cfg = quick_config(runs=240)
         serial = run_ensemble(cfg, workers=1)
         calls = CallLog(tmp_path / "calls")
         simulate = montecarlo._simulate_block
 
-        def recording(cfg, tables, rows, block):
+        def recording(cfg, rows, block):
             calls.add(os.getpid(), block)
-            simulate(cfg, tables, rows, block)
+            simulate(cfg, rows, block)
 
         monkeypatch.setattr(montecarlo, "_simulate_block", recording)
         parallel = run_ensemble(cfg, workers=3)
@@ -423,10 +447,10 @@ class TestForkedWorkers:
         # two workers really start.
         simulate = montecarlo._simulate_block
 
-        def fails(cfg, tables, rows, block):
+        def fails(cfg, rows, block):
             if block >= 1:
                 raise ResourceLimitError("block of runs above the cap")
-            simulate(cfg, tables, rows, block)
+            simulate(cfg, rows, block)
 
         monkeypatch.setattr(montecarlo, "_simulate_block", fails)
         cfg = quick_config(runs=40)
@@ -452,12 +476,12 @@ class TestForkedWorkers:
         # error comes first, but block 1 comes first in run order.
         simulate = montecarlo._simulate_block
 
-        def fails(cfg, tables, rows, block):
+        def fails(cfg, rows, block):
             if block == 1:
                 time.sleep(0.2)
             if block in (1, 3):
                 raise ValueError(f"block {block}")
-            simulate(cfg, tables, rows, block)
+            simulate(cfg, rows, block)
 
         monkeypatch.setattr(montecarlo, "_simulate_block", fails)
         cfg = quick_config(runs=40)
@@ -476,10 +500,10 @@ class TestForkedWorkers:
         simulate = montecarlo._simulate_block
         runner = os.getpid()
 
-        def fails(cfg, tables, rows, block):
+        def fails(cfg, rows, block):
             if block == 2 and os.getpid() != runner:
                 raise MemoryError("only in a worker")
-            simulate(cfg, tables, rows, block)
+            simulate(cfg, rows, block)
 
         monkeypatch.setattr(montecarlo, "_simulate_block", fails)
         parallel = run_ensemble(cfg, workers=2)
@@ -498,10 +522,10 @@ class TestForkedWorkers:
         runner = os.getpid()
         left = shared_ints(1)
 
-        def raises(cfg, tables, rows, block):
+        def raises(cfg, rows, block):
             if block == 1 and os.getpid() != runner:
                 raise exception()
-            simulate(cfg, tables, rows, block)
+            simulate(cfg, rows, block)
 
         monkeypatch.setattr(montecarlo, "_simulate_block", raises)
         try:
@@ -527,10 +551,10 @@ class TestForkedWorkers:
         doomed_first = shared_ints(1, fill=-1)
         redone = []
 
-        def dies(cfg, tables, rows, block):
-            first = block * tables[4]
+        def dies(cfg, rows, block):
+            first = block * cfg.block_runs
             if victim == "run-three":
-                doomed = first <= 3 < first + tables[4]
+                doomed = first <= 3 < first + cfg.block_runs
             else:
                 doomed = len(forks.started) == 1  # as seen at this worker's fork
             if os.getpid() == runner:
@@ -538,7 +562,7 @@ class TestForkedWorkers:
             elif doomed:
                 doomed_first[0] = first
                 os._exit(3)
-            simulate(cfg, tables, rows, block)
+            simulate(cfg, rows, block)
 
         monkeypatch.setattr(montecarlo, "_simulate_block", dies)
         started = time.monotonic()
@@ -717,7 +741,7 @@ class TestStreamedAggregation:
     @pytest.fixture(scope="class")
     def reference(self, cfg):
         # Run by run through the one-scene functions, not the ensemble's blocks.
-        grid, synthesis = cfg.grid(), cfg.synthesis_grid()
+        grid, synthesis = cfg.grid, cfg.synthesis_grid()
         times = synthesis.times()
         inside = int(np.searchsorted(times, cfg.moment_cutoff, side="right"))
         counts, power, records = [], [], []
@@ -742,13 +766,13 @@ class TestStreamedAggregation:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_blocks_land_at_their_runs(self, cfg, reference, workers, monkeypatch):
         assert self.RUNS % montecarlo._STAT_ROWS and self.RUNS > montecarlo._STAT_ROWS
-        assert self.RUNS % montecarlo._block_runs(cfg) and self.RUNS > montecarlo._block_runs(cfg)
+        assert self.RUNS % cfg.block_runs and self.RUNS > cfg.block_runs
         # Keep three workers on machines with fewer CPUs.
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
         result = run_ensemble(cfg, workers=workers)
         counts, power, records = reference
         # The 40 ns cube holds 1,573 cells.
-        assert result.counts_raw.dtype == cfg.row_layout()["counts"].base == np.uint16
+        assert result.counts_raw.dtype == cfg.layout["counts"].base == np.uint16
         assert result.counts_raw.tobytes() == counts.astype(np.uint16).tobytes()
         assert result.power_raw.tobytes() == power.tobytes()
         assert [record_key(r) for r in result.records] == records
@@ -797,7 +821,7 @@ class TestCountType:
     def test_smallest_cube_needs_uint16(self):
         # Every axis bound is at least 3, so no cube of an ensemble has 255
         # cells or fewer: uint8 counts appear only in the layout above.
-        layout = quick_config(tau_max=1e-9, moment_cutoff=1e-9, grid_stop=1e-9, grid_step=0.5e-9).row_layout()
+        layout = quick_config(tau_max=1e-9, moment_cutoff=1e-9, grid_stop=1e-9, grid_step=0.5e-9).layout
         assert layout["counts"].base == np.uint16
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -807,19 +831,18 @@ class TestCountType:
         kwargs, cells, dtype = self.SCENES[scene]
         cfg = quick_config(tx_pattern=SphericalCap(0.1), rx_pattern=SphericalCap(0.1), **kwargs)
         bounds = geometry.index_bounds(cfg.room, cfg.tau_max, cfg.radio.speed_of_light, cfg.max_cells)
-        assert bounds[1] == cells and -(-cfg.runs // montecarlo._block_runs(cfg)) >= 2
+        assert bounds[1] == cfg.cells == cells and -(-cfg.runs // cfg.block_runs) >= 2
         result = run_ensemble(cfg, workers=workers)
         assert result.counts_raw.dtype == dtype and result.counts_raw[:, -1].any()
-        wide = montecarlo._estimate(cfg.grid(), result.counts_raw.astype(np.int32))
+        wide = montecarlo._estimate(cfg.grid, result.counts_raw.astype(np.int32))
         assert result.count.mean.tobytes() == wide.mean.tobytes()
         assert result.count.stderr.tobytes() == wide.stderr.tobytes()
 
 
-def padded_tables(cfg, _run_tables=montecarlo._run_tables):
-    """The ensemble's run tables on the full :meth:`McConfig.synthesis_grid`."""
-    grid, _, _, cut, runs = _run_tables(cfg)
+def padded_window(cfg, trimmed=McConfig.window.func):
+    """The ensemble's synthesis window on the full :meth:`McConfig.synthesis_grid`."""
     synthesis = cfg.synthesis_grid()
-    return grid, synthesis, synthesis.times(), cut, runs
+    return trimmed(cfg)._replace(grid=synthesis, times=synthesis.times())
 
 
 class TestSynthesisGrid:
@@ -834,7 +857,7 @@ class TestSynthesisGrid:
     ])
     def test_ensemble_grid_ends_at_its_last_read_sample(self, cutoff, stop, read):
         cfg = quick_config(**{**self.CAP, "moment_cutoff": cutoff, "grid_stop": stop})
-        grid, synthesis, times, cut, _ = montecarlo._run_tables(cfg)
+        grid, (synthesis, times, cut) = cfg.grid, cfg.window
         padded = cfg.synthesis_grid()
         assert (padded.count, synthesis.count) == (1121, read)
         assert (synthesis.start, synthesis.step) == (padded.start, padded.step)
@@ -852,7 +875,7 @@ class TestSynthesisGrid:
         cfg = quick_config(tx_pattern=SphericalCap(0.1), rx_pattern=SphericalCap(0.1), runs=40,
                            phase_mode="carrier", **self.CAP)
         trimmed = run_ensemble(cfg)
-        monkeypatch.setattr(montecarlo, "_run_tables", padded_tables)
+        monkeypatch.setattr(McConfig, "window", property(padded_window))
         padded = run_ensemble(cfg)
         assert sum(r.n_paths for r in trimmed.records) > 0
         assert trimmed.counts_raw.tobytes() == padded.counts_raw.tobytes()
@@ -868,7 +891,7 @@ class TestMomentWindow:
     def test_moments_come_from_samples_up_to_the_cutoff(self):
         cfg = quick_config(runs=8, moment_cutoff=30e-9)
         result = run_ensemble(cfg)
-        synthesis = montecarlo._run_tables(cfg)[1]
+        synthesis = cfg.window.grid
         times = synthesis.times()
         inside = int(np.sum(times <= cfg.moment_cutoff))
         assert 0 < inside < times.size
@@ -957,9 +980,9 @@ class TestCustomPattern:
 class TestBlockIndependence:
     """A run's rows and record do not depend on the block it ran in.
 
-    The reference is a short ensemble with ``_block_runs`` patched to 1, so
-    each run is simulated alone; a 300-run ensemble puts _block_runs runs in
-    a block. The first runs must agree bitwise.
+    The reference is a short ensemble with ``McConfig.block_runs`` patched to
+    1, so each run is simulated alone; a 300-run ensemble puts block_runs
+    runs in a block. The first runs must agree bitwise.
     """
 
     SHORT = 8
@@ -990,7 +1013,7 @@ class TestBlockIndependence:
             # the first runs take both kernels whatever its constants.
             monkeypatch.setattr(channel, "_lattice_is_cheaper", lambda n, samples, nfft: n > 30)
         cfg = quick_config(runs=300, **self.CASES[case])
-        size = montecarlo._run_tables(cfg)[4]
+        size = cfg.block_runs
         assert size > 1
         short = dataclasses.replace(cfg, runs=self.SHORT)
         kernels = []
@@ -998,7 +1021,7 @@ class TestBlockIndependence:
             kernel = getattr(channel, name)
             monkeypatch.setattr(channel, name, lambda *a, _k=kernel, _n=name: kernels.append(_n) or _k(*a))
         with monkeypatch.context() as alone:
-            alone.setattr(montecarlo, "_block_runs", lambda cfg: 1)
+            alone.setattr(McConfig, "block_runs", property(lambda cfg: 1))
             reference = run_ensemble(short, workers=1)
             forked = run_ensemble(short, workers=2)
             assert len(forks.started) == 2
@@ -1037,7 +1060,7 @@ class TestStageCalls:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_every_run_is_counted_and_synthesized_once(self, case, monkeypatch):
         cfg = quick_config(**self.CASES[case])
-        grid, synthesis, _, _, block = montecarlo._run_tables(cfg)
+        grid, synthesis, block = cfg.grid, cfg.window.grid, cfg.block_runs
         assert (block > 1) == (case == "cap01")
         calls = {"count": [], "synth": []}
 
@@ -1134,8 +1157,8 @@ def synthetic_result(cfg, count_mean, power_mean):
     Integer count rows cannot hold a fractional mean, so the count estimate
     is put in place of the one the rows give.
     """
-    grid = cfg.grid()
-    rows = np.zeros(cfg.runs, cfg.row_layout())
+    grid = cfg.grid
+    rows = np.zeros(cfg.runs, cfg.layout)
     rows["power"], rows["counts"] = power_mean, np.round(count_mean)
     result = McResult(cfg, rows)
     vars(result)["count"] = McEstimate(grid, count_mean, np.zeros_like(grid), cfg.runs)
@@ -1147,7 +1170,7 @@ class TestCompareWithTheory:
         cfg = quick_config(runs=2, tau_max=120e-9, moment_cutoff=120e-9,
                            grid_stop=120e-9, grid_step=0.25e-9)
         scene = theory.SceneSummary.from_components(ROOM, RADIO, ISO, ISO)
-        grid = cfg.grid()
+        grid = cfg.grid
         spectrum = theory.pds(scene, grid, mode="randomized", corrected=True)
         power = theory.expected_received_power(spectrum, RADIO, grid)
         result = synthetic_result(cfg, theory.mean_count(scene, grid), power)
@@ -1167,7 +1190,7 @@ class TestCompareWithTheory:
         cfg = quick_config(runs=2, tau_max=120e-9, moment_cutoff=120e-9, grid_stop=120e-9,
                            grid_step=0.25e-9, mode=mode, **fixed)
         scene = theory.SceneSummary.from_components(ROOM, RADIO, ISO, ISO)
-        grid = cfg.grid()
+        grid = cfg.grid
         spectrum = theory.pds(scene, grid, mode="randomized", corrected=True)
         power = theory.expected_received_power(spectrum, RADIO, grid)
         report = compare_with_theory(synthetic_result(cfg, theory.mean_count(scene, grid), power))
@@ -1198,7 +1221,7 @@ class TestCompareWithTheory:
         cfg = quick_config(runs=2, tau_max=120e-9, moment_cutoff=120e-9,
                            grid_stop=120e-9, grid_step=0.25e-9)
         scene = theory.SceneSummary.from_components(ROOM, RADIO, ISO, ISO)
-        grid = cfg.grid()
+        grid = cfg.grid
         result = synthetic_result(cfg, theory.mean_count(scene, grid), np.exp(grid / 20e-9))
         report = compare_with_theory(result)
         assert set(report["checks"]) == {"mean_count"}
@@ -1207,11 +1230,20 @@ class TestCompareWithTheory:
     def test_mismatched_grids_rejected(self):
         cfg_a = quick_config()
         cfg_b = quick_config(grid_step=2e-9)
-        n_a, n_b = len(cfg_a.grid()), len(cfg_b.grid())
+        n_a, n_b = len(cfg_a.grid), len(cfg_b.grid)
         a = synthetic_result(cfg_a, np.ones(n_a), np.ones(n_a))
         b = synthetic_result(cfg_b, np.ones(n_b), np.ones(n_b))
         with pytest.raises(ConfigError):
             compare_power_curves(a, b, (10e-9, 30e-9))
+
+
+    @pytest.mark.parametrize("window", [(10.2e-9, 10.8e-9), (50e-9, 60e-9)])
+    def test_window_without_a_grid_point_rejected(self, window):
+        cfg = quick_config(runs=2)
+        ones = np.ones(len(cfg.grid))
+        result = synthetic_result(cfg, ones, ones)
+        with pytest.raises(ConfigError, match="holds no grid point$"):
+            compare_power_curves(result, result, window)
 
 
 class TestFitDecayTime:
@@ -1252,7 +1284,7 @@ class TestRowsAreWritten:
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         kwargs, block = self.CASES[case]
         if block is not None:
-            monkeypatch.setattr(montecarlo, "_block_runs", lambda cfg: block)
+            monkeypatch.setattr(McConfig, "block_runs", property(lambda cfg: block))
         run_rows = montecarlo._run_rows
 
         def filled(runs, layout):
@@ -1287,6 +1319,62 @@ class TestLazyResult:
         assert len(result.records) == cfg.runs and "records" in vars(result)
 
 
+PARITY = sorted(glob.glob(os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "parity", "*.json")))
+
+
+class TestResolvedOnce:
+    """An ``mc`` run derives each value of its config once, however many blocks it has."""
+
+    def test_cube_is_sized_and_scene_summarized_once(self, tmp_path, monkeypatch):
+        callers = []
+        index_bounds = geometry.index_bounds
+
+        def sizing(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return index_bounds(*args)
+
+        monkeypatch.setattr(geometry, "index_bounds", sizing)
+        monkeypatch.setattr(montecarlo, "index_bounds", sizing)
+        summaries = []
+        from_components = theory.SceneSummary.from_components.__func__
+
+        def summarizing(cls, *args):
+            summaries.append(args)
+            return from_components(cls, *args)
+
+        monkeypatch.setattr(theory.SceneSummary, "from_components", classmethod(summarizing))
+        # 0.1 caps: 80 runs take three blocks, each enumerated once.
+        path = next(p for p in PARITY if p.endswith("both-random-cap01.json"))
+        argv = ["--config", path, "mc", "--runs", "80", "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert callers.count("enumerate_indices") >= 3
+        assert len([name for name in callers if name != "enumerate_indices"]) == 1
+        assert len(summaries) == 1
+
+
+class TestParityDocuments:
+    """Each parity document writes the same ``mc`` bundle, byte for byte, at one and two workers."""
+
+    def test_documents_are_found(self):
+        assert len(PARITY) >= 8
+
+    @pytest.mark.parametrize("path", PARITY, ids=lambda path: os.path.basename(path)[:-len(".json")])
+    def test_bundle_is_independent_of_the_worker_count(self, path, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        # Two blocks, the second of one run, so that both workers start.
+        runs = config.build_mc_config(config.load_document(path)).block_runs + 1
+        for threads in ("1", "2"):
+            argv = ["--config", path, "mc", "--runs", str(runs), "--seed", "5", "--threads", threads,
+                    "--out-dir", str(tmp_path / threads)]
+            assert cli.main(argv) == 0
+        assert len(forks.started) == 2
+        assert_no_child_left()
+        names = sorted(os.listdir(tmp_path / "1"))
+        assert len(names) == 6 and names == sorted(os.listdir(tmp_path / "2"))
+        for name in names:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+
 class TestWriteBundle:
     def test_bundle_files_and_determinism(self, tmp_path):
         cfg = quick_config(runs=4)
@@ -1311,4 +1399,4 @@ class TestWriteBundle:
         write_bundle(result, tmp_path, {"seed": 1}, compare_with_theory(result))
         lines = (tmp_path / "counts.csv").read_text().strip().split("\n")
         assert lines[0] == "tau_seconds,mean_count,standard_error"
-        assert len(lines) == 1 + len(cfg.grid())
+        assert len(lines) == 1 + len(cfg.grid)

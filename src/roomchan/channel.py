@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -22,9 +21,8 @@ from .antenna import AntennaPattern
 from .errors import ConfigError, DegenerateGeometryError, OutOfHorizonError, ResourceLimitError, ZeroEnergyError
 from .geometry import Room
 
-# Direct synthesis kernel: paths per block. Blocks accumulate in a fixed
-# order, so a trace never depends on scheduling; a block's reciprocal
-# matrix, in the per-thread workspace, holds _SYNTH_CHUNK x samples floats.
+# Direct synthesis kernel: paths per block, summed in a fixed order so a trace
+# never depends on scheduling. A block's reciprocal matrix is _SYNTH_CHUNK x samples.
 _SYNTH_CHUNK = 128
 
 #: Cap on the points of a delay grid. Synthesis holds kilobytes per sample
@@ -305,6 +303,19 @@ class SampleGrid:
         return self.start + self.step * np.arange(self.count)
 
 
+def delay_grid(start: float, stop: float, step: float) -> np.ndarray:
+    """Read-only ``np.linspace`` from ``start`` to exactly ``stop``, ``step`` apart.
+
+    ValueError unless :meth:`SampleGrid.whole_steps`; the point cap as in :meth:`SampleGrid.spanning`.
+    """
+    count = SampleGrid.spanning(start, stop, step).count
+    if not SampleGrid.whole_steps(start, stop, step):
+        raise ValueError("stop - start must be a whole number of steps")
+    grid = np.linspace(start, stop, count)
+    grid.flags.writeable = False
+    return grid
+
+
 # Oversampling and padding of the synthesis grid relative to the pulse.
 _OVERSAMPLE = 4
 _PAD_PULSES = 20
@@ -412,29 +423,6 @@ def _kernel_spectra(nfft: int, end: int, beta: float) -> np.ndarray:
     return spectra
 
 
-class _Workspace(threading.local):
-    """Per-thread buffers of the synthesis kernels, grown to the largest call seen.
-
-    Every thread gets its own buffers, so concurrent calls never share them,
-    and memory stays bounded at one workspace per thread. Reusing them keeps
-    a call from mapping, faulting in and returning megabytes of temporaries.
-    """
-
-    def __init__(self) -> None:
-        self.buffers: dict[str, np.ndarray] = {}
-
-    def take(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
-        """Buffer ``name`` viewed as a C-ordered ``shape``; its values are stale."""
-        size = math.prod(shape)
-        buffer = self.buffers.get(name)
-        if buffer is None or buffer.size < size:
-            buffer = self.buffers[name] = np.empty(size, dtype)
-        return buffer[:size].reshape(shape)
-
-
-_WORKSPACE = _Workspace()
-
-
 def _lattice_is_cheaper(n: int, samples: int, nfft: float) -> bool:
     """Cost model of the kernel choice; ``nfft`` need not be a fast size."""
     lattice = _LATTICE_PER_PATH * n + _LATTICE_PER_FFT_OP * nfft * math.log2(nfft)
@@ -458,9 +446,8 @@ def _direct_sum(amplitudes, delays, radio: RadioConfig, grid: SampleGrid) -> np.
     # sin(a - b) = sin(a)cos(b) - cos(a)sin(b) splits the trace into
     # cos(a) P_sin - sin(a) P_cos, where P_f projects the four real rows
     # of amplitude * f(b) onto R[k, m] = 1/(b_k - a_m). Transcendentals cost
-    # O(paths + samples); R, in the per-thread workspace, costs one division
-    # per path and sample. einsum, unlike BLAS, sums in an order that does
-    # not depend on the thread count.
+    # O(paths + samples); R, a new array per block of paths, costs one division
+    # per path and sample. einsum, unlike BLAS, sums in one order at any thread count.
     scale = np.pi * radio.bandwidth
     a, sin_a, cos_a = _direct_table(radio.bandwidth, grid)
     # The split loses relative precision as a - b nears 0. Every sample but
@@ -471,10 +458,8 @@ def _direct_sum(amplitudes, delays, radio: RadioConfig, grid: SampleGrid) -> np.
     for lo in range(0, delays.shape[0], _SYNTH_CHUNK):
         block = slice(lo, lo + _SYNTH_CHUNK)
         b = scale * delays[block]
-        size = b.shape[0]
-        reciprocals = _WORKSPACE.take("reciprocals", (size, grid.count))
-        np.subtract(b[:, None], a, out=reciprocals)
-        reciprocals[np.arange(size), near[block]] = np.inf
+        reciprocals = np.subtract(b[:, None], a)
+        reciprocals[np.arange(b.shape[0]), near[block]] = np.inf
         np.reciprocal(reciprocals, out=reciprocals)
         cos_b, sin_b = amplitudes[block] * np.cos(b), amplitudes[block] * np.sin(b)
         rows = np.stack((cos_b.real, cos_b.imag, sin_b.real, sin_b.imag))
@@ -509,10 +494,8 @@ def _lattice_sum(amplitudes, cells, radio: RadioConfig, grid: SampleGrid) -> np.
     # times d, at its column, in path order. The real and imaginary parts
     # are multiplied as reals: a complex-by-real product would turn -0.0
     # into +0.0.
-    moments = _WORKSPACE.take("moments", (order, j_hi - base + 1), complex)
-    moments.fill(0.0)
-    terms = _WORKSPACE.take("terms", amplitudes.shape, complex)
-    terms[:] = amplitudes
+    moments = np.zeros((order, j_hi - base + 1), dtype=complex)
+    terms = amplitudes.copy()
     for q, row in enumerate(moments):
         if q:
             np.multiply(terms.real, d, out=terms.real)
@@ -522,17 +505,11 @@ def _lattice_sum(amplitudes, cells, radio: RadioConfig, grid: SampleGrid) -> np.
     # Lags m - j of samples 0 .. count-1 and cells base .. j_hi lie in the
     # window count-base-nfft .. count-base-1 when nfft >= count + j_hi - base;
     # the circular convolution then equals the linear one on its last count
-    # entries. The real and imaginary parts of the moments are real rows.
+    # entries. One rfft takes the moments' real and imaginary parts as real rows.
     nfft = _fft_length(count + j_hi - base)
-    half = nfft // 2 + 1
-    spectra = _WORKSPACE.take("spectra", (2, order, half), complex)
-    np.fft.rfft(moments.real, nfft, out=spectra[0])
-    np.fft.rfft(moments.imag, nfft, out=spectra[1])
-    products = np.einsum(
-        "cqk,qk->ck", spectra, _kernel_spectra(nfft, count - base, beta),
-        out=_WORKSPACE.take("products", (2, half), complex),
-    )
-    trace = np.fft.irfft(products, nfft, out=_WORKSPACE.take("trace", (2, nfft)))
+    spectra = np.fft.rfft(np.stack((moments.real, moments.imag)), nfft)
+    products = np.einsum("cqk,qk->ck", spectra, _kernel_spectra(nfft, count - base, beta))
+    trace = np.fft.irfft(products, nfft)
     out = np.empty(count, dtype=complex)
     out.real, out.imag = trace[:, nfft - count :]
     return out
@@ -574,15 +551,13 @@ def synthesize_signal(
       fewest terms whose truncation error, at most
       ``(beta/2)**Q / ((Q+1) Q!)`` of the path's amplitude per sample, is
       below 1e-14: 12 on a grid oversampled 4x, 15 at 2x and 10 at 8x. The
-      per-path stage is one pass per moment row over the paths in delay
-      order, and the per-cell moments and their spectra live in a
-      per-thread workspace that later calls reuse.
+      per-path stage is one pass per moment row over the paths in delay order.
 
     A cost model on the number of paths, the number of samples and the FFT
     length picks the kernel predicted to be faster. Short path lists take
     the direct kernel: up to about 110 paths on the 1121-sample grid of a
-    120 ns horizon, for instance. Both kernels are deterministic, so a
-    trace does not depend on scheduling or on the worker count.
+    120 ns horizon, for instance. Both kernels are deterministic and share
+    no buffer between calls, so a trace depends on neither threads nor workers.
     """
     if grid.step > 1.0 / (2.0 * radio.bandwidth):
         raise ValueError("grid step must not exceed 1/(2*bandwidth)")

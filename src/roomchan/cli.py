@@ -14,7 +14,7 @@ import sys
 
 from . import __version__, config as cfgmod, montecarlo, theory
 from ._csv import write_csv
-from .channel import PHASE_MODES, SampleGrid, enumerate_paths, synthesis_grid, synthesize_signal
+from .channel import PHASE_MODES, SampleGrid, delay_grid, enumerate_paths, synthesis_grid, synthesize_signal
 from .errors import ConfigError, ResourceLimitError
 from .theory import SceneSummary, TheoryCurve
 
@@ -103,7 +103,7 @@ def _cmd_theory(args) -> int:
             raise ConfigError(f"unknown curve {name!r}; choose from {_THEORY_CURVES}")
     _, scene = _build_scene(doc)
 
-    taus = SampleGrid.spanning(*args.grid).times()
+    taus = delay_grid(*args.grid)
     if "pds" in curves:
         # Before any file is written: lossless or fully absorbing walls have
         # no exponential tail, and the deterministic spectrum needs positions.

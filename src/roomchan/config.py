@@ -42,11 +42,12 @@ def _one_of(*choices):
 
 
 class _Keys(dict):
-    """An object's keys mapped to their rules; ``required`` keys must appear."""
+    """An object's keys mapped to their rules; ``required`` keys must appear, and at most one of ``exclusive``."""
 
-    def __init__(self, required=(), **rules):
+    def __init__(self, required=(), exclusive=(), **rules):
         super().__init__(rules)
         self.required = required
+        self.exclusive = exclusive
 
 
 # A leaf rule is (test, what the test expects).
@@ -54,6 +55,7 @@ _NUMBER = (_number, "a number")
 _VEC3 = (_numbers(3), "a list of three numbers")
 _ANTENNA = _Keys(
     required=("pattern",),
+    exclusive=("orientation", "aim"),
     pattern=_one_of("isotropic", "cap"),
     beam_fraction=(lambda v: _number(v) and 0 < v <= 1, "a number in (0, 1]"),
     orientation=_VEC3,
@@ -66,6 +68,7 @@ _DOCUMENT = _Keys(
         wall_gains=(lambda v: _number(v) or _numbers(6)(v), "a number or a list of six numbers"),
     ),
     radio=_Keys(
+        exclusive=("center_frequency_hz", "wavelength_m"),
         center_frequency_hz=_NUMBER,
         wavelength_m=_NUMBER,
         bandwidth_hz=_NUMBER,
@@ -106,6 +109,8 @@ def _check(value, rule, path: str = "") -> None:
     for key in rule.required:
         if key not in value:
             raise ConfigError(f"{prefix}{key}: required key is missing")
+    if rule.exclusive and all(key in value for key in rule.exclusive):
+        raise ConfigError(f"{path}: set {' or '.join(map(repr, rule.exclusive))}, not both")
 
 
 DEFAULTS = {
@@ -160,7 +165,9 @@ def load_document(path: str | None) -> dict:
 
     ``NaN``, ``Infinity``, ``-Infinity``, numbers that overflow to
     infinity and integer literals no float can hold are rejected with
-    :class:`ConfigError`. Integers are kept exact.
+    :class:`ConfigError`, and so is a value set two ways (a ``radio``
+    frequency and wavelength, an antenna's ``orientation`` and ``aim``)
+    before the defaults fill in. Integers are kept exact.
     """
     if path is None:
         doc = {}
@@ -178,7 +185,11 @@ def load_document(path: str | None) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a JSON object")
     _check(doc, _DOCUMENT)
-    return _merge(DEFAULTS, doc)
+    resolved = _merge(DEFAULTS, doc)
+    # A given wavelength sets the carrier; the default frequency would contradict it.
+    if "wavelength_m" in resolved["radio"]:
+        del resolved["radio"]["center_frequency_hz"]
+    return resolved
 
 
 def build_room(doc: dict) -> Room:

@@ -55,6 +55,7 @@ from .channel import (
     _block_paths,
     _moments,
     arrival_count_curve,
+    delay_grid,
     synthesis_grid,
     synthesize_signal,
 )
@@ -250,16 +251,13 @@ class McConfig:
 
     @functools.cached_property
     def grid(self) -> np.ndarray:
-        """Read-only count grid; its span must be a whole number of steps, within 1e-9 steps."""
-        points = SampleGrid.spanning(self.grid_start, self.grid_stop, self.grid_step).count
-        if points < 2:
+        """The :func:`~roomchan.channel.delay_grid` of the ``grid_*`` fields, of two points or more."""
+        if SampleGrid.spanning(self.grid_start, self.grid_stop, self.grid_step).count < 2:
             raise ConfigError("count grid must hold at least two points")
-        if not SampleGrid.whole_steps(self.grid_start, self.grid_stop, self.grid_step):
-            raise ConfigError("mc/grid: stop_s - start_s must be a whole number of step_s")
-        # linspace keeps the endpoint exactly at grid_stop <= tau_max
-        grid = np.linspace(self.grid_start, self.grid_stop, points)
-        grid.flags.writeable = False
-        return grid
+        try:
+            return delay_grid(self.grid_start, self.grid_stop, self.grid_step)
+        except ValueError:
+            raise ConfigError("mc/grid: stop_s - start_s must be a whole number of step_s") from None
 
     @functools.cached_property
     def layout(self) -> np.dtype:

@@ -24,7 +24,7 @@ REMOVED = {
         "mirror_receiver_index", "mirror_receiver_position", "mirror_source_position",
         "path_delay", "reflection_gain", "wall_interaction_counts",
     ],
-    channel: ["PathComponent", "arrival_count", "MAX_ENSEMBLE_POINTS"],
+    channel: ["PathComponent", "arrival_count", "MAX_ENSEMBLE_POINTS", "_Workspace", "_WORKSPACE"],
     channel.SignalTrace: ["window"],
     montecarlo: [
         "_WORKER_STATE", "_init_worker", "_worker_block", "_row_sums", "_oriented", "_records",

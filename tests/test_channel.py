@@ -23,7 +23,7 @@ from roomchan.channel import (
     synthesis_grid,
     synthesize_signal,
 )
-from roomchan.errors import DegenerateGeometryError, OutOfHorizonError, ZeroEnergyError
+from roomchan.errors import DegenerateGeometryError, OutOfHorizonError, ResourceLimitError, ZeroEnergyError
 from roomchan.geometry import Room
 
 C = 3e8
@@ -536,7 +536,7 @@ class TestSynthesisKernels:
         assert kernels_run == ["_lattice_sum"]
         assert_near_per_path_sum(trace.samples, per_path_sum(paths, grid))
 
-    def test_workspace_reuse_keeps_results_bitwise(self, kernels_run):
+    def test_call_order_keeps_results_bitwise(self, kernels_run):
         rng = np.random.default_rng(13)
         grids = (self.GRID, synthesis_grid(RADIO, 300e-9))
         lists = [paths_with_delays(rng, np.sort(rng.uniform(5e-9, 120e-9, n)))
@@ -736,3 +736,22 @@ class TestSignalTrace:
         assert np.allclose(values[:, 0], trace.times())
         assert np.allclose(values[:, 1] + 1j * values[:, 2], trace.samples)
         assert np.allclose(values[:, 3], trace.abs2)
+
+
+class TestDelayGrid:
+    @pytest.mark.parametrize("start,stop,step,count", [
+        (0.0, 120e-9, 0.25e-9, 481), (0.0, 10e-9, 1.00000000001e-9, 11), (2e-9, 2e-9, 1e-9, 1),
+    ])
+    def test_ends_exactly_at_stop_and_is_read_only(self, start, stop, step, count):
+        grid = channel.delay_grid(start, stop, step)
+        assert grid.size == count and grid[0] == start and grid[-1] == stop
+        assert not grid.flags.writeable
+
+    @pytest.mark.parametrize("step", [4e-9, 3e-9, 1e-9 * (1 + 1e-8)])
+    def test_span_off_the_steps_is_refused(self, step):
+        with pytest.raises(ValueError, match="whole number of steps"):
+            channel.delay_grid(0.0, 10e-9, step)
+
+    def test_points_over_the_cap_are_refused(self):
+        with pytest.raises(ResourceLimitError):
+            channel.delay_grid(0.0, 1.0, 1.0 / channel.MAX_GRID_POINTS)

@@ -70,6 +70,23 @@ class TestConfigValidation:
             assert code == 2
             assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1
 
+    # A value set two ways is refused as written, before the defaults fill in.
+    @pytest.mark.parametrize("doc,section", [
+        ({"radio": {"wavelength_m": 5e-3, "center_frequency_hz": 60e9}}, "radio"),
+        ({"antennas": {"tx": {"pattern": "cap", "beam_fraction": 0.5, "orientation": [1, 0, 0], "aim": "los"}}},
+         "antennas/tx"),
+    ])
+    @pytest.mark.parametrize("command", [["paths", "--out"], ["signal", "--out"],
+                                         ["theory", "--out-dir"], ["mc", "--out-dir"]])
+    def test_value_set_two_ways_is_config_error(self, tmp_path, capsys, doc, section, command):
+        cfg = write_config(tmp_path, dict(doc, positions=FIG_POSITIONS, mc=small_mc_section()))
+        out = tmp_path / "out"
+        assert main(["--config", cfg, *command, str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {section}: set ") and err.endswith(", not both\n")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_unknown_key_names_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"room": {"lengths_m": [5, 5, 3], "color": "red"}})
         code = main(["--config", cfg, "paths", "--out", str(tmp_path / "p.csv")])
@@ -456,6 +473,20 @@ class TestTheoryCommand:
         lines = (tmp_path / "count.csv").read_text().strip().split("\n")
         assert len(lines) == 12  # header + 11 grid points
 
+    def test_default_grid_is_the_mc_count_grid(self, tmp_path):
+        cfg = write_config(tmp_path, {"mc": {"runs": 1}})
+        assert main(["--config", cfg, "theory", "--curves", "count,rate,pds",
+                     "--out-dir", str(tmp_path / "t")]) == 0
+        assert main(["--config", cfg, "mc", "--out-dir", str(tmp_path / "m")]) == 0
+
+        def taus(path):
+            return [line.split(",")[0] for line in path.read_text().splitlines()]
+
+        expected = taus(tmp_path / "m" / "counts.csv")
+        assert len(expected) == 482 and float(expected[-1]) == 120e-9
+        for name in ("count.csv", "rate.csv", "pds.csv"):
+            assert taus(tmp_path / "t" / name) == expected
+
     @pytest.mark.parametrize(
         "grid", ["0,1e-7", "a,b,c", "0,1e-7,-1e-9", "0,nan,1e-9", "0,1e-7,0", "1e-7,0,1e-9",
                  "0,10e-9,4e-9", "0,10e-9,3e-9", "0,10e-9,1.00000001e-9"]
@@ -625,6 +656,18 @@ class TestMcCommand:
         assert manifest["config"]["mc"]["runs"] == 2
         assert manifest["config"]["mc"]["seed"] == 9
         assert manifest["seed"] == 9
+
+    @pytest.mark.parametrize("radio,recorded", [
+        ({"wavelength_m": 5e-3}, {"wavelength_m": 5e-3}),
+        ({"center_frequency_hz": 50e9}, {"center_frequency_hz": 50e9}),
+        ({}, {"center_frequency_hz": 60e9}),
+    ])
+    def test_manifest_records_the_carrier_the_run_used(self, tmp_path, radio, recorded):
+        cfg = write_config(tmp_path, {"radio": radio, "mc": small_mc_section()})
+        out = tmp_path / "bundle"
+        assert main(["--config", cfg, "mc", "--runs", "1", "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["radio"] == dict(recorded, bandwidth_hz=2e9, speed_of_light_m_per_s=3e8)
 
     def test_mc_builds_no_run_records(self, tmp_path, monkeypatch):
         def refused(*args, **kwargs):

@@ -149,6 +149,31 @@ def index_bounds(room: Room, tau_max: float, speed: float, max_cells: int) -> tu
     return bounds.astype(np.int64), int(cells)
 
 
+def _column_reaches(projection, plane, b_z, cos_min, r2, slack) -> np.ndarray:
+    """Whether a cone ``projection >= cos_min * d - slack`` can hold a cell of each column.
+
+    Along a column at in-plane distance ``rho = sqrt(plane)``, whose cells lie
+    at heights ``|z| <= h = sqrt(r2 - plane)``, the cosine to an axis of
+    in-plane projection ``p`` and height ``b_z >= 0`` is
+    ``(p + b_z*z) / sqrt(plane + z**2)``. It never exceeds
+    ``sqrt(p**2 + b_z**2 * plane) / rho``, its value at ``z = b_z*plane/p``;
+    when that point lies off the segment, it peaks at ``z = h``. The segment
+    is symmetric, so ``-b_z`` peaks alike: a transmitter column's two kz
+    parities share the bound. As ``d >= rho``, a kept cell's cosine is at
+    least ``cos_min - slack/rho``; a second ``slack`` and an ``h`` widened by
+    ``1e-14 * r2`` cover the rounding of both tests. Columns at ``rho = 0`` stay.
+    """
+    h2 = np.maximum(r2 - plane, 0.0) + 1e-14 * r2
+    h = np.sqrt(h2)
+    rho = np.sqrt(plane)
+    limit = cos_min * rho - 2.0 * slack
+    return np.where(
+        b_z * plane <= projection * h,
+        np.sqrt(projection * projection + b_z * b_z * plane) >= limit,
+        rho * (projection + b_z * h) >= limit * np.sqrt(plane + h2),
+    )
+
+
 def enumerate_indices(
     room: Room,
     source,
@@ -207,10 +232,15 @@ def enumerate_indices(
     ``departure_signs(k) * o/d``. Both projections of ``o`` onto a boresight
     are outer sums of per-axis terms over the index cube, like ``d**2``. Only
     the ``(kx, ky)`` columns whose ``x**2 + y**2`` lies within the horizon
-    can hold images in it. The horizon test and the first cone test
-    ``projection >= cos_min * d - slack`` run on their cells, and the second
-    cone test on the cells the first kept, before any per-image array is
-    built, so the per-image work scales with the cones' coverage fractions.
+    can hold images in it, and of those, for each cone narrower than a
+    hemisphere (``cos_min > 0``), only the columns whose segment inside the
+    horizon ball the cone reaches; the column bound (``_column_reaches``)
+    drops no column that holds a cell the cone test keeps. Wider cones seldom
+    miss a whole column and take no column bound. The horizon test and the
+    first cone test ``projection >= cos_min * d - slack`` run on the cells of
+    the kept columns, and the second cone test on the cells the first kept,
+    before any per-image array is built, so the per-image work scales with
+    the cones' coverage fractions.
     The slack is ``1e-9 * (speed*tau_max + Lx + Ly + Lz)`` metres.
     The test differs from the exact per-path test, which recomputes the
     direction from the image position, by at most about ``15 * 2**-53`` of
@@ -224,9 +254,9 @@ def enumerate_indices(
     source = np.asarray(source, dtype=float)
     receiver = np.asarray(receiver, dtype=float)
     sources, receivers = source.reshape(-1, 3), receiver.reshape(-1, 3)
-    if tau_max < 0.0:
+    if not tau_max >= 0.0:
         raise ValueError("tau_max must be non-negative")
-    if speed <= 0.0:
+    if not speed > 0.0:
         raise ValueError("propagation speed must be positive")
     if not room.contains(sources) or not room.contains(receivers):
         raise ValueError("source and receiver must lie inside the room")
@@ -253,24 +283,31 @@ def enumerate_indices(
 
     r2 = radius * radius
     # Only the (arrangement, kx, ky) columns with x**2 + y**2 in the horizon
-    # ball can hold cells in it. Their cells are tested as one (column, kz)
-    # array, in C order: by arrangement, then lexicographically.
-    x, y, z = per_axis(table**2)
+    # ball, and in reach of each cone with cos_min > 0 (a wider one seldom
+    # misses a whole column), can hold kept cells. Their cells are tested as
+    # one (column, kz) array, in C order: by arrangement, then lexicographically.
+    x, y, z2 = per_axis(table**2)
     plane = x[:, :, None] + y[:, None, :]
-    nx, ny, nz = plane.shape[1], plane.shape[2], z.shape[1]
-    columns = np.flatnonzero(plane <= r2)
-    run_kx, ky = np.divmod(columns, ny)
-    run, kx = np.divmod(run_kx, nx)
-    dist = plane.ravel()[columns][:, None] + column_rows(z)
-    inside = dist <= r2
-    np.sqrt(dist, out=dist)
+    within = plane <= r2
     slack = _CONE_SLACK * (radius + float(np.sum(room.lengths)))
     tests = []
     for cone, signs in zip(cones, (departure_signs(k), 1.0)):
         if cone is not None:
             boresight, cos_min = cone
-            x, y, z = per_axis(signs * table * np.reshape(boresight, (-1, 3, 1)))
-            tests.append(((x[:, :, None] + y[:, None, :]).ravel()[columns], z, cos_min))
+            axis = np.reshape(boresight, (-1, 3, 1))
+            x, y, z = per_axis(signs * table * axis)
+            projection = x[:, :, None] + y[:, None, :]
+            if cos_min > 0.0:
+                within &= _column_reaches(projection, plane, np.abs(axis[:, 2:]), cos_min, r2, slack)
+            tests.append((projection, z, cos_min))
+    columns = np.flatnonzero(within)
+    nx, ny, nz = plane.shape[1], plane.shape[2], z2.shape[1]
+    run_kx, ky = np.divmod(columns, ny)
+    run, kx = np.divmod(run_kx, nx)
+    dist = plane.ravel()[columns][:, None] + column_rows(z2)
+    inside = dist <= r2
+    np.sqrt(dist, out=dist)
+    tests = [(projection.ravel()[columns], z, cos_min) for projection, z, cos_min in tests]
 
     # The first cone test runs on every cell of the columns, the second only
     # on the cells the first kept: after a narrow first cone few remain, and

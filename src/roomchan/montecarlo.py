@@ -96,10 +96,11 @@ SEED_RANGE = (-2**63, 2**63)
 
 # Budgets of a block of runs (see McConfig.block_runs). A block's scan of the
 # index cubes holds a few arrays of up to R x cells floats, 4 MB each at
-# _BLOCK_CELLS. Runs with many paths gain nothing from blocks, since their
-# synthesis outweighs the per-call costs that blocks share; _BLOCK_PATHS
-# keeps them at one run a block. 0.1-coverage caps at 120 ns (26 paths and
-# 12,789 cells a run) get 39 runs a block.
+# _BLOCK_CELLS without cones; narrow cones scan fewer columns (about 1.5 MB
+# in all for 39 runs of 0.1-coverage caps). Runs with many paths gain nothing
+# from blocks, since their synthesis outweighs the per-call costs that blocks
+# share; _BLOCK_PATHS keeps them at one run a block. 0.1-coverage caps at
+# 120 ns (26 paths and 12,789 cells a run) get 39 runs a block.
 _BLOCK_CELLS = 1 << 19
 _BLOCK_PATHS = 1024
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 
+from roomchan import geometry
 from roomchan.errors import DegenerateGeometryError
 from roomchan.geometry import departure_signs, enumerate_indices
 
@@ -32,6 +33,43 @@ def brute_force_indices(room, source, receiver, tau_max, speed, margin=4):
                 if math.sqrt(dist_sq) <= radius:
                     found[(kx, ky, kz)] = math.sqrt(dist_sq) / speed
     return found
+
+
+def dense_scan(room, sources, receivers, tau_max, speed, cones):
+    """``enumerate_indices`` without its column bound: every cell of the index cubes is tested.
+
+    The same elementwise arithmetic on a dense ``(R, kx, ky, kz)`` array, so
+    the rows must equal ``enumerate_indices``' bit for bit.
+    """
+    sources, receivers = np.reshape(sources, (-1, 3)), np.reshape(receivers, (-1, 3))
+    radius = speed * tau_max
+    bounds, _ = geometry.index_bounds(room, tau_max, speed, geometry.DEFAULT_MAX_CELLS)
+    ks = [np.arange(-b, b + 1) for b in bounds]
+    offsets = [
+        geometry._axis_image_positions(room.lengths[i], sources[:, i, None], ks[i]) - receivers[:, i, None]
+        for i in range(3)
+    ]
+
+    def cube(x, y, z):
+        return (x[:, :, None] + y[:, None, :])[..., None] + z[:, None, None, :]
+
+    dist = cube(*(o**2 for o in offsets))
+    keep = dist <= radius * radius
+    dist = np.sqrt(dist)
+    slack = geometry._CONE_SLACK * (radius + float(np.sum(room.lengths)))
+    for cone, signed in zip(cones, (True, False)):
+        if cone is not None:
+            boresights = np.reshape(cone[0], (-1, 3))
+            terms = [
+                (departure_signs(k) if signed else 1.0) * o * boresights[:, i, None]
+                for i, (o, k) in enumerate(zip(offsets, ks))
+            ]
+            keep &= cube(*terms) >= cone[1] * dist - slack
+    run, kx, ky, kz = np.nonzero(keep)
+    indices = np.stack((kx, ky, kz), axis=1) - bounds
+    images = [o + receivers[:, i, None] for i, o in enumerate(offsets)]
+    positions = np.stack((images[0][run, kx], images[1][run, ky], images[2][run, kz]), axis=1)
+    return indices, positions, dist[keep] / speed, run
 
 
 def receiver_image_index(k):

@@ -8,7 +8,7 @@ import pytest
 
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import hand_gated_paths
+from conftest import dense_scan, hand_gated_paths
 from roomchan import channel, geometry
 from roomchan.antenna import AntennaPattern, Isotropic, SphericalCap
 from roomchan.channel import (
@@ -169,6 +169,33 @@ st_direction = st.tuples(*[st.floats(min_value=-1.0, max_value=1.0)] * 3).filter
     lambda v: np.linalg.norm(v) > 1e-3
 )
 st_beam = st.tuples(st.floats(min_value=1e-3, max_value=1.0), st.one_of(st_axis, st_direction))
+# Cap fractions around the hemisphere (cos_min = 0), which takes no column bound.
+st_fraction = st.one_of(st.sampled_from([0.01, 0.1, 0.5, 0.75, 1.0]), st.floats(min_value=0.01, max_value=1.0))
+
+
+@st.composite
+def st_block(draw):
+    """Sources, receivers and cones of a block of 1-8 arrangements.
+
+    Boresights are random or axis-aligned (in-plane projection or ``b_z``
+    zero); a receiver may sit on its source's vertical, where the direct
+    column has in-plane distance 0.
+    """
+    count = draw(st.integers(min_value=1, max_value=8))
+    sources = np.array([draw(st_position) for _ in range(count)])
+    receivers = np.array([draw(st_position) for _ in range(count)])
+    if draw(st.booleans()):
+        run = draw(st.integers(min_value=0, max_value=count - 1))
+        receivers[run, :2] = sources[run, :2]
+    cones = []
+    for fraction in (draw(st.none() | st_fraction), draw(st.none() | st_fraction)):
+        if fraction is None:
+            cones.append(None)
+        else:
+            aims = [draw(st.one_of(st_axis, st_direction)) for _ in range(count)]
+            aims = np.array([aim / np.linalg.norm(aim) for aim in aims])
+            cones.append((aims, SphericalCap(fraction).cone[1]))
+    return sources, receivers, tuple(cones)
 
 
 def assert_matches_reference(tx, tx_pattern, rx, rx_pattern, tau_max):
@@ -215,6 +242,14 @@ class TestConePruning:
         tx_pattern, rx_pattern = (cap, ISO) if departure else (ISO, cap)
         paths = assert_matches_reference(tx, tx_pattern, rx, rx_pattern, 30e-9)
         assert tuple(indices[i]) in index_set(paths)
+
+    @settings(max_examples=80, deadline=None)
+    @given(block=st_block())
+    def test_column_bound_keeps_the_dense_rows(self, block):
+        sources, receivers, cones = block
+        got = geometry.enumerate_indices(ROOM, sources, receivers, 120e-9, C, cones=cones)
+        for a, b in zip(got, dense_scan(ROOM, sources, receivers, 120e-9, C, cones)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_pattern_without_cone_is_gated_exactly(self):
         pattern = TwoSided()

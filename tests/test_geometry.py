@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -384,7 +385,9 @@ class TestEnumerateIndices:
     # ceil(c*tau/L) of the short axis is past int64 (and the cube past
     # float64 at 1e12 s), where a cast before the check wrapped the cube.
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("lengths,tau_max", [((1e-20, 5.0, 3.0), 120e-9), ((5.0, 5.0, 3.0), 1e12)])
+    @pytest.mark.parametrize(
+        "lengths,tau_max", [((1e-20, 5.0, 3.0), 120e-9), ((5.0, 5.0, 3.0), 1e12), ((5.0, 5.0, 3.0), math.inf)]
+    )
     def test_cube_is_sized_before_any_integer_cast(self, lengths, tau_max):
         room = Room(lengths, 0.6)
         with pytest.raises(ResourceLimitError, match="above the cap"):
@@ -399,6 +402,29 @@ class TestEnumerateIndices:
         assert cells == 12789
         with pytest.raises(ResourceLimitError, match="holds 12789 cells, above the cap of 12788$"):
             index_bounds(ROOM, 120e-9, C, 12788)
+
+    @pytest.mark.parametrize("tau_max,speed", [(float("nan"), C), (120e-9, float("nan"))])
+    def test_nan_horizon_or_speed_is_an_input_error(self, tau_max, speed):
+        with pytest.raises(ValueError, match="tau_max|speed"):
+            enumerate_indices(ROOM, TX, RX, tau_max, speed)
+
+    def test_narrow_block_scan_stays_small(self):
+        # A 39-arrangement block with 0.1-coverage caps at both ends, as an
+        # ensemble of such caps at 120 ns takes. The column bound scans only
+        # the columns the cones reach, so the block's temporaries stay small
+        # and glibc does not hand them back and fault them in every block.
+        rng = np.random.default_rng(39)
+        sources, receivers = rng.random((2, 39, 3)) * ROOM.lengths
+        aims = rng.standard_normal((2, 39, 3))
+        aims /= np.linalg.norm(aims, axis=-1, keepdims=True)
+        tracemalloc.start()
+        try:
+            indices = enumerate_indices(ROOM, sources, receivers, 120e-9, C, cones=[(aim, 0.8) for aim in aims])[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(indices) > 0
+        assert peak < 2.5e6
 
     def test_positions_must_be_inside(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from roomchan import theory
 from roomchan._csv import write_csv
+from roomchan.channel import RadioConfig
+from roomchan.geometry import Room
 
 
 def main() -> None:
@@ -24,17 +26,12 @@ def main() -> None:
     c = 3e8
 
     # spot value: 5 x 5 x 3 room, 2 GHz, isotropic antennas
-    scene = theory.SceneSummary(
-        volume=75.0, surface=110.0, diagonal=np.sqrt(59.0), reflectance=0.6,
-        speed_of_light=c, wavelength=0.005, bandwidth=2e9,
-        tx_fraction=1.0, rx_fraction=1.0,
-    )
+    scene = theory.SceneSummary(Room((5.0, 5.0, 3.0), 0.6), RadioConfig(0.005, 2e9, c), 1.0, 1.0)
     # With unit fractions the bandwidth is the ratio itself; the mixing time
-    # depends on the volume and bandwidth only.
-    columns = [
-        [theory.mixing_time(replace(scene, volume=v, bandwidth=ratio)) for ratio in ratios]
-        for v in volumes
-    ]
+    # depends on the volume and bandwidth only, so a v x 1 x 1 room stands for volume v.
+    rooms = [Room((v, 1.0, 1.0), 0.6) for v in volumes]
+    radios = [replace(scene.radio, bandwidth=ratio) for ratio in ratios]
+    columns = [[theory.mixing_time(replace(scene, room=room, radio=radio)) for radio in radios] for room in rooms]
     header = "bandwidth_over_coverage_hz," + ",".join(f"tau_mix_s_V{v:g}" for v in volumes)
     write_csv(args.out, header, ratios, *columns)
 

@@ -215,9 +215,12 @@ def build_radio(doc: dict) -> RadioConfig:
 
 
 def build_pattern(doc: dict, side: str) -> AntennaPattern:
-    """Pattern for one antenna; cap orientation defaults to +z until aimed."""
+    """Pattern for one antenna; cap orientation defaults to +z until aimed, and an isotropic one takes no cap key."""
     section = doc["antennas"][side]
     if section["pattern"] == "isotropic":
+        ignored = [key for key in ("beam_fraction", "orientation", "aim") if key in section]
+        if ignored:
+            raise ConfigError(f"antennas/{side}: isotropic pattern takes no {', '.join(map(repr, ignored))}")
         return Isotropic()
     if "beam_fraction" not in section:
         raise ConfigError(f"antennas/{side}: cap pattern needs beam_fraction")

@@ -53,18 +53,20 @@ class Room:
     wall_gains: np.ndarray
 
     def __post_init__(self) -> None:
-        lengths = np.asarray(self.lengths, dtype=float)
+        # Read-only copies: neither the caller's arrays nor a write in place can move the room out of its domain.
+        lengths = np.array(self.lengths, dtype=float)
         if lengths.shape != (3,):
             raise ValueError("room lengths must be three values")
         for length in lengths:
             check_magnitude("room lengths", length)
-        gains = np.asarray(self.wall_gains, dtype=float)
+        gains = np.array(self.wall_gains, dtype=float)
         if gains.ndim == 0:
             gains = np.full(6, float(gains))
         if gains.shape != (6,):
             raise ValueError("wall_gains must be a scalar or six values")
         if np.any(gains < 0.0) or np.any(gains > 1.0):
             raise ValueError("wall gains must lie in [0, 1]")
+        lengths.flags.writeable = gains.flags.writeable = False
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "wall_gains", gains)
 

@@ -619,7 +619,7 @@ def compare_with_theory(result: McResult) -> dict:
     if "distance" in fixed:
         tau0 = cfg.distance / cfg.radio.speed_of_light
         expected = theory.conditional_mean_count(scene, grid, tau0)
-        far = grid >= tau0 + scene.diagonal / scene.speed_of_light
+        far = grid >= tau0 + scene.room.diagonal / scene.radio.speed_of_light
         checks["conditional_count"] = _max_rel_check(result.count.mean, expected, far, _CONDITIONAL_TOLERANCE)
     elif "tx_orientation" in fixed:
         bound = theory.count_upper_bound(scene, grid)

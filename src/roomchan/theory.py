@@ -1,8 +1,9 @@
 """Closed-form predictions for mirror-source channels in rectangular rooms.
 
-All functions take a :class:`SceneSummary` holding the room volume ``V``,
-surface area ``S``, diagonal, common wall reflectance ``g`` (``None`` when
-the walls differ), radio constants, and the two beam coverage fractions.
+All functions take a :class:`SceneSummary`: the room, whose volume ``V``,
+surface area ``S``, diagonal and common wall reflectance ``g`` (``None``
+when the walls differ) they read, the radio, and the two beam coverage
+fractions.
 Delay arguments may be scalars or arrays; outputs follow numpy broadcasting.
 
 Overview of the quantities:
@@ -30,7 +31,7 @@ from ._csv import write_csv
 from .antenna import AntennaPattern
 from .channel import RadioConfig, sinc_pulse
 from .errors import ConfigError, DegenerateGeometryError
-from .geometry import MAGNITUDES, Room, check_magnitude
+from .geometry import Room, check_magnitude
 
 #: Default variance-to-mean ratio of the wall-interaction count (Kuttruff's
 #: constant); 0.3 to 0.4 covers common room aspect ratios.
@@ -40,36 +41,23 @@ DEFAULT_GAMMA_SQ = 0.35
 # as many output delays as fit, and at least one, against the curve's grid.
 _PULSE_VALUES = 1 << 14
 
-# Cubes of the domain's extreme sides: every room of sides in MAGNITUDES has its scalars between theirs.
-_CUBES = [Room((side,) * 3, 0.0) for side in MAGNITUDES]
-
 
 @dataclass(frozen=True)
 class SceneSummary:
-    """Scalars that the closed-form results depend on (SI units).
+    """The room, radio and beam coverage fractions that the closed-form results depend on (SI units).
 
-    Outside the model's domain, ``geometry.MAGNITUDES``, construction raises
-    :class:`ConfigError`; the room's scalars span those of every room of sides in it.
+    The room and radio refuse every value outside the model's domain,
+    ``geometry.MAGNITUDES``; the fractions must lie in ``(0, 1]`` and the
+    direct delay in the domain, else construction raises :class:`ConfigError`.
     """
 
-    volume: float
-    surface: float
-    diagonal: float
-    reflectance: float | None
-    speed_of_light: float
-    wavelength: float
-    bandwidth: float
+    room: Room
+    radio: RadioConfig
     tx_fraction: float
     rx_fraction: float
     direct_delay: float | None = None
 
     def __post_init__(self) -> None:
-        for name, attribute in (("volume", "volume"), ("surface", "surface_area"), ("diagonal", "diagonal")):
-            check_magnitude(name, getattr(self, name), [getattr(cube, attribute) for cube in _CUBES])
-        for name in ("speed_of_light", "wavelength", "bandwidth"):
-            check_magnitude(name, getattr(self, name))
-        if self.reflectance is not None and not 0.0 <= self.reflectance <= 1.0:
-            raise ConfigError("reflectance must lie in [0, 1]")
         for name in ("tx_fraction", "rx_fraction"):
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must lie in (0, 1]")
@@ -87,7 +75,6 @@ class SceneSummary:
         rx_position=None,
     ) -> "SceneSummary":
         """Summarize a concrete scene; positions (if given), a wavelength or more apart, set the direct delay."""
-        gains = room.wall_gains
         direct_delay = None
         if tx_position is not None and rx_position is not None:
             diff = np.asarray(tx_position, float) - np.asarray(rx_position, float)
@@ -97,18 +84,13 @@ class SceneSummary:
             if not separation >= radio.wavelength:  # the far-field path gain needs it
                 raise ConfigError(f"terminals must lie a wavelength, {radio.wavelength:.3g} m, or more apart")
             direct_delay = float(separation / radio.speed_of_light)
-        return cls(
-            volume=room.volume,
-            surface=room.surface_area,
-            diagonal=room.diagonal,
-            reflectance=float(gains[0]) if np.all(gains == gains[0]) else None,
-            speed_of_light=radio.speed_of_light,
-            wavelength=radio.wavelength,
-            bandwidth=radio.bandwidth,
-            tx_fraction=tx_pattern.beam_fraction,
-            rx_fraction=rx_pattern.beam_fraction,
-            direct_delay=direct_delay,
-        )
+        return cls(room, radio, tx_pattern.beam_fraction, rx_pattern.beam_fraction, direct_delay)
+
+    @property
+    def reflectance(self) -> float | None:
+        """The walls' common power gain, or None where the walls differ."""
+        gains = self.room.wall_gains
+        return float(gains[0]) if np.all(gains == gains[0]) else None
 
     @property
     def fraction_product(self) -> float:
@@ -165,8 +147,8 @@ def _arrivals(scene: SceneSummary, tau, factor: float, start: float = 0.0, rate:
     """``4*pi*c^3*tau^3 / (3*V) * factor``, or with ``rate`` its derivative, for ``tau > start``."""
     tau = np.asarray(tau, dtype=float)
     power, divisor = (2, 1.0) if rate else (3, 3.0)
-    c = scene.speed_of_light
-    return np.where(tau > start, 4.0 * np.pi * c**3 * tau**power / (divisor * scene.volume) * factor, 0.0)
+    c = scene.radio.speed_of_light
+    return np.where(tau > start, 4.0 * np.pi * c**3 * tau**power / (divisor * scene.room.volume) * factor, 0.0)
 
 
 def eyring_count(scene: SceneSummary, tau):
@@ -217,11 +199,11 @@ def mixing_time(scene: SceneSummary, n_mix: float = 1.0) -> float:
     """
     if n_mix <= 0.0:
         raise ValueError("n_mix must be positive")
-    rate_scale = 4.0 * np.pi * scene.speed_of_light**3 * scene.fraction_product
+    rate_scale = 4.0 * np.pi * scene.radio.speed_of_light**3 * scene.fraction_product
     if rate_scale == 0.0:
         # The beam fractions' product underflows: the mean rate is zero.
         return float("inf")
-    return float(np.sqrt(n_mix * scene.bandwidth * scene.volume / rate_scale))
+    return float(np.sqrt(n_mix * scene.radio.bandwidth * scene.room.volume / rate_scale))
 
 
 def reverberation_time(scene: SceneSummary) -> float:
@@ -233,9 +215,7 @@ def reverberation_time(scene: SceneSummary) -> float:
     g = scene._require_reflectance()
     if g <= 0.0 or g >= 1.0:
         raise ValueError("reverberation time needs reflectance strictly in (0, 1)")
-    return float(
-        -4.0 * scene.volume / (scene.speed_of_light * scene.surface * np.log(g))
-    )
+    return float(-4.0 * scene.room.volume / (scene.radio.speed_of_light * scene.room.surface_area * np.log(g)))
 
 
 def kuttruff_correction(gain: float, gamma_sq: float = DEFAULT_GAMMA_SQ) -> float:
@@ -268,9 +248,9 @@ def gain_second_moment(scene: SceneSummary, tau, mode: str = "deterministic"):
     tau = np.asarray(tau, dtype=float)
     if np.any(tau <= 0.0):
         raise ValueError("gain second moment is singular at tau <= 0")
-    c = scene.speed_of_light
-    spreading = (4.0 * np.pi * c * tau / scene.wavelength) ** 2
-    exponent = tau * c * scene.surface / (4.0 * scene.volume)
+    c = scene.radio.speed_of_light
+    spreading = (4.0 * np.pi * c * tau / scene.radio.wavelength) ** 2
+    exponent = tau * c * scene.room.surface_area / (4.0 * scene.room.volume)
     reflections = scene._require_reflectance() ** exponent
     if mode == "deterministic":
         tau0 = scene._require_direct_delay()
@@ -302,12 +282,12 @@ def pds(
     decay = reverberation_time(scene)
     if corrected:
         decay *= kuttruff_correction(scene.reflectance)
-    c = scene.speed_of_light
-    level = scene.wavelength**2 * c / (4.0 * np.pi * scene.volume)
+    c = scene.radio.speed_of_light
+    level = scene.radio.wavelength**2 * c / (4.0 * np.pi * scene.room.volume)
     dirac = None
     if mode == "deterministic":
         tau0 = scene._require_direct_delay()
-        weight = (scene.wavelength / (4.0 * np.pi * c * tau0)) ** 2
+        weight = (scene.radio.wavelength / (4.0 * np.pi * c * tau0)) ** 2
         dirac = (tau0, weight)
         tail = np.where(tau > tau0, level * np.exp(-tau / decay), 0.0)
     elif mode == "randomized":
@@ -353,7 +333,7 @@ def count_second_moment(scene: SceneSummary, tau):
     variance overshoots the empirical one.
     """
     tau = np.asarray(tau, dtype=float)
-    half_cross = scene.diagonal / (2.0 * scene.speed_of_light)
+    half_cross = scene.room.diagonal / (2.0 * scene.radio.speed_of_light)
     mean = mean_count(scene, tau)
     spread = mean_count(scene, tau + half_cross) - mean_count(scene, tau - half_cross)
     return mean**2 + spread / 4.0
@@ -384,8 +364,8 @@ def conditional_mean_count(scene: SceneSummary, tau, tau0: float):
     if tau0 <= 0.0:
         raise ValueError("conditional count needs tau0 > 0")
     tau = np.asarray(tau, dtype=float)
-    c = scene.speed_of_light
-    bulk = 1.0 + 4.0 * np.pi * c**3 * (tau**3 - tau0**3) / (3.0 * scene.volume)
+    c = scene.radio.speed_of_light
+    bulk = 1.0 + 4.0 * np.pi * c**3 * (tau**3 - tau0**3) / (3.0 * scene.room.volume)
     return np.where(tau >= tau0, bulk * scene.fraction_product, 0.0)
 
 

@@ -31,7 +31,7 @@ REMOVED = {
         "_simulate_runs", "_LOCK_WAIT", "_run_tables", "_block_runs",
     ],
     montecarlo.McConfig: ["row_layout", "_grid_points"],
-    theory: ["_cubic_count", "_rate_density"],
+    theory: ["_cubic_count", "_rate_density", "_CUBES"],
 }
 
 

@@ -87,6 +87,23 @@ class TestConfigValidation:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    # A cap's key on an isotropic antenna would be silently ignored.
+    @pytest.mark.parametrize("antennas,message", [
+        ({"tx": {"pattern": "isotropic", "beam_fraction": 0.1},
+          "rx": {"pattern": "isotropic", "orientation": [0, 0, 1]}},
+         "antennas/tx: isotropic pattern takes no 'beam_fraction'"),
+        ({"rx": {"pattern": "isotropic", "orientation": [0, 0, 1], "beam_fraction": 1.0}},
+         "antennas/rx: isotropic pattern takes no 'beam_fraction', 'orientation'"),
+        ({"tx": {"pattern": "isotropic", "aim": "los"}}, "antennas/tx: isotropic pattern takes no 'aim'"),
+    ])
+    @pytest.mark.parametrize("command", [["theory", "--curves", "count,mixing", "--out-dir"], ["mc", "--out-dir"]])
+    def test_cap_key_on_isotropic_antenna_is_config_error(self, tmp_path, capsys, antennas, message, command):
+        cfg = write_config(tmp_path, {"antennas": antennas, "mc": small_mc_section()})
+        out = tmp_path / "out"
+        assert main(["--config", cfg, *command, str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_unknown_key_names_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"room": {"lengths_m": [5, 5, 3], "color": "red"}})
         code = main(["--config", cfg, "paths", "--out", str(tmp_path / "p.csv")])

@@ -2,9 +2,11 @@
 
 Room sides, the speed of light, the wavelength and the bandwidth are drawn
 anywhere in the domain, corners included, and the direct delay anywhere in
-its range; numpy warnings are errors. This claim is why ``SceneSummary``
-checks its inputs and no closed form checks its own result. The
-constructors where the inputs enter refuse the first value past either end.
+its range; numpy warnings are errors. This claim is why ``Room``,
+``RadioConfig`` and ``SceneSummary`` check their inputs and no closed form
+checks its own result; the scene reads the room's and radio's values, which
+only their own checks guard. The constructors where the inputs enter refuse
+the first value past either end.
 """
 
 import dataclasses

@@ -99,6 +99,22 @@ class TestRoom:
         with pytest.raises(ValueError):
             Room(lengths, gains)
 
+    def test_keeps_its_own_copies_of_the_caller_arrays(self):
+        lengths, gains = np.array([5.0, 5.0, 3.0]), np.full(6, 0.6)
+        room = Room(lengths, gains)
+        lengths[0] = 1e-300
+        gains[0] = 7.0
+        assert room.lengths.tolist() == [5.0, 5.0, 3.0]
+        assert room.wall_gains.tolist() == [0.6] * 6
+        assert room.volume == 75.0
+
+    def test_arrays_are_read_only(self):
+        room = Room(np.array([5.0, 5.0, 3.0]), np.full(6, 0.6))
+        for values in (room.lengths, room.wall_gains):
+            with pytest.raises(ValueError, match="read-only"):
+                values[1] = -1.0
+        assert room.volume == 75.0
+
 
 class TestMirrorSourcePosition:
     def test_zero_index_is_identity(self):

@@ -22,18 +22,7 @@ TAU0 = np.sqrt(4.75) / C
 
 
 def scene_with(tx_fraction=1.0, rx_fraction=1.0, direct_delay=None, room=ROOM, radio=RADIO):
-    return SceneSummary(
-        volume=room.volume,
-        surface=room.surface_area,
-        diagonal=room.diagonal,
-        reflectance=float(room.wall_gains[0]),
-        speed_of_light=radio.speed_of_light,
-        wavelength=radio.wavelength,
-        bandwidth=radio.bandwidth,
-        tx_fraction=tx_fraction,
-        rx_fraction=rx_fraction,
-        direct_delay=direct_delay,
-    )
+    return SceneSummary(room, radio, tx_fraction, rx_fraction, direct_delay)
 
 
 SCENE = scene_with()
@@ -41,10 +30,20 @@ SCENE_T0 = scene_with(direct_delay=TAU0)
 
 
 class TestSceneSummary:
+    def test_fields_are_the_components_fractions_and_direct_delay(self):
+        names = tuple(field.name for field in dataclasses.fields(SceneSummary))
+        assert names == ("room", "radio", "tx_fraction", "rx_fraction", "direct_delay")
+
     def test_from_components(self):
         scene = SceneSummary.from_components(ROOM, RADIO, Isotropic(), SphericalCap(0.5), TX, RX)
-        assert scene.volume == 75.0
-        assert scene.surface == 110.0
+        # The scene holds the room and radio themselves, and reads their own values.
+        assert scene.room is ROOM and scene.radio is RADIO
+        assert scene.room.volume == 75.0
+        assert scene.room.surface_area == 110.0
+        assert scene.room.diagonal == np.sqrt(59.0)
+        assert scene.reflectance == 0.6
+        assert (scene.radio.speed_of_light, scene.radio.wavelength, scene.radio.bandwidth) == (C, 0.005, 2e9)
+        assert scene.tx_fraction == 1.0
         assert scene.rx_fraction == 0.5
         assert scene.direct_delay == pytest.approx(TAU0, rel=1e-14)
 
@@ -67,32 +66,35 @@ class TestSceneSummary:
         assert scene.direct_delay == RADIO.wavelength / C
 
     # Scalars outside the model's domain, where the closed forms' scales
-    # would overflow: a huge speed of light, or a tiny room; raised as
-    # ConfigError, without a numpy warning.
+    # would overflow: a huge speed of light, or a tiny room; the radio and
+    # room that a scene holds refuse them as ConfigError, without a numpy
+    # warning.
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("changes,message", [
-        (dict(speed_of_light=1e120), "speed_of_light must lie in [1e-30, 1e+30], got 1e+120"),
-        (dict(speed_of_light=2.5e102, volume=1e10), "speed_of_light must lie in [1e-30, 1e+30], got 2.5e+102"),
-        (dict(volume=1e-300), "volume must lie in [1e-90, 1e+90], got 1e-300"),
-        (dict(wavelength=1e160), "wavelength must lie in [1e-30, 1e+30], got 1e+160"),
+    @pytest.mark.parametrize("build,message", [
+        (lambda: RadioConfig(0.005, 2e9, 1e120), "speed of light must lie in [1e-30, 1e+30], got 1e+120"),
+        (lambda: RadioConfig(0.005, 2e9, 2.5e102), "speed of light must lie in [1e-30, 1e+30], got 2.5e+102"),
+        (lambda: Room((1e-100,) * 3, 0.6), "room lengths must lie in [1e-30, 1e+30], got 1e-100"),
+        (lambda: RadioConfig(1e160, 2e9, C), "wavelength must lie in [1e-30, 1e+30], got 1e+160"),
     ])
-    def test_overflowing_scales_rejected(self, changes, message):
+    def test_overflowing_scales_rejected(self, build, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            dataclasses.replace(SCENE, **changes)
+            build()
 
     # Scalars outside the domain where the scales would underflow to zero,
     # and direct delays outside it, where the direct path's free-space
     # factor, pds' spike weight, would overflow or underflow.
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("changes,message", [
-        (dict(speed_of_light=1e-110), "speed_of_light must lie in [1e-30, 1e+30], got 1e-110"),
-        (dict(wavelength=1e-300), "wavelength must lie in [1e-30, 1e+30], got 1e-300"),
-        (dict(direct_delay=1e-169), "direct_delay must lie in [1e-30, 1e+30], got 1e-169"),
-        (dict(direct_delay=1e200), "direct_delay must lie in [1e-30, 1e+30], got 1e+200"),
+    @pytest.mark.parametrize("build,message", [
+        (lambda: RadioConfig(0.005, 2e9, 1e-110), "speed of light must lie in [1e-30, 1e+30], got 1e-110"),
+        (lambda: RadioConfig(1e-300, 2e9, C), "wavelength must lie in [1e-30, 1e+30], got 1e-300"),
+        (lambda: dataclasses.replace(SCENE, direct_delay=1e-169),
+         "direct_delay must lie in [1e-30, 1e+30], got 1e-169"),
+        (lambda: dataclasses.replace(SCENE, direct_delay=1e200),
+         "direct_delay must lie in [1e-30, 1e+30], got 1e+200"),
     ])
-    def test_vanishing_scales_and_direct_factor_rejected(self, changes, message):
+    def test_vanishing_scales_and_direct_factor_rejected(self, build, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            dataclasses.replace(SCENE, **changes)
+            build()
 
     def test_distinct_wall_gains_rejected(self):
         # Only the tail quantities need a single reflectance; the counts do not.
@@ -267,7 +269,7 @@ class TestGainSecondMoment:
 
     def test_mean_interaction_count_at_50ns(self):
         # exponent tau*c*S/(4V) evaluates to 5.5 wall interactions
-        exponent = 50e-9 * C * SCENE.surface / (4 * SCENE.volume)
+        exponent = 50e-9 * C * SCENE.room.surface_area / (4 * SCENE.room.volume)
         assert exponent == pytest.approx(5.5, rel=1e-12)
 
     def test_direct_delay_special_case(self):
@@ -388,7 +390,7 @@ class TestExpectedReceivedPower:
 
 class TestCountSecondMoment:
     def test_zero_well_before_origin(self):
-        tau = -SCENE.diagonal / C
+        tau = -SCENE.room.diagonal / C
         assert theory.count_second_moment(SCENE, tau) == 0.0
 
     def test_correction_vanishes_relative_to_leading_term(self):

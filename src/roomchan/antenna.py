@@ -108,6 +108,7 @@ class SphericalCap(AntennaPattern):
         if self.threshold == 1.0:  # no representable width; 1/fraction overflows path powers
             raise ValueError(f"beam coverage fraction {self.fraction!r} is too small: 1 - 2 * fraction rounds to 1")
         object.__setattr__(self, "boresight", unit_boresight(self.boresight))
+        self.boresight.flags.writeable = False  # unit_boresight returns a new array
 
     @property
     def beam_fraction(self) -> float:

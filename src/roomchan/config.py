@@ -18,7 +18,7 @@ from .antenna import AntennaPattern, Isotropic, SphericalCap
 from .channel import PHASE_MODES, RadioConfig
 from .errors import ConfigError
 from .geometry import Room
-from .montecarlo import MODES, McConfig
+from .montecarlo import _FIXED, MODES, McConfig
 
 SCHEMA_VERSION = 1
 
@@ -265,6 +265,23 @@ def aimed_patterns(doc: dict, patterns, tx_position, rx_position) -> tuple[Anten
     return aimed[0], aimed[1]
 
 
+def _ensemble_pattern(doc: dict, side: str) -> AntennaPattern:
+    """``side``'s pattern, aimed along ``mc/fixed/<side>_orientation`` if the mode fixes its boresight (see README)."""
+    pattern, mode, key = build_pattern(doc, side), doc["mc"]["mode"], f"{side}_orientation"
+    if f"{side}_boresight" not in _FIXED[mode]:
+        return pattern  # drawn on every run: the antenna's own pointing is not read
+    vector = doc["mc"].get("fixed", {}).get(key)
+    if pointing := {"orientation", "aim"} & set(doc["antennas"][side]):
+        raise ConfigError(f"antennas/{side}/{pointing.pop()}: mode {mode!r} fixes this boresight in mc/fixed/{key}")
+    if (pattern.cone is None) != (vector is None):
+        raise ConfigError(f"mode {mode!r} needs {key} for a directive pattern" if vector is None
+                          else f"mc/fixed/{key}: isotropic pattern takes no orientation")
+    try:
+        return pattern if vector is None else pattern.aimed(vector)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 def build_mc_config(
     doc: dict,
     runs: int | None = None,
@@ -277,8 +294,8 @@ def build_mc_config(
     return McConfig(
         room=build_room(doc),
         radio=build_radio(doc),
-        tx_pattern=build_pattern(doc, "tx"),
-        rx_pattern=build_pattern(doc, "rx"),
+        tx_pattern=_ensemble_pattern(doc, "tx"),
+        rx_pattern=_ensemble_pattern(doc, "rx"),
         runs=int(section["runs"]) if runs is None else runs,
         seed=int(section["seed"]) if seed is None else seed,
         mode=section["mode"],
@@ -289,7 +306,5 @@ def build_mc_config(
         grid_stop=grid["stop_s"],
         grid_step=grid["step_s"],
         rx_position=fixed.get("rx_position_m"),
-        rx_orientation=fixed.get("rx_orientation"),
-        tx_orientation=fixed.get("tx_orientation"),
         distance=fixed.get("distance_m"),
     )

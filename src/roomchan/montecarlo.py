@@ -47,7 +47,7 @@ import numpy as np
 
 from . import theory
 from ._csv import write_csv
-from .antenna import AntennaPattern, sample_orientation, sample_position, unit_boresight
+from .antenna import AntennaPattern, sample_orientation, sample_position
 from .channel import (
     PHASE_MODES,
     RadioConfig,
@@ -65,11 +65,12 @@ from .channel import enumerate_paths, signal_moments  # noqa: F401
 from .errors import ConfigError, EmptySampleError, ResourceLimitError
 from .geometry import DEFAULT_MAX_CELLS, Room, index_bounds
 
-# The McConfig fields each mode fixes; see _draw_terminals and compare_with_theory.
+# What each mode fixes, by row field, a fixed boresight being its pattern's
+# own aim; see _draw_terminals and compare_with_theory.
 _FIXED = {
     "both-random": (),
-    "fixed-rx": ("rx_position", "rx_orientation"),
-    "fixed-orientation-tx": ("tx_orientation", "rx_position", "rx_orientation"),
+    "fixed-rx": ("rx_position", "rx_boresight"),
+    "fixed-orientation-tx": ("tx_boresight", "rx_position", "rx_boresight"),
     "fixed-distance": ("distance",),
 }
 MODES = tuple(_FIXED)
@@ -131,7 +132,7 @@ def _placement_probability(room: Room, distance: float) -> float:
 def _row_layout(points: int, cells: int) -> np.dtype:
     """One run's outputs on a ``points``-point count grid, as one aligned row.
 
-    Boresights are NaN where the mode fixes one but none is given, and the moments,
+    Boresights are NaN where the mode fixes an isotropic pattern's, and the moments,
     of the samples up to the cutoff, NaN for a run without energy. Counts take
     the smallest unsigned type that holds ``cells``, which no count exceeds.
     """
@@ -150,7 +151,11 @@ _Window = NamedTuple("_Window", [("grid", SampleGrid), ("times", np.ndarray), ("
 
 @dataclass(frozen=True)
 class McConfig:
-    """Full description of one ensemble, whose output is a pure function of it; each value derived from it is cached."""
+    """Full description of one ensemble, whose output is a pure function of it; each value derived from it is cached.
+
+    A boresight the mode fixes is that side's pattern's own aim, as in
+    ``SphericalCap(fraction, boresight)``; ``rx_position`` is kept read-only.
+    """
 
     room: Room
     radio: RadioConfig
@@ -166,8 +171,6 @@ class McConfig:
     grid_stop: float = 120e-9
     grid_step: float = 0.25e-9
     rx_position: np.ndarray | None = None
-    rx_orientation: np.ndarray | None = None
-    tx_orientation: np.ndarray | None = None
     distance: float | None = None
     max_cells: int = DEFAULT_MAX_CELLS
 
@@ -204,10 +207,10 @@ class McConfig:
         if "rx_position" in fixed:
             if self.rx_position is None:
                 raise ConfigError(f"mode {self.mode!r} needs rx_position")
-            object.__setattr__(self, "rx_position", np.asarray(self.rx_position, dtype=float))
+            object.__setattr__(self, "rx_position", np.array(self.rx_position, dtype=float))
+            self.rx_position.flags.writeable = False  # a copy, so no later write moves it out of the room
             if not self.room.contains(self.rx_position):
                 raise ConfigError("rx_position must lie inside the room")
-        self.fixed_boresights  # given for directive patterns, normalized, and of positive, finite norms
         if "distance" in fixed:
             if self.distance is None or not self.distance >= self.radio.wavelength:
                 raise ConfigError(f"mode {self.mode!r} needs a distance of a wavelength or more")
@@ -219,26 +222,6 @@ class McConfig:
                     f"a distance of {self.distance:g} m places the terminals with probability "
                     f"{placed:.3g} a draw, less than 1/{_PLACEMENT_ATTEMPTS}"
                 )
-
-    @functools.cached_property
-    def fixed_boresights(self) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """Unit tx and rx boresights that the mode fixes; None where it draws them or none is set.
-
-        A directive pattern's fixed boresight must be set. The orientation fields keep
-        the vectors as given, so ``dataclasses.replace`` keeps them bitwise; each config
-        normalizes them once, here, through :func:`~roomchan.antenna.unit_boresight`.
-        """
-        fixed = _FIXED[self.mode]
-        boresights = []
-        for name, pattern in (("tx_orientation", self.tx_pattern), ("rx_orientation", self.rx_pattern)):
-            vector = getattr(self, name) if name in fixed else None
-            if vector is None and name in fixed and pattern.cone is not None:
-                raise ConfigError(f"mode {self.mode!r} needs {name} for a directive pattern")
-            try:
-                boresights.append(None if vector is None else unit_boresight(vector))
-            except ValueError as exc:
-                raise ConfigError(f"{name}: {exc}") from None
-        return tuple(boresights)
 
     @functools.cached_property
     def scene(self) -> theory.SceneSummary:
@@ -392,7 +375,8 @@ def run_rng(seed: int, index: int) -> np.random.Generator:
 def _draw_terminals(cfg: McConfig, rng: np.random.Generator):
     """One run's tx position, tx boresight, rx position and rx boresight, drawn in that order unless fixed.
 
-    A fixed distance draws the rx position and the direction to the
+    A fixed boresight is the side's pattern's aim, None for a pattern without
+    a cone. A fixed distance draws the rx position and the direction to the
     transmitter until the transmitter lies in the room, then both boresights.
     """
     fixed = _FIXED[cfg.mode]
@@ -403,9 +387,9 @@ def _draw_terminals(cfg: McConfig, rng: np.random.Generator):
             if cfg.room.contains(tx_pos):
                 return tx_pos, sample_orientation(rng), rx_pos, sample_orientation(rng)
     tx_pos = sample_position(rng, cfg.room)
-    tx_ori = cfg.fixed_boresights[0] if "tx_orientation" in fixed else sample_orientation(rng)
+    tx_ori = (cfg.tx_pattern.cone or (None,))[0] if "tx_boresight" in fixed else sample_orientation(rng)
     rx_pos = cfg.rx_position if "rx_position" in fixed else sample_position(rng, cfg.room)
-    rx_ori = cfg.fixed_boresights[1] if "rx_orientation" in fixed else sample_orientation(rng)
+    rx_ori = (cfg.rx_pattern.cone or (None,))[0] if "rx_boresight" in fixed else sample_orientation(rng)
     return tx_pos, tx_ori, rx_pos, rx_ori
 
 
@@ -435,7 +419,7 @@ def _simulate_block(cfg: McConfig, rows: np.ndarray, block: int) -> None:
     rngs = [run_rng(cfg.seed, index) for index in range(first, first + len(rows))]
     tx_pos, tx_ori, rx_pos, rx_ori = zip(*(_draw_terminals(cfg, rng) for rng in rngs))
     rows["tx_position"], rows["rx_position"] = tx_pos, rx_pos
-    # A boresight the mode fixes but that is not given aims nothing.
+    # A fixed isotropic pattern has no boresight.
     for name, boresights in (("tx_boresight", tx_ori), ("rx_boresight", rx_ori)):
         rows[name] = np.nan if boresights[0] is None else boresights
     paths = _block_paths(
@@ -621,7 +605,7 @@ def compare_with_theory(result: McResult) -> dict:
         expected = theory.conditional_mean_count(scene, grid, tau0)
         far = grid >= tau0 + scene.room.diagonal / scene.radio.speed_of_light
         checks["conditional_count"] = _max_rel_check(result.count.mean, expected, far, _CONDITIONAL_TOLERANCE)
-    elif "tx_orientation" in fixed:
+    elif "tx_boresight" in fixed:
         bound = theory.count_upper_bound(scene, grid)
         slack = bound + 3.0 * result.count.stderr - result.count.mean
         checks["count_upper_bound"] = {

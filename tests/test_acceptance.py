@@ -184,8 +184,7 @@ def test_criterion_7_count_upper_bound():
     cfg = McConfig(
         room=ROOM, radio=RADIO, tx_pattern=tx_cap, rx_pattern=rx_cap,
         runs=600, seed=606, mode="fixed-orientation-tx",
-        rx_position=(1.2, 3.4, 1.1), rx_orientation=(-0.2, 0.9, 0.1),
-        tx_orientation=(0.3, -0.5, 0.8),
+        rx_position=(1.2, 3.4, 1.1),
     )
     result = run_ensemble(cfg, workers=WORKERS)
     grid = result.count.grid
@@ -199,8 +198,7 @@ def test_criterion_7_count_upper_bound():
     cfg_eq = McConfig(
         room=ROOM, radio=RADIO, tx_pattern=ISO, rx_pattern=rx_eq,
         runs=600, seed=607, mode="fixed-orientation-tx",
-        rx_position=(2.5, 1.5, 1.5), rx_orientation=(0.6, 0.1, 0.7),
-        tx_orientation=(0.0, 0.0, 1.0),
+        rx_position=(2.5, 1.5, 1.5),
     )
     result_eq = run_ensemble(cfg_eq, workers=WORKERS)
     bound_eq = theory.count_upper_bound(scene_for(ISO, rx_eq), grid)

@@ -144,6 +144,19 @@ class TestCone:
         assert iso.aimed((1.0, 0.0, 0.0)) is iso and iso.aimed(None) is iso
 
 
+    def test_boresight_is_a_read_only_copy(self):
+        # The cap's boresight is the only copy of a fixed aim: neither the
+        # caller's array nor a write in place moves it.
+        vector = np.array([0.0, 3.0, 4.0])
+        cap = SphericalCap(0.25, vector)
+        vector[0] = 9.0
+        assert cap.boresight.tolist() == [0.0, 0.6, 0.8]
+        for pattern in (cap, cap.aimed([1.0, 0.0, 0.0]), SphericalCap(0.5)):
+            with pytest.raises(ValueError, match="read-only"):
+                pattern.boresight[0] = 1.0
+            assert pattern.cone[0] is pattern.boresight
+
+
 class TestUnitBoresight:
     def test_keeps_the_bits_of_the_plain_quotient(self):
         rng = np.random.default_rng(3)

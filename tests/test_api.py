@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import os
 import subprocess
@@ -30,7 +31,7 @@ REMOVED = {
         "_WORKER_STATE", "_init_worker", "_worker_block", "_row_sums", "_oriented", "_records",
         "_simulate_runs", "_LOCK_WAIT", "_run_tables", "_block_runs",
     ],
-    montecarlo.McConfig: ["row_layout", "_grid_points"],
+    montecarlo.McConfig: ["row_layout", "_grid_points", "tx_orientation", "rx_orientation", "fixed_boresights"],
     theory: ["_cubic_count", "_rate_density", "_CUBES"],
 }
 
@@ -47,6 +48,14 @@ def test_public_names_are_pinned():
 def test_removed_names_are_gone(module, name):
     assert not hasattr(module, name)
     assert not hasattr(roomchan, name)
+
+
+def test_mc_config_fields_are_pinned():
+    # A fixed boresight is its pattern's aim; only the receiver's position is a field of its own.
+    assert [f.name for f in dataclasses.fields(montecarlo.McConfig)] == [
+        "room", "radio", "tx_pattern", "rx_pattern", "runs", "seed", "mode", "tau_max", "phase_mode",
+        "moment_cutoff", "grid_start", "grid_stop", "grid_step", "rx_position", "distance", "max_cells",
+    ]
 
 
 def test_path_list_is_not_a_sequence_of_records():

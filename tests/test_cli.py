@@ -1,4 +1,5 @@
 import json
+import os
 import time
 
 import numpy as np
@@ -104,6 +105,55 @@ class TestConfigValidation:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
+    # A boresight the mode fixes comes from mc/fixed alone; a pointing it would ignore is refused.
+    CAP = {"pattern": "cap", "beam_fraction": 0.5}
+    RX = {"rx_position_m": [1, 1, 1]}
+
+    @pytest.mark.parametrize("antennas,mode,fixed,message", [
+        ({"tx": dict(CAP, beam_fraction=0.1, orientation=[1, 0, 0])}, "fixed-orientation-tx", RX,
+         "antennas/tx/orientation: mode 'fixed-orientation-tx' fixes this boresight in mc/fixed/tx_orientation"),
+        ({"rx": dict(CAP, orientation=[1, 0, 0])}, "fixed-rx", dict(RX, rx_orientation=[0, 0, 1]),
+         "antennas/rx/orientation: mode 'fixed-rx' fixes this boresight in mc/fixed/rx_orientation"),
+        ({"tx": dict(CAP, aim="los"), "rx": CAP}, "fixed-orientation-tx",
+         dict(RX, tx_orientation=[0, 0, 1], rx_orientation=[0, 0, 1]),
+         "antennas/tx/aim: mode 'fixed-orientation-tx' fixes this boresight in mc/fixed/tx_orientation"),
+        ({"rx": dict(CAP, aim="los")}, "fixed-rx", RX,
+         "antennas/rx/aim: mode 'fixed-rx' fixes this boresight in mc/fixed/rx_orientation"),
+        ({}, "fixed-rx", dict(RX, rx_orientation=[0, 0, 1]),
+         "mc/fixed/rx_orientation: isotropic pattern takes no orientation"),
+        ({"rx": CAP}, "fixed-orientation-tx", dict(RX, tx_orientation=[0, 0, 1], rx_orientation=[0, 0, 1]),
+         "mc/fixed/tx_orientation: isotropic pattern takes no orientation"),
+        ({"rx": CAP}, "fixed-rx", RX, "mode 'fixed-rx' needs rx_orientation for a directive pattern"),
+    ], ids=["tx-orientation", "rx-orientation-twice", "tx-aim", "rx-aim", "isotropic-rx", "isotropic-tx",
+            "directive-rx-unaimed"])
+    def test_fixed_boresight_set_elsewhere_is_config_error(self, tmp_path, capsys, antennas, mode, fixed, message):
+        mc = dict(small_mc_section(), mode=mode, fixed=fixed)
+        cfg = write_config(tmp_path, {"antennas": antennas, "mc": mc})
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "mc", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    # A boresight the mode draws ignores the antenna's pointing, and a mode ignores the mc/fixed keys it does not read.
+    @pytest.mark.parametrize("mode,pointed,plain", [
+        ("both-random",
+         ({"tx": dict(CAP, orientation=[1, 0, 0]), "rx": dict(CAP, aim="los")},
+          dict(RX, tx_orientation=[0, 1, 0], rx_orientation=[0, 1, 0])),
+         ({"tx": CAP, "rx": CAP}, {})),
+        ("fixed-rx",
+         ({"tx": dict(CAP, orientation=[1, 0, 0]), "rx": CAP},
+          dict(RX, tx_orientation=[0, 1, 0], rx_orientation=[0, 1, 0])),
+         ({"tx": CAP, "rx": CAP}, dict(RX, rx_orientation=[0, 1, 0]))),
+    ])
+    def test_drawn_boresight_ignores_pointing(self, tmp_path, mode, pointed, plain):
+        bundles = []
+        for name, (antennas, fixed) in (("pointed", pointed), ("plain", plain)):
+            doc = {"antennas": antennas, "mc": dict(small_mc_section(), mode=mode, fixed=fixed)}
+            out = tmp_path / name
+            assert main(["--config", write_config(tmp_path, doc, f"{name}.json"), "mc", "--out-dir", str(out)]) == 0
+            bundles.append({f: (out / f).read_bytes() for f in os.listdir(out) if f != "manifest.json"})
+        assert bundles[0] == bundles[1] and len(bundles[0]) == 5
+
     def test_unknown_key_names_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"room": {"lengths_m": [5, 5, 3], "color": "red"}})
         code = main(["--config", cfg, "paths", "--out", str(tmp_path / "p.csv")])
@@ -196,7 +246,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("doc,argv,err", [
         ({"antennas": {"tx": dict(CAP, orientation=[1e200, 0, 0])}, "positions": FIG_POSITIONS}, ["paths"],
          "config error: antennas/tx: boresight must have a positive, finite norm"),
-        ({"antennas": {"rx": dict(CAP, orientation=[0, 0, 1])},
+        ({"antennas": {"rx": CAP},
           "mc": dict(small_mc_section(), mode="fixed-rx",
                      fixed={"rx_position_m": [1, 1, 1], "rx_orientation": [1e200, 0, 0]})}, ["mc"],
          "config error: rx_orientation: boresight must have a positive, finite norm"),

@@ -59,6 +59,15 @@ def quick_config(**kw):
     return McConfig(**defaults)
 
 
+CAP_DOC = {"pattern": "cap", "beam_fraction": 0.5}
+
+
+def fixed_document(mode, antennas, **orientations):
+    """A default-filled document of ``mode`` with these ``antennas``, the receiver at (1, 1, 1) and ``mc/fixed`` orientations."""
+    fixed = dict(rx_position_m=[1.0, 1.0, 1.0], **orientations)
+    return config._merge(config.DEFAULTS, {"antennas": antennas, "mc": {"mode": mode, "fixed": fixed}})
+
+
 class TestMcConfigValidation:
     def test_rejects_zero_runs(self):
         with pytest.raises(ConfigError):
@@ -87,8 +96,9 @@ class TestMcConfigValidation:
             quick_config(mode="fixed-rx")
 
     def test_fixed_rx_directive_needs_orientation(self):
-        with pytest.raises(ConfigError):
-            quick_config(mode="fixed-rx", rx_pattern=SphericalCap(0.5), rx_position=(1, 1, 1))
+        doc = fixed_document("fixed-rx", {"rx": CAP_DOC})
+        with pytest.raises(ConfigError, match="^mode 'fixed-rx' needs rx_orientation for a directive pattern$"):
+            config.build_mc_config(doc)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("field,mode", [
@@ -99,8 +109,9 @@ class TestMcConfigValidation:
     def test_fixed_orientation_needs_a_positive_finite_norm(self, field, mode, vector):
         orientations = dict(rx_orientation=(0.0, 0.0, 1.0), tx_orientation=(1.0, 0.0, 0.0))
         orientations[field] = vector
+        doc = fixed_document(mode, {"tx": CAP_DOC, "rx": CAP_DOC}, **orientations)
         with pytest.raises(ConfigError, match=f"^{field}: boresight must"):
-            quick_config(mode=mode, rx_position=(1, 1, 1), **orientations)
+            config.build_mc_config(doc)
 
     def test_fixed_distance_needs_feasible_distance(self):
         with pytest.raises(ConfigError):
@@ -110,8 +121,24 @@ class TestMcConfigValidation:
 
     def test_fixed_tx_boresight_needed_only_for_a_directive_transmitter(self):
         with pytest.raises(ConfigError, match="^mode 'fixed-orientation-tx' needs tx_orientation for a directive"):
-            quick_config(mode="fixed-orientation-tx", tx_pattern=SphericalCap(0.5), rx_position=(1, 1, 1))
-        assert quick_config(mode="fixed-orientation-tx", rx_position=(1, 1, 1)).fixed_boresights == (None, None)
+            config.build_mc_config(fixed_document("fixed-orientation-tx", {"tx": CAP_DOC}))
+        cfg = config.build_mc_config(fixed_document("fixed-orientation-tx", {}))
+        assert isinstance(cfg.tx_pattern, Isotropic) and isinstance(cfg.rx_pattern, Isotropic)
+        assert montecarlo._draw_terminals(cfg, montecarlo.run_rng(cfg.seed, 0))[1::2] == (None, None)
+
+    def test_a_directive_pattern_keeps_its_own_aim_in_a_fixed_mode(self):
+        # The API takes the pattern's aim, +z by default, as enumerate_paths does.
+        cfg = quick_config(mode="fixed-orientation-tx", tx_pattern=SphericalCap(0.5), rx_position=(1, 1, 1))
+        assert montecarlo._draw_terminals(cfg, montecarlo.run_rng(cfg.seed, 0))[1].tolist() == [0.0, 0.0, 1.0]
+
+    def test_fixed_position_is_a_read_only_copy(self):
+        position = np.array([1.0, 2.0, 1.2])
+        cfg = quick_config(mode="fixed-rx", rx_position=position)
+        position[0] = 9.0
+        assert cfg.rx_position.tolist() == [1.0, 2.0, 1.2]
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.rx_position[1] = 4.0
+        assert run_ensemble(cfg).rows["rx_position"].tolist() == [[1.0, 2.0, 1.2]] * cfg.runs
 
     def test_fixed_distance_refused_where_placing_takes_too_many_draws(self):
         # p(7 m) = 1.06e-5 in the 5 x 5 x 3 m room: 94,000 draws a run.
@@ -655,13 +682,13 @@ def drawn_by_hand(cfg, index):
     """Run ``index``'s terminals, drawn call by call in its mode's order on a fresh stream.
 
     Returns the tx position, tx boresight, rx position and rx boresight (a
-    fixed boresight that is not given is None), the stream after them, and
-    the draws a fixed distance took to place the terminals (1 otherwise).
+    fixed boresight is the pattern's aim, None for an isotropic one), the
+    stream after them, and the draws a fixed distance took to place the
+    terminals (1 otherwise).
     """
     rng = montecarlo.run_rng(cfg.seed, index)
     room, attempts = cfg.room, 1
-    fixed_tx, fixed_rx = (None if vector is None else unit_boresight(vector)
-                          for vector in (cfg.tx_orientation, cfg.rx_orientation))
+    fixed_tx, fixed_rx = (getattr(pattern, "boresight", None) for pattern in (cfg.tx_pattern, cfg.rx_pattern))
     if cfg.mode == "both-random":
         tx_pos = sample_position(rng, room)
         tx_ori = sample_orientation(rng)
@@ -692,13 +719,13 @@ class TestDrawOrder:
 
     CASES = {
         "both-random": dict(tx_pattern=SphericalCap(0.5), rx_pattern=SphericalCap(0.5)),
-        "fixed-rx-directive": dict(mode="fixed-rx", tx_pattern=SphericalCap(0.5), rx_pattern=SphericalCap(0.25),
-                                   rx_position=(1.0, 2.0, 1.2), rx_orientation=(0.3, -0.5, 0.2)),
+        "fixed-rx-directive": dict(mode="fixed-rx", tx_pattern=SphericalCap(0.5),
+                                   rx_pattern=SphericalCap(0.25, (0.3, -0.5, 0.2)), rx_position=(1.0, 2.0, 1.2)),
         "fixed-rx-isotropic": dict(mode="fixed-rx", tx_pattern=SphericalCap(0.5), rx_position=(1.0, 2.0, 1.2)),
         "fixed-orientation-tx-directive": dict(
-            mode="fixed-orientation-tx", tx_pattern=SphericalCap(0.5), rx_pattern=SphericalCap(0.25),
-            rx_position=(4.0, 1.0, 2.2), rx_orientation=(-0.3, 0.5, 0.1), tx_orientation=(0.0, 1.0, 0.2)),
-        # No boresight is given for either isotropic pattern.
+            mode="fixed-orientation-tx", tx_pattern=SphericalCap(0.5, (0.0, 1.0, 0.2)),
+            rx_pattern=SphericalCap(0.25, (-0.3, 0.5, 0.1)), rx_position=(4.0, 1.0, 2.2)),
+        # Neither isotropic pattern has a boresight.
         "fixed-orientation-tx-isotropic": dict(mode="fixed-orientation-tx", rx_position=(4.0, 1.0, 2.2)),
         "fixed-distance": dict(mode="fixed-distance", distance=1.5),
         # p(5 m) = 0.02: a run takes about 50 draws to place its terminals.
@@ -993,13 +1020,11 @@ class TestBlockIndependence:
                                     phase_mode="carrier", **CAP),
         "cap01-zero-paths": dict(tx_pattern=SphericalCap(0.1), rx_pattern=SphericalCap(0.1),
                                  tau_max=30e-9, moment_cutoff=30e-9, grid_stop=30e-9),
-        "cap05-fixed-rx": dict(tx_pattern=SphericalCap(0.5), rx_pattern=SphericalCap(0.5),
-                               mode="fixed-rx", rx_position=(1.0, 2.0, 1.2),
-                               rx_orientation=(0.3, -0.5, 0.2)),
+        "cap05-fixed-rx": dict(tx_pattern=SphericalCap(0.5), rx_pattern=SphericalCap(0.5, (0.3, -0.5, 0.2)),
+                               mode="fixed-rx", rx_position=(1.0, 2.0, 1.2)),
         "cap05-fixed-orientation-tx": dict(
-            tx_pattern=SphericalCap(0.5), rx_pattern=SphericalCap(0.1), mode="fixed-orientation-tx",
-            rx_position=(4.0, 1.0, 2.2), rx_orientation=(-0.3, 0.5, 0.1),
-            tx_orientation=(0.0, 1.0, 0.2), phase_mode="carrier", **CAP),
+            tx_pattern=SphericalCap(0.5, (0.0, 1.0, 0.2)), rx_pattern=SphericalCap(0.1, (-0.3, 0.5, 0.1)),
+            mode="fixed-orientation-tx", rx_position=(4.0, 1.0, 2.2), phase_mode="carrier", **CAP),
         "sector-fixed-distance": dict(tx_pattern=Sector(SphericalCap(0.25)),
                                       rx_pattern=Sector(SphericalCap(0.25)),
                                       mode="fixed-distance", distance=2.0),
@@ -1092,27 +1117,27 @@ class TestModes:
     def test_fixed_orientation_tx_pins_boresight(self):
         cfg = quick_config(
             mode="fixed-orientation-tx",
-            tx_pattern=SphericalCap(0.5),
+            tx_pattern=SphericalCap(0.5, (0.0, 1.0, 0.0)),
             rx_position=(1.0, 2.0, 1.2),
-            tx_orientation=(0.0, 1.0, 0.0),
         )
         result = run_ensemble(cfg)
         for record in result.records:
             assert np.allclose(record.tx_boresight, [0.0, 1.0, 0.0])
 
-    def test_replace_keeps_fixed_orientations_bitwise(self):
+    def test_fixed_aims_are_the_patterns_bitwise(self):
+        # A run's fixed boresights are its patterns' unit_boresight(v) bit
+        # for bit, also after dataclasses.replace.
         rng = np.random.default_rng(31)
         for _ in range(200):
+            tx, rx = (rng.standard_normal(3) for _ in range(2))
             cfg = quick_config(
-                mode="fixed-orientation-tx", tx_pattern=SphericalCap(0.5),
-                rx_pattern=SphericalCap(0.5), rx_position=(1.0, 2.0, 1.2),
-                tx_orientation=sample_orientation(rng), rx_orientation=sample_orientation(rng),
+                mode="fixed-orientation-tx", tx_pattern=SphericalCap(0.5, tx),
+                rx_pattern=SphericalCap(0.5, rx), rx_position=(1.0, 2.0, 1.2),
             )
             again = dataclasses.replace(cfg, runs=3)
-            for field in ("tx_orientation", "rx_orientation"):
-                assert getattr(again, field).tobytes() == getattr(cfg, field).tobytes()
-            for ours, theirs in zip(again.fixed_boresights, cfg.fixed_boresights):
-                assert ours.tobytes() == theirs.tobytes()
+            _, tx_ori, _, rx_ori = montecarlo._draw_terminals(again, montecarlo.run_rng(cfg.seed, 0))
+            assert tx_ori.tobytes() == unit_boresight(tx).tobytes()
+            assert rx_ori.tobytes() == unit_boresight(rx).tobytes()
 
     # At 6.5 m a run takes about 4,000 draws to place its terminals; 60
     # runs at seed 7 include runs that take over 10,000.
@@ -1182,8 +1207,7 @@ class TestCompareWithTheory:
     @pytest.mark.parametrize("mode,fixed,checks", [
         ("both-random", {}, {"mean_count", "tail_decay", "power_curve"}),
         ("fixed-rx", dict(rx_position=(1.0, 2.0, 1.2)), {"mean_count", "tail_decay", "power_curve"}),
-        ("fixed-orientation-tx", dict(rx_position=(1.0, 2.0, 1.2), tx_orientation=(0.0, 1.0, 0.0)),
-         {"count_upper_bound"}),
+        ("fixed-orientation-tx", dict(rx_position=(1.0, 2.0, 1.2)), {"count_upper_bound"}),
         ("fixed-distance", dict(distance=1.5), {"conditional_count"}),
     ])
     def test_checks_follow_the_mode(self, mode, fixed, checks):
@@ -1268,9 +1292,8 @@ class TestRowsAreWritten:
     CASES = {
         "both-random-caps": (dict(tx_pattern=SphericalCap(0.5), rx_pattern=SphericalCap(0.5), runs=100), None),
         # The unset receiver boresight is NaN.
-        "fixed-orientation-tx": (dict(mode="fixed-orientation-tx", tx_pattern=SphericalCap(0.5),
-                                      rx_position=(1.0, 2.0, 1.2), tx_orientation=(0.0, 1.0, 0.2),
-                                      runs=50), None),
+        "fixed-orientation-tx": (dict(mode="fixed-orientation-tx", tx_pattern=SphericalCap(0.5, (0.0, 1.0, 0.2)),
+                                      rx_position=(1.0, 2.0, 1.2), runs=50), None),
         # Most runs pick up no energy, and their moments are NaN; blocks of
         # 16 runs in place of one of 1024.
         "runs-without-energy": (dict(tx_pattern=SphericalCap(0.25), rx_pattern=SphericalCap(0.25),
@@ -1357,6 +1380,23 @@ class TestParityDocuments:
 
     def test_documents_are_found(self):
         assert len(PARITY) >= 8
+
+    # The API configs of the fixed-aim documents: each fixed boresight is its pattern's aim.
+    API = {
+        "fixed-rx-cap": dict(mode="fixed-rx", tx_pattern=SphericalCap(0.5),
+                             rx_pattern=SphericalCap(0.25, (-0.3, 0.5, 0.2))),
+        "fixed-orientation-tx": dict(mode="fixed-orientation-tx", tx_pattern=SphericalCap(0.5, (0.0, 1.0, 0.2)),
+                                     rx_pattern=SphericalCap(0.25, (-0.3, 0.5, 0.2))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(API))
+    def test_fixed_aims_match_aimed_api_patterns(self, name):
+        path = next(p for p in PARITY if os.path.basename(p) == f"{name}.json")
+        built = config.build_mc_config(config.load_document(path), runs=40, seed=5)
+        api = McConfig(room=ROOM, radio=RADIO, runs=40, seed=5, rx_position=(3.8, 4.0, 0.6), **self.API[name])
+        rows = run_ensemble(built).rows
+        assert rows.tobytes() == run_ensemble(api).rows.tobytes()
+        assert not np.isnan(rows["rx_boresight"]).any() and rows["n_paths"].sum() > 0
 
     @pytest.mark.parametrize("path", PARITY, ids=lambda path: os.path.basename(path)[:-len(".json")])
     def test_bundle_is_independent_of_the_worker_count(self, path, tmp_path, monkeypatch, forks):

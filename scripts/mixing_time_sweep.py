@@ -11,6 +11,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from roomchan import theory
 from roomchan._csv import write_csv
+from roomchan.antenna import Isotropic
 from roomchan.channel import RadioConfig
 from roomchan.geometry import Room
 
@@ -26,7 +27,7 @@ def main() -> None:
     c = 3e8
 
     # spot value: 5 x 5 x 3 room, 2 GHz, isotropic antennas
-    scene = theory.SceneSummary(Room((5.0, 5.0, 3.0), 0.6), RadioConfig(0.005, 2e9, c), 1.0, 1.0)
+    scene = theory.SceneSummary(Room((5.0, 5.0, 3.0), 0.6), RadioConfig(0.005, 2e9, c), Isotropic(), Isotropic())
     # With unit fractions the bandwidth is the ratio itself; the mixing time
     # depends on the volume and bandwidth only, so a v x 1 x 1 room stands for volume v.
     rooms = [Room((v, 1.0, 1.0), 0.6) for v in volumes]

@@ -271,7 +271,7 @@ class SampleGrid:
     count: int
 
     def __post_init__(self) -> None:
-        if self.step <= 0.0:
+        if not self.step > 0.0:
             raise ValueError("grid step must be positive")
         if self.count < 1:
             raise ValueError("grid needs at least one sample")

@@ -8,6 +8,7 @@ request over a resource cap, 3 I/O.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -22,17 +23,18 @@ _THEORY_CURVES = ("count", "rate", "pds", "mixing")
 
 
 def _build_scene(doc: dict, fixed: bool = False):
-    """Room, radio, tx and rx patterns and positions (None if not given) of ``doc``, and their summary.
+    """The scene of ``doc`` and its tx and rx positions (None if not given).
 
-    A ``fixed`` scene needs positions, and its beams are aimed only once the summary accepts them.
+    A ``fixed`` scene needs positions, and its beams are aimed only once the scene accepts them.
     """
     room, radio = cfgmod.build_room(doc), cfgmod.build_radio(doc)
     patterns = cfgmod.build_pattern(doc, "tx"), cfgmod.build_pattern(doc, "rx")
     positions = cfgmod.positions_from(doc, room) if fixed or "positions" in doc else (None, None)
     scene = SceneSummary.from_components(room, radio, *patterns, *positions)
     if fixed:
-        patterns = cfgmod.aimed_patterns(doc, patterns, *positions)
-    return (room, radio, *patterns, *positions), scene
+        tx_pattern, rx_pattern = cfgmod.aimed_patterns(doc, patterns, *positions)
+        scene = dataclasses.replace(scene, tx_pattern=tx_pattern, rx_pattern=rx_pattern)
+    return scene, positions
 
 
 def _horizon(text: str) -> float:
@@ -81,12 +83,12 @@ def _integer(low: int, high: float = math.inf):
 def _scene_paths(args):
     """Path list of the fixed scene of ``paths`` and ``signal``, its radio and horizon."""
     doc = cfgmod.load_document(args.config)
-    (room, radio, tx_pattern, rx_pattern, tx_pos, rx_pos), _ = _build_scene(doc, fixed=True)
+    scene, (tx_pos, rx_pos) = _build_scene(doc, fixed=True)
     tau_max = args.tau_max if args.tau_max is not None else doc["mc"]["tau_max_s"]
     if tau_max < 0.0:
         raise ConfigError("mc/tau_max_s: must be non-negative")
-    paths = enumerate_paths(room, tx_pos, tx_pattern, rx_pos, rx_pattern, radio, tau_max)
-    return paths, radio, tau_max
+    paths = enumerate_paths(scene.room, tx_pos, scene.tx_pattern, rx_pos, scene.rx_pattern, scene.radio, tau_max)
+    return paths, scene.radio, tau_max
 
 
 def _cmd_paths(args) -> int:
@@ -101,7 +103,7 @@ def _cmd_theory(args) -> int:
     for name in curves:
         if name not in _THEORY_CURVES:
             raise ConfigError(f"unknown curve {name!r}; choose from {_THEORY_CURVES}")
-    _, scene = _build_scene(doc)
+    scene, _ = _build_scene(doc)
 
     taus = delay_grid(*args.grid)
     if "pds" in curves:

@@ -64,7 +64,7 @@ class Room:
             gains = np.full(6, float(gains))
         if gains.shape != (6,):
             raise ValueError("wall_gains must be a scalar or six values")
-        if np.any(gains < 0.0) or np.any(gains > 1.0):
+        if not np.all((gains >= 0.0) & (gains <= 1.0)):
             raise ValueError("wall gains must lie in [0, 1]")
         lengths.flags.writeable = gains.flags.writeable = False
         object.__setattr__(self, "lengths", lengths)

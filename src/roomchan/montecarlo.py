@@ -222,11 +222,13 @@ class McConfig:
                     f"a distance of {self.distance:g} m places the terminals with probability "
                     f"{placed:.3g} a draw, less than 1/{_PLACEMENT_ATTEMPTS}"
                 )
+        self.scene  # refuses a fixed distance's direct delay outside the domain
 
     @functools.cached_property
     def scene(self) -> theory.SceneSummary:
-        """The closed forms' summary of the room, radio and patterns, without positions."""
-        return theory.SceneSummary.from_components(self.room, self.radio, self.tx_pattern, self.rx_pattern)
+        """The closed forms' scene: the room, radio and patterns, and a fixed distance's direct delay."""
+        direct_delay = self.distance / self.radio.speed_of_light if "distance" in _FIXED[self.mode] else None
+        return theory.SceneSummary(self.room, self.radio, self.tx_pattern, self.rx_pattern, direct_delay)
 
     @functools.cached_property
     def cells(self) -> int:
@@ -583,10 +585,10 @@ def compare_with_theory(result: McResult) -> dict:
 
     The scene comes from ``result.config``. The checks follow from what its
     mode fixes (see _FIXED): a fixed distance is compared against the
-    conditional mean count, a fixed tx boresight against the min-fraction
-    upper bound, and any other mode against the exact mean count and the
-    corrected exponential tail. Returns a JSON-ready report with per-check
-    errors and PASS/FAIL flags.
+    count given its direct delay, a fixed tx boresight against the
+    min-fraction upper bound, and any other mode against the exact mean
+    count and the corrected exponential tail. Returns a JSON-ready report
+    with per-check errors and PASS/FAIL flags.
 
     The tail is fitted over [40 ns, 110 ns] clipped to the grid. Tail checks
     are skipped (with a note) when the walls have no single reflectance, are
@@ -601,9 +603,8 @@ def compare_with_theory(result: McResult) -> dict:
 
     fixed = _FIXED[cfg.mode]
     if "distance" in fixed:
-        tau0 = cfg.distance / cfg.radio.speed_of_light
-        expected = theory.conditional_mean_count(scene, grid, tau0)
-        far = grid >= tau0 + scene.room.diagonal / scene.radio.speed_of_light
+        expected = theory.approx_count(scene, grid)
+        far = grid >= scene.direct_delay + scene.room.diagonal / scene.radio.speed_of_light
         checks["conditional_count"] = _max_rel_check(result.count.mean, expected, far, _CONDITIONAL_TOLERANCE)
     elif "tx_boresight" in fixed:
         bound = theory.count_upper_bound(scene, grid)
@@ -673,7 +674,8 @@ def compare_power_curves(a: McResult, b: McResult, window: tuple[float, float]) 
         raise ConfigError(f"window [{window[0]:g}, {window[1]:g}] s holds no grid point")
     sigma = np.sqrt(a.power.stderr[mask] ** 2 + b.power.stderr[mask] ** 2)
     gap = np.abs(a.power.mean[mask] - b.power.mean[mask])
-    ratio = gap / np.where(sigma > 0.0, sigma, np.inf)
+    # A gap without a standard error is infinitely many of them; equal means are none.
+    ratio = np.divide(gap, sigma, out=np.where(gap == 0.0, 0.0, np.inf), where=sigma > 0.0)
     return {
         "max_sigma_distance": float(np.max(ratio)),
         "points": int(mask.sum()),

@@ -2,16 +2,16 @@
 
 All functions take a :class:`SceneSummary`: the room, whose volume ``V``,
 surface area ``S``, diagonal and common wall reflectance ``g`` (``None``
-when the walls differ) they read, the radio, and the two beam coverage
-fractions.
+when the walls differ) they read, the radio, the two antenna patterns,
+whose beam coverage fractions they read, and the direct delay, if fixed.
 Delay arguments may be scalars or arrays; outputs follow numpy broadcasting.
 
 Overview of the quantities:
 
 * arrival counts: the cubic large-delay law ``4*pi*c^3*tau^3 / (3*V)``
-  (Eyring's count), a deterministic approximation anchored at the direct
-  delay, the exact mean under uniformly random terminal placement and
-  orientation, and upper bounds / conditional variants.
+  (Eyring's count), the count anchored at the direct delay, the exact mean
+  under uniformly random terminal placement and orientation, and upper
+  bounds.
 * arrival rates: delay derivatives of the counts; spiky components are kept
   symbolic as ``(location, weight)`` pairs.
 * power-delay spectrum: spike plus exponential tail with reverberation time
@@ -44,23 +44,24 @@ _PULSE_VALUES = 1 << 14
 
 @dataclass(frozen=True)
 class SceneSummary:
-    """The room, radio and beam coverage fractions that the closed-form results depend on (SI units).
+    """The room, radio, antenna patterns and direct delay that the closed-form results depend on (SI units).
 
     The room and radio refuse every value outside the model's domain,
-    ``geometry.MAGNITUDES``; the fractions must lie in ``(0, 1]`` and the
-    direct delay in the domain, else construction raises :class:`ConfigError`.
+    ``geometry.MAGNITUDES``; the patterns' beam fractions must lie in
+    ``(0, 1]`` and the direct delay (None unless fixed) in the domain, else
+    construction raises :class:`ConfigError`.
     """
 
     room: Room
     radio: RadioConfig
-    tx_fraction: float
-    rx_fraction: float
+    tx_pattern: AntennaPattern
+    rx_pattern: AntennaPattern
     direct_delay: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("tx_fraction", "rx_fraction"):
-            if not 0.0 < getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must lie in (0, 1]")
+        for side in ("tx", "rx"):
+            if not 0.0 < getattr(self, f"{side}_pattern").beam_fraction <= 1.0:
+                raise ConfigError(f"{side} beam fraction must lie in (0, 1]")
         if self.direct_delay is not None:
             check_magnitude("direct_delay", self.direct_delay)
 
@@ -84,7 +85,7 @@ class SceneSummary:
             if not separation >= radio.wavelength:  # the far-field path gain needs it
                 raise ConfigError(f"terminals must lie a wavelength, {radio.wavelength:.3g} m, or more apart")
             direct_delay = float(separation / radio.speed_of_light)
-        return cls(room, radio, tx_pattern.beam_fraction, rx_pattern.beam_fraction, direct_delay)
+        return cls(room, radio, tx_pattern, rx_pattern, direct_delay)
 
     @property
     def reflectance(self) -> float | None:
@@ -94,7 +95,7 @@ class SceneSummary:
 
     @property
     def fraction_product(self) -> float:
-        return self.tx_fraction * self.rx_fraction
+        return self.tx_pattern.beam_fraction * self.rx_pattern.beam_fraction
 
     def _require_direct_delay(self) -> float:
         if self.direct_delay is None:
@@ -157,23 +158,28 @@ def eyring_count(scene: SceneSummary, tau):
 
 
 def approx_count(scene: SceneSummary, tau):
-    """Deterministic count approximation anchored at the direct delay.
+    """Mean count given the scene's direct delay ``tau0``.
 
     ``1(tau >= tau0) * [1 + 4*pi*c^3*(tau^3 - tau0^3) / (3*V)] * w_tx * w_rx``.
     For isotropic, colocated antennas (``tau0 -> 0``) this is the cubic
     large-delay count plus one.
     """
-    return conditional_mean_count(scene, tau, scene._require_direct_delay())
+    tau0 = scene._require_direct_delay()
+    tau = np.asarray(tau, dtype=float)
+    c = scene.radio.speed_of_light
+    bulk = 1.0 + 4.0 * np.pi * c**3 * (tau**3 - tau0**3) / (3.0 * scene.room.volume)
+    return np.where(tau >= tau0, bulk * scene.fraction_product, 0.0)
 
 
 def approx_rate(scene: SceneSummary, tau) -> tuple[float, np.ndarray]:
-    """Arrival-rate approximation: spike at the direct delay plus density.
+    """Rate given the scene's direct delay: a spike there plus a density.
 
     Returns ``(spike_weight, density)`` where the spike of weight
     ``w_tx * w_rx`` sits at the direct delay and the density is
     ``1(tau > tau0) * 4*pi*c^3*tau^2 / V * w_tx * w_rx``.
     """
-    return conditional_rate(scene, tau, scene._require_direct_delay())
+    tau0 = scene._require_direct_delay()
+    return scene.fraction_product, _arrivals(scene, tau, scene.fraction_product, tau0, rate=True)
 
 
 def mean_count(scene: SceneSummary, tau):
@@ -197,7 +203,7 @@ def mixing_time(scene: SceneSummary, n_mix: float = 1.0) -> float:
     ``sqrt(n_mix * B * V / (4*pi*c^3 * w_tx * w_rx))``. Values beyond
     ``n_mix = 1`` scale the result by ``sqrt(n_mix)``.
     """
-    if n_mix <= 0.0:
+    if not n_mix > 0.0:
         raise ValueError("n_mix must be positive")
     rate_scale = 4.0 * np.pi * scene.radio.speed_of_light**3 * scene.fraction_product
     if rate_scale == 0.0:
@@ -226,9 +232,9 @@ def kuttruff_correction(gain: float, gamma_sq: float = DEFAULT_GAMMA_SQ) -> floa
     the room aspect ratio. Undefined where the denominator is not positive,
     for ``g <= exp(-2 / gamma_sq)`` (0.0033 at the default ``gamma_sq``).
     """
-    if gain <= 0.0 or gain >= 1.0:
+    if not 0.0 < gain < 1.0:
         raise ValueError("correction needs reflectance strictly in (0, 1)")
-    if gamma_sq < 0.0:
+    if not gamma_sq >= 0.0:
         raise ValueError("gamma_sq must be non-negative")
     denominator = 1.0 + gamma_sq * np.log(gain) / 2.0
     if denominator <= 0.0:
@@ -345,32 +351,10 @@ def count_upper_bound(scene: SceneSummary, tau):
     Valid for a uniformly placed terminal with fixed orientation; equality
     holds when either antenna is isotropic.
     """
-    return _arrivals(scene, tau, min(scene.tx_fraction, scene.rx_fraction))
+    return _arrivals(scene, tau, min(scene.tx_pattern.beam_fraction, scene.rx_pattern.beam_fraction))
 
 
 def rate_upper_bound(scene: SceneSummary, tau):
     """Rate analog of :func:`count_upper_bound`."""
-    return _arrivals(scene, tau, min(scene.tx_fraction, scene.rx_fraction), rate=True)
+    return _arrivals(scene, tau, min(scene.tx_pattern.beam_fraction, scene.rx_pattern.beam_fraction), rate=True)
 
-
-def conditional_mean_count(scene: SceneSummary, tau, tau0: float):
-    """Mean count conditioned on the direct delay ``tau0``.
-
-    ``1(tau >= tau0) * [1 + 4*pi*c^3*(tau^3 - tau0^3) / (3*V)] * w_tx * w_rx``.
-    :func:`approx_count` evaluates it at the scene's direct delay; the
-    semantics differ (expectation given the terminal separation rather than
-    a deterministic approximation).
-    """
-    if tau0 <= 0.0:
-        raise ValueError("conditional count needs tau0 > 0")
-    tau = np.asarray(tau, dtype=float)
-    c = scene.radio.speed_of_light
-    bulk = 1.0 + 4.0 * np.pi * c**3 * (tau**3 - tau0**3) / (3.0 * scene.room.volume)
-    return np.where(tau >= tau0, bulk * scene.fraction_product, 0.0)
-
-
-def conditional_rate(scene: SceneSummary, tau, tau0: float) -> tuple[float, np.ndarray]:
-    """Rate conditioned on the direct delay: ``(spike_weight, density)``."""
-    if tau0 <= 0.0:
-        raise ValueError("conditional rate needs tau0 > 0")
-    return scene.fraction_product, _arrivals(scene, tau, scene.fraction_product, tau0, rate=True)

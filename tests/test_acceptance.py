@@ -225,9 +225,8 @@ def test_criterion_8_conditional_count():
         runs=1200, seed=808, mode="fixed-distance", distance=distance,
     )
     result = run_ensemble(cfg, workers=WORKERS)
-    scene = scene_for(cap, cap)
     grid = result.count.grid
-    expected = theory.conditional_mean_count(scene, grid, tau0)
+    expected = theory.approx_count(cfg.scene, grid)
     far = grid >= tau0 + ROOM.diagonal / C
     rel = np.abs(result.count.mean[far] - expected[far]) / expected[far]
     worst = float(np.max(rel))

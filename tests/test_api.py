@@ -32,7 +32,7 @@ REMOVED = {
         "_simulate_runs", "_LOCK_WAIT", "_run_tables", "_block_runs",
     ],
     montecarlo.McConfig: ["row_layout", "_grid_points", "tx_orientation", "rx_orientation", "fixed_boresights"],
-    theory: ["_cubic_count", "_rate_density", "_CUBES"],
+    theory: ["_cubic_count", "_rate_density", "_CUBES", "conditional_mean_count", "conditional_rate"],
 }
 
 

@@ -790,3 +790,10 @@ class TestDelayGrid:
     def test_points_over_the_cap_are_refused(self):
         with pytest.raises(ResourceLimitError):
             channel.delay_grid(0.0, 1.0, 1.0 / channel.MAX_GRID_POINTS)
+
+
+class TestSampleGrid:
+    @pytest.mark.parametrize("step", [0.0, -1e-9, math.nan])
+    def test_step_must_be_positive(self, step):
+        with pytest.raises(ValueError, match="^grid step must be positive$"):
+            SampleGrid(0.0, step, 3)

@@ -93,11 +93,16 @@ class TestRoom:
 
     @pytest.mark.parametrize(
         "lengths,gains",
-        [((0, 5, 3), 0.6), ((5, 5, 3), 1.5), ((5, 5, 3), -0.1), ((5, 5), 0.6)],
+        # NaN fails every comparison, so the check accepts only gains inside [0, 1].
+        [((0, 5, 3), 0.6), ((5, 5, 3), 1.5), ((5, 5, 3), -0.1), ((5, 5), 0.6),
+         ((5, 5, 3), math.nan), ((5, 5, 3), (0.6, 0.6, math.nan, 0.6, 0.6, 0.6))],
     )
     def test_rejects_bad_values(self, lengths, gains):
         with pytest.raises(ValueError):
             Room(lengths, gains)
+
+    def test_gains_at_both_ends_accepted(self):
+        assert Room((5, 5, 3), (0.0, 1.0) * 3).wall_gains.tolist() == [0.0, 1.0] * 3
 
     def test_keeps_its_own_copies_of_the_caller_arrays(self):
         lengths, gains = np.array([5.0, 5.0, 3.0]), np.full(6, 0.6)

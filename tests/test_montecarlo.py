@@ -131,6 +131,24 @@ class TestMcConfigValidation:
         cfg = quick_config(mode="fixed-orientation-tx", tx_pattern=SphericalCap(0.5), rx_position=(1, 1, 1))
         assert montecarlo._draw_terminals(cfg, montecarlo.run_rng(cfg.seed, 0))[1].tolist() == [0.0, 0.0, 1.0]
 
+    def test_fixed_distance_sets_the_scenes_direct_delay(self):
+        cfg = quick_config(mode="fixed-distance", distance=1.7)
+        assert cfg.scene.direct_delay == 1.7 / RADIO.speed_of_light
+        assert cfg.scene.room is ROOM and cfg.scene.radio is RADIO
+        assert cfg.scene.tx_pattern is cfg.tx_pattern and cfg.scene.rx_pattern is cfg.rx_pattern
+
+    @pytest.mark.parametrize("mode", ["both-random", "fixed-rx", "fixed-orientation-tx"])
+    def test_other_modes_have_no_direct_delay(self, mode):
+        # A distance that the mode does not fix is not read.
+        cfg = quick_config(mode=mode, rx_position=(1.0, 2.0, 1.2), distance=1.7)
+        assert cfg.scene.direct_delay is None
+
+    def test_fixed_distance_delay_outside_the_domain_refused(self):
+        # 10 m at 1e-30 m/s takes 1e31 s, past the domain's top; the room and radio are inside it.
+        radio = RadioConfig(0.005, 2e9, 1e-30)
+        with pytest.raises(ConfigError, match=r"^direct_delay must lie in \[1e-30, 1e\+30\], got 1e\+31$"):
+            quick_config(room=Room((20.0, 20.0, 20.0), 0.6), radio=radio, mode="fixed-distance", distance=10.0)
+
     def test_fixed_position_is_a_read_only_copy(self):
         position = np.array([1.0, 2.0, 1.2])
         cfg = quick_config(mode="fixed-rx", rx_position=position)
@@ -1260,6 +1278,16 @@ class TestCompareWithTheory:
         with pytest.raises(ConfigError):
             compare_power_curves(a, b, (10e-9, 30e-9))
 
+    def test_gap_without_standard_error_fails(self):
+        # One run has no standard error: distinct means are infinitely far apart, equal ones are not apart.
+        a, b = (run_ensemble(McConfig(room=ROOM, radio=RADIO, tx_pattern=ISO, rx_pattern=ISO, runs=1, seed=seed))
+                for seed in (1, 2))
+        assert not np.any(a.power.stderr) and np.any(a.power.mean != b.power.mean)
+        window = (40e-9, 110e-9)
+        report = compare_power_curves(a, b, window)
+        assert (report["max_sigma_distance"], report["pass"]) == (np.inf, False)
+        report = compare_power_curves(a, a, window)
+        assert (report["max_sigma_distance"], report["pass"]) == (0.0, True)
 
     @pytest.mark.parametrize("window", [(10.2e-9, 10.8e-9), (50e-9, 60e-9)])
     def test_window_without_a_grid_point_rejected(self, window):
@@ -1358,21 +1386,21 @@ class TestResolvedOnce:
 
         monkeypatch.setattr(geometry, "index_bounds", sizing)
         monkeypatch.setattr(montecarlo, "index_bounds", sizing)
-        summaries = []
-        from_components = theory.SceneSummary.from_components.__func__
+        scenes = []
+        post_init = theory.SceneSummary.__post_init__
 
-        def summarizing(cls, *args):
-            summaries.append(args)
-            return from_components(cls, *args)
+        def building(scene):
+            scenes.append(scene)
+            post_init(scene)
 
-        monkeypatch.setattr(theory.SceneSummary, "from_components", classmethod(summarizing))
+        monkeypatch.setattr(theory.SceneSummary, "__post_init__", building)
         # 0.1 caps: 80 runs take three blocks, each enumerated once.
         path = next(p for p in PARITY if p.endswith("both-random-cap01.json"))
         argv = ["--config", path, "mc", "--runs", "80", "--out-dir", str(tmp_path)]
         assert cli.main(argv) == 0
         assert callers.count("enumerate_indices") >= 3
         assert len([name for name in callers if name != "enumerate_indices"]) == 1
-        assert len(summaries) == 1
+        assert len(scenes) == 1
 
 
 class TestParityDocuments:

@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 
 from roomchan import theory
-from roomchan.antenna import Isotropic, SphericalCap
+from roomchan.antenna import AntennaPattern, Isotropic, SphericalCap
 from roomchan.channel import RadioConfig, sinc_pulse
 from roomchan.errors import ConfigError, DegenerateGeometryError
 from roomchan.geometry import Room
@@ -21,8 +21,19 @@ RX = np.array([3.8, 4.0, 0.6])
 TAU0 = np.sqrt(4.75) / C
 
 
+class Coverage(AntennaPattern):
+    """A custom pattern that declares any beam fraction, which is all the closed forms read of it."""
+
+    def __init__(self, fraction):
+        self.fraction = fraction
+
+    @property
+    def beam_fraction(self):
+        return self.fraction
+
+
 def scene_with(tx_fraction=1.0, rx_fraction=1.0, direct_delay=None, room=ROOM, radio=RADIO):
-    return SceneSummary(room, radio, tx_fraction, rx_fraction, direct_delay)
+    return SceneSummary(room, radio, SphericalCap(tx_fraction), SphericalCap(rx_fraction), direct_delay)
 
 
 SCENE = scene_with()
@@ -30,22 +41,31 @@ SCENE_T0 = scene_with(direct_delay=TAU0)
 
 
 class TestSceneSummary:
-    def test_fields_are_the_components_fractions_and_direct_delay(self):
+    def test_fields_are_the_components_and_direct_delay(self):
         names = tuple(field.name for field in dataclasses.fields(SceneSummary))
-        assert names == ("room", "radio", "tx_fraction", "rx_fraction", "direct_delay")
+        assert names == ("room", "radio", "tx_pattern", "rx_pattern", "direct_delay")
 
     def test_from_components(self):
-        scene = SceneSummary.from_components(ROOM, RADIO, Isotropic(), SphericalCap(0.5), TX, RX)
-        # The scene holds the room and radio themselves, and reads their own values.
+        tx_pattern, rx_pattern = Isotropic(), SphericalCap(0.5)
+        scene = SceneSummary.from_components(ROOM, RADIO, tx_pattern, rx_pattern, TX, RX)
+        # The scene holds the room, radio and patterns themselves, and reads their own values.
         assert scene.room is ROOM and scene.radio is RADIO
+        assert scene.tx_pattern is tx_pattern and scene.rx_pattern is rx_pattern
         assert scene.room.volume == 75.0
         assert scene.room.surface_area == 110.0
         assert scene.room.diagonal == np.sqrt(59.0)
         assert scene.reflectance == 0.6
         assert (scene.radio.speed_of_light, scene.radio.wavelength, scene.radio.bandwidth) == (C, 0.005, 2e9)
-        assert scene.tx_fraction == 1.0
-        assert scene.rx_fraction == 0.5
+        assert scene.fraction_product == 0.5
         assert scene.direct_delay == pytest.approx(TAU0, rel=1e-14)
+
+    # A custom pattern declares its own fraction; the scene refuses one outside (0, 1].
+    @pytest.mark.parametrize("side", ["tx", "rx"])
+    @pytest.mark.parametrize("fraction", [0.0, 1.5, np.nan])
+    def test_beam_fraction_outside_unit_interval_rejected(self, side, fraction):
+        patterns = {"tx_pattern": Isotropic(), "rx_pattern": Isotropic(), f"{side}_pattern": Coverage(fraction)}
+        with pytest.raises(ConfigError, match=rf"^{side} beam fraction must lie in \(0, 1\]$"):
+            SceneSummary(ROOM, RADIO, **patterns)
 
     def test_coincident_positions_rejected(self):
         with pytest.raises(DegenerateGeometryError, match="transmitter and receiver coincide"):
@@ -141,6 +161,12 @@ class TestApproxCount:
             theory.eyring_count(SCENE, tau) + 1.0, rel=1e-9
         )
 
+    def test_small_separation_limit(self):
+        scene = dataclasses.replace(scene_with(0.5, 0.5), direct_delay=1e-12)
+        tau = 30e-9
+        expected = theory.eyring_count(SCENE, tau) * 0.25 + 0.25
+        assert theory.approx_count(scene, tau) == pytest.approx(expected, rel=1e-6)
+
     def test_requires_direct_delay(self):
         with pytest.raises(ConfigError):
             theory.approx_count(SCENE, 10e-9)
@@ -196,7 +222,8 @@ class TestMixingTime:
         assert theory.mixing_time(scene) == pytest.approx(42e-9, rel=0.02)
 
     def test_underflowing_beam_product_never_mixes(self):
-        assert theory.mixing_time(scene_with(0.5, 5e-324)) == float("inf")
+        scene = SceneSummary(ROOM, RADIO, SphericalCap(0.5), Coverage(5e-324))
+        assert theory.mixing_time(scene) == float("inf")
 
     def test_bandwidth_scaling(self):
         radio4 = RadioConfig(RADIO.wavelength, 4 * RADIO.bandwidth, C)
@@ -208,6 +235,11 @@ class TestMixingTime:
         assert theory.mixing_time(SCENE, n_mix=4.0) == pytest.approx(
             2 * theory.mixing_time(SCENE), rel=1e-12
         )
+
+    @pytest.mark.parametrize("n_mix", [0.0, -1.0, np.nan])
+    def test_budget_must_be_positive(self, n_mix):
+        with pytest.raises(ValueError, match="^n_mix must be positive$"):
+            theory.mixing_time(SCENE, n_mix=n_mix)
 
 
 class TestReverberationTime:
@@ -235,10 +267,14 @@ class TestKuttruffCorrection:
     def test_zero_spread_is_identity(self):
         assert theory.kuttruff_correction(0.6, 0.0) == 1.0
 
-    @pytest.mark.parametrize("gain", [0.0, 1.0])
+    @pytest.mark.parametrize("gain", [0.0, 1.0, np.nan])
     def test_degenerate_reflectance_rejected(self, gain):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^correction needs reflectance strictly in \(0, 1\)$"):
             theory.kuttruff_correction(gain)
+
+    def test_nan_spread_rejected(self):
+        with pytest.raises(ValueError, match="^gamma_sq must be non-negative$"):
+            theory.kuttruff_correction(0.6, gamma_sq=np.nan)
 
     # The denominator 1 + gamma_sq*ln(g)/2 reaches 0 at g = exp(-2/gamma_sq):
     # 0.0033 at the default 0.35, 0.0183 at 0.5.
@@ -423,39 +459,6 @@ class TestUpperBounds:
         scene = scene_with(0.3, 0.7)
         taus = np.linspace(1e-9, 100e-9, 50)
         assert np.all(theory.mean_count(scene, taus) <= theory.count_upper_bound(scene, taus))
-
-
-class TestConditionalForms:
-    def test_fraction_product_at_direct_delay(self):
-        scene = scene_with(0.5, 0.5)
-        assert theory.conditional_mean_count(scene, TAU0, TAU0) == pytest.approx(0.25)
-
-    def test_matches_deterministic_approximation(self):
-        scene = scene_with(0.3, 0.8, direct_delay=TAU0)
-        taus = np.linspace(0, 100e-9, 101)
-        assert np.array_equal(
-            theory.conditional_mean_count(scene, taus, TAU0),
-            theory.approx_count(scene, taus),
-        )
-
-    def test_small_separation_limit(self):
-        tau0 = 1e-12
-        scene = scene_with(0.5, 0.5)
-        tau = 30e-9
-        expected = theory.eyring_count(SCENE, tau) * 0.25 + 0.25
-        assert theory.conditional_mean_count(scene, tau, tau0) == pytest.approx(expected, rel=1e-6)
-
-    def test_rate_integrates_to_count(self):
-        scene = scene_with(0.5, 0.5)
-        spike, _ = theory.conditional_rate(scene, TAU0, TAU0)
-        tau = 60e-9
-        integral, _ = integrate.quad(
-            lambda t: float(theory.conditional_rate(scene, t, TAU0)[1]),
-            0, tau, points=[TAU0], limit=200,
-        )
-        assert integral + spike == pytest.approx(
-            float(theory.conditional_mean_count(scene, tau, TAU0)), rel=1e-6
-        )
 
 
 class TestTheoryCurve:
